@@ -91,9 +91,9 @@ from .moments import (
     build_pair,
     completeness_pair,
     default_noise_rate,
-    enum_pmf,
     enum_oracle_moment,
     exact_moment,
+    marginal_pmf,
     moment_gap,
     solve_d0_weights,
 )
@@ -105,7 +105,6 @@ from .reduction import (
     non_nice_bound,
     weak_sat_rate_of_decoder,
 )
-from .stats import binomial_sigma
 
 
 class CliError(ValueError):
@@ -380,7 +379,7 @@ def _cmd_verify_moments(args: argparse.Namespace) -> int:
     if k <= 16:
         worst = 0.0
         for dist in (d0, d1):
-            pmf = enum_pmf(dist)
+            pmf = marginal_pmf(dist, dist.k)
             if abs(float(pmf.sum()) - 1.0) > 1e-12:
                 worst = max(worst, abs(float(pmf.sum()) - 1.0))
             for size in range(1, 5):
@@ -470,7 +469,9 @@ def _cmd_verify_small_ball(args: argparse.Namespace) -> int:
         mags = require_geometric(w)
         sums = subset_sums(w)
         center = float(sums[rng.randint(sums.size)])
-        half = mags[-1] / 6.0
+        # shrink by one ulp at the endpoints' scale, so that rounding
+        # center -/+ half keeps the interval length within m/3
+        half = mags[-1] / 6.0 - np.spacing(abs(center) + mags[-1])
         if unique_point_in_interval(w, center - half, center + half) > 1:
             unique_fail += 1
         source = [
@@ -572,14 +573,11 @@ def _cmd_verify_invariance(args: argparse.Namespace) -> int:
         if not quartic.passed:
             quartic_fail += 1
         worst_excess = max(worst_excess, quartic.gap - quartic.bound)
-        try:
-            cubic = invariance_gap_exact(
-                fam_a, fam_b, blocks, 0, PolyPsi(coeffs=(0, 1, 1, 1))
-            )
-            if cubic != 0:
-                cubic_nonzero += 1
-        except GuardError:
-            pass  # atom count past the exact-path guard; float checks still run
+        cubic = invariance_gap_exact(
+            fam_a, fam_b, blocks, 0, PolyPsi(coeffs=(0, 1, 1, 1))
+        )
+        if cubic != 0:
+            cubic_nonzero += 1
         steps = hybrid_steps(fam_a, fam_b, blocks, theta, QUARTIC)
         per_step = QUARTIC.k_bound / 12.0
         for i, step in enumerate(steps):

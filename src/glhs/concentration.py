@@ -50,23 +50,6 @@ ENUM_GUARD_N = 20
 _CHUNK_WORDS = 1 << 22
 
 
-@dataclass(frozen=True)
-class IntervalQuery:
-    """A closed interval [a, b] with the probability bound claimed for it."""
-
-    a: float
-    b: float
-    bound: float
-
-    def __post_init__(self):
-        if not self.a <= self.b:
-            raise ValueError(f"interval endpoints out of order: [{self.a}, {self.b}]")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-
 # ---------------------------------------------------------------------------
 # geometric vectors and subset sums
 

@@ -1,4 +1,4 @@
-"""Bit containers, counter-based randomness, and the example-stream file format.
+"""Counter-based randomness and the example-stream file format.
 
 Everything downstream samples through `rng_word`: a pure function from a
 (master_seed, stream_id, index) triple to a 64-bit word.  Samplers address
@@ -7,15 +7,17 @@ triple always produces the same word, chunked and parallel runs produce
 byte-identical output, and any example can be regenerated in isolation.
 
 Streams of labeled examples are stored in a small binary format (magic
-``GLHS``).  Features are bit matrices flattened row-major and packed eight
-bits per byte, least significant bit first.
+``GLHS``).  In memory a batch of examples is a uint8 bit matrix of shape
+(n, rows*cols), each grid flattened row-major, plus a uint8 label vector; on
+disk each row is packed eight bits per byte, least significant bit first,
+followed by its label byte.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -147,16 +149,15 @@ class CursorRng:
         self.index += 1
         return w
 
-    def words(self, count: int) -> np.ndarray:
-        idx = np.arange(self.index, self.index + count, dtype=np.uint64)
-        self.index += count
-        return _mix64_array((np.uint64(self._base) ^ idx) + np.uint64(_C_INDEX))
-
     def uniform(self) -> float:
         return (self.word() >> 11) * (2.0 ** -53)
 
     def uniforms(self, count: int) -> np.ndarray:
-        return words_to_uniforms(self.words(count))
+        idx = np.arange(self.index, self.index + count, dtype=np.uint64)
+        self.index += count
+        return words_to_uniforms(
+            _mix64_array((np.uint64(self._base) ^ idx) + np.uint64(_C_INDEX))
+        )
 
     def bernoulli(self, p: float) -> int:
         return 1 if self.uniform() < p else 0
@@ -188,163 +189,6 @@ class CursorRng:
             out.append(vj)
             picked[j] = vi
         return out
-
-
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    return np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
-
-
-def _unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
-    return np.unpackbits(packed, count=length, bitorder="little")
-
-
-class BitVector:
-    """Immutable packed bit sequence."""
-
-    __slots__ = ("_packed", "_length")
-
-    def __init__(self, bits: Iterable[int] | np.ndarray):
-        arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
-        if arr.ndim != 1:
-            raise ValueError("BitVector needs a one-dimensional bit sequence")
-        if arr.size and not np.isin(arr, (0, 1)).all():
-            raise ValueError("BitVector entries must be 0 or 1")
-        self._length = int(arr.size)
-        packed = _pack_bits(arr)
-        packed.flags.writeable = False
-        self._packed = packed
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(np.zeros(n, dtype=np.uint8))
-
-    @classmethod
-    def _from_packed(cls, packed: np.ndarray, length: int) -> "BitVector":
-        obj = cls.__new__(cls)
-        packed = np.asarray(packed, dtype=np.uint8)
-        if packed.size != (length + 7) // 8:
-            raise ValueError("packed length does not match bit length")
-        packed = packed.copy()
-        # mask padding bits so equality is content-only
-        if length % 8 and packed.size:
-            packed[-1] &= (1 << (length % 8)) - 1
-        packed.flags.writeable = False
-        obj._packed = packed
-        obj._length = length
-        return obj
-
-    def to_array(self) -> np.ndarray:
-        return _unpack_bits(self._packed, self._length)
-
-    def packed_bytes(self) -> bytes:
-        return self._packed.tobytes()
-
-    def popcount(self) -> int:
-        return int(self.to_array().sum())
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._length:
-            raise IndexError(f"bit index {i} out of range [0, {self._length})")
-        return (int(self._packed[i >> 3]) >> (i & 7)) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.to_array().tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self._length == other._length and bool(
-            np.array_equal(self._packed, other._packed)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._length, self._packed.tobytes()))
-
-    def __repr__(self) -> str:
-        if self._length <= 64:
-            body = "".join(str(b) for b in self.to_array())
-        else:
-            body = f"<{self._length} bits>"
-        return f"BitVector({body})"
-
-
-class BitMatrix:
-    """Immutable bit matrix stored row-major over a BitVector.
-
-    Row and column views index the same underlying bit: entry (i, j) lives at
-    flat position i * cols + j.
-    """
-
-    __slots__ = ("rows", "cols", "_bits")
-
-    def __init__(self, rows: int, cols: int, bits: BitVector):
-        if len(bits) != rows * cols:
-            raise ValueError(
-                f"bit count {len(bits)} does not match {rows}x{cols} matrix"
-            )
-        self.rows = rows
-        self.cols = cols
-        self._bits = bits
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "BitMatrix":
-        arr = np.asarray(arr)
-        if arr.ndim != 2:
-            raise ValueError("BitMatrix.from_array needs a 2-d array")
-        return cls(arr.shape[0], arr.shape[1], BitVector(arr.reshape(-1)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, BitVector.zeros(rows * cols))
-
-    def bit(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return self._bits[i * self.cols + j]
-
-    def row(self, i: int) -> BitVector:
-        arr = self.to_array()
-        return BitVector(arr[i, :])
-
-    def col(self, j: int) -> BitVector:
-        arr = self.to_array()
-        return BitVector(arr[:, j])
-
-    def flat(self) -> BitVector:
-        return self._bits
-
-    def to_array(self) -> np.ndarray:
-        return self._bits.to_array().reshape(self.rows, self.cols)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._bits == other._bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._bits))
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """One sample: a bit-matrix feature block flattened row-major, plus a label."""
-
-    features: BitVector
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
 STREAM_MAGIC = b"GLHS"
@@ -405,29 +249,6 @@ def _decode_header(blob: bytes) -> tuple[StreamHeader, int]:
     return header, _HEADER_SIZE + meta_len
 
 
-def pack_example(example: LabeledExample, rows: int, cols: int) -> bytes:
-    """Fixed-width record: packed row-major feature bits, then one label byte."""
-    if len(example.features) != rows * cols:
-        raise ValueError(
-            f"feature length {len(example.features)} does not match {rows}x{cols}"
-        )
-    return example.features.packed_bytes() + bytes([example.label])
-
-
-def unpack_example(record: bytes, rows: int, cols: int) -> LabeledExample:
-    nbytes = (rows * cols + 7) // 8
-    if len(record) != nbytes + 1:
-        raise CorruptionError(
-            f"record is {len(record)} bytes, expected {nbytes + 1}"
-        )
-    label = record[nbytes]
-    if label not in (0, 1):
-        raise CorruptionError(f"label byte must be 0 or 1, got {label}")
-    packed = np.frombuffer(record[:nbytes], dtype=np.uint8)
-    features = BitVector._from_packed(packed, rows * cols)
-    return LabeledExample(features=features, label=label)
-
-
 class StreamWriter:
     """Writes a GLHS example stream; the count field is patched on close."""
 
@@ -441,10 +262,6 @@ class StreamWriter:
             _encode_header(StreamHeader(rows=rows, cols=cols, count=0, meta=meta))
         )
 
-    def append(self, example: LabeledExample) -> None:
-        self._fh.write(pack_example(example, self.rows, self.cols))
-        self._count += 1
-
     def append_batch(self, bits: np.ndarray, labels: np.ndarray) -> None:
         """Append unpacked bit rows (n, rows*cols) with labels (n,)."""
         bits = np.asarray(bits, dtype=np.uint8)
@@ -453,6 +270,8 @@ class StreamWriter:
             raise ValueError("batch bits must have shape (n, rows*cols)")
         if labels.shape != (bits.shape[0],):
             raise ValueError("labels must match the batch row count")
+        if labels.size and labels.max() > 1:
+            raise ValueError("labels must be 0 or 1")
         packed = np.packbits(bits, axis=1, bitorder="little")
         records = np.concatenate([packed, labels[:, None]], axis=1)
         self._fh.write(records.tobytes())
@@ -496,14 +315,6 @@ class StreamReader:
     def __len__(self) -> int:
         return self.header.count
 
-    def __iter__(self) -> Iterator[LabeledExample]:
-        rs = self.header.record_size
-        for i in range(self.header.count):
-            off = self._body_offset + i * rs
-            yield unpack_example(
-                self._blob[off : off + rs], self.header.rows, self.header.cols
-            )
-
     def read_batches(self, chunk: int = 4096) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (bits (n, rows*cols) uint8, labels (n,) uint8) chunks."""
         rs = self.header.record_size
@@ -521,7 +332,3 @@ class StreamReader:
                 raise CorruptionError("label byte must be 0 or 1")
             yield bits, labels
 
-
-def read_stream(path: str) -> tuple[StreamHeader, list[LabeledExample]]:
-    reader = StreamReader(path)
-    return reader.header, list(reader)

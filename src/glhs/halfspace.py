@@ -140,14 +140,6 @@ class Disjunction:
         return Halfspace.from_grid(grid, 0.5)
 
 
-def eval_halfspace(h: Halfspace, bits: np.ndarray) -> np.ndarray:
-    return h.evaluate(bits)
-
-
-def eval_disjunction(d: Disjunction, bits: np.ndarray) -> np.ndarray:
-    return d.evaluate(bits)
-
-
 # ---------------------------------------------------------------------------
 # tail structure
 

@@ -28,7 +28,6 @@ from .core import (
     CursorRng,
     PURPOSE_LEARN,
     PURPOSE_MC,
-    LabeledExample,
     StreamReader,
     StreamWriter,
     purpose_stream,
@@ -146,46 +145,31 @@ class AgreementReport:
 
 BatchIter = Iterator[tuple[np.ndarray, np.ndarray]]
 
+# A stream path, an open reader, one (bits, labels) tuple, or any other
+# iterable of (bits, labels) batches.
 ExampleSource = Union[
     str,
     os.PathLike,
     StreamReader,
     tuple[np.ndarray, np.ndarray],
-    Sequence[LabeledExample],
+    Iterable[tuple[np.ndarray, np.ndarray]],
 ]
 
 
-def _normalize_batches(
-    examples: ExampleSource, chunk: int
-) -> tuple[int | None, BatchIter, str]:
-    """(declared dim or None, batch iterator, provenance string)."""
+def _normalize_batches(examples: ExampleSource, chunk: int) -> tuple[BatchIter, str]:
+    """(batch iterator, provenance string)."""
     if isinstance(examples, (str, os.PathLike)):
-        reader = StreamReader(os.fspath(examples))
-        return (
-            reader.header.bits_per_example,
-            reader.read_batches(chunk),
-            f"file:{os.fspath(examples)}",
-        )
+        examples = StreamReader(os.fspath(examples))
     if isinstance(examples, StreamReader):
-        return (
-            examples.header.bits_per_example,
-            examples.read_batches(chunk),
-            f"file:{examples.path}",
-        )
+        return examples.read_batches(chunk), f"file:{examples.path}"
     if isinstance(examples, tuple) and len(examples) == 2:
         bits, labels = examples
         bits = np.asarray(bits, dtype=np.uint8)
         labels = np.asarray(labels, dtype=np.uint8)
         if bits.ndim != 2 or labels.shape != (bits.shape[0],):
             raise ValueError("expected (bits (n, dim), labels (n,)) arrays")
-        return bits.shape[1], iter([(bits, labels)]), "arrays"
-    examples = list(examples)
-    if not examples:
-        return None, iter([]), "examples"
-    dim = len(examples[0].features)
-    bits = np.stack([ex.features.to_array() for ex in examples])
-    labels = np.asarray([ex.label for ex in examples], dtype=np.uint8)
-    return dim, iter([(bits, labels)]), "examples"
+        return iter([(bits, labels)]), "arrays"
+    return iter(examples), "batches"
 
 
 def agreement(
@@ -194,13 +178,14 @@ def agreement(
     chunk: int = DEFAULT_CHUNK,
 ) -> AgreementReport:
     """Exact agreement of `hypothesis` over every provided example."""
-    dim, batches, provenance = _normalize_batches(examples, chunk)
-    if dim is not None and dim != hypothesis.dim:
-        raise ValueError(
-            f"hypothesis reads {hypothesis.dim} bits but examples carry {dim}"
-        )
+    batches, provenance = _normalize_batches(examples, chunk)
     count = matches = n1 = hits1 = 0
     for bits, labels in batches:
+        if bits.shape[1] != hypothesis.dim:
+            raise ValueError(
+                f"hypothesis reads {hypothesis.dim} bits but examples carry "
+                f"{bits.shape[1]}"
+            )
         preds = hypothesis.evaluate(bits)
         count += labels.size
         matches += int((preds == labels).sum())
@@ -258,13 +243,12 @@ def _load_examples(
         examples = StreamReader(os.fspath(examples))
     if isinstance(examples, StreamReader):
         rows, cols = examples.header.rows, examples.header.cols
-    dim, batches, _ = _normalize_batches(examples, chunk)
+    batches, _ = _normalize_batches(examples, chunk)
     parts = list(batches)
     if not parts or sum(b.shape[0] for b, _ in parts) == 0:
         raise ValueError("no training examples")
     bits = np.concatenate([b for b, _ in parts])
     labels = np.concatenate([l for _, l in parts])
-    del dim
     return bits, labels, rows, cols
 
 
@@ -660,26 +644,11 @@ def _plan_params(plan: ExperimentPlan, **extra) -> dict:
     return params
 
 
-def _measure(plan: ExperimentPlan, hypothesis: Hypothesis) -> AgreementReport:
+def _plan_batches(plan: ExperimentPlan) -> BatchIter:
+    """The plan's examples, drawn plan.chunk at a time."""
     sampler = _plan_sampler(plan)
-    count = matches = n1 = hits1 = 0
     for start in range(0, plan.samples, plan.chunk):
-        n = min(plan.chunk, plan.samples - start)
-        bits, labels = sampler(start, n)
-        preds = hypothesis.evaluate(bits)
-        count += labels.size
-        matches += int((preds == labels).sum())
-        ones = labels == 1
-        n1 += int(ones.sum())
-        hits1 += int(preds[ones].sum())
-    return AgreementReport(
-        hypothesis=hypothesis_id(hypothesis),
-        count=count,
-        matches=matches,
-        n1=n1,
-        hits1=hits1,
-        provenance=f"sampled seed={plan.master_seed} stream={plan.stream_id}",
-    )
+        yield sampler(start, min(plan.chunk, plan.samples - start))
 
 
 def _identity_record(plan: ExperimentPlan, rep: AgreementReport, tag: str) -> CheckRecord:
@@ -695,10 +664,11 @@ def _identity_record(plan: ExperimentPlan, rep: AgreementReport, tag: str) -> Ch
 
 def _probe_records(
     plan: ExperimentPlan, name: str, hypothesis: Hypothesis
-) -> list[CheckRecord]:
+) -> tuple[list[CheckRecord], AgreementReport]:
     """Soundness probe: measured gap (asserted when a threshold is set),
-    plus decode-and-weak-satisfaction when an instance and decoder exist."""
-    rep = _measure(plan, hypothesis)
+    plus decode-and-weak-satisfaction when an instance and decoder exist.
+    Also returns the probe's agreement report."""
+    rep = agreement(hypothesis, _plan_batches(plan))
     # conditional means each carry ~ sqrt(1/4 / (n/2)) noise; their difference
     # carries twice the pooled binomial sigma
     gap_sigma = 2.0 * binomial_sigma(0.5, rep.count)
@@ -734,7 +704,7 @@ def _probe_records(
                 None,
             )
         )
-    return records
+    return records, rep
 
 
 def run_experiment(plan: ExperimentPlan) -> list[CheckRecord]:
@@ -750,7 +720,7 @@ def run_experiment(plan: ExperimentPlan) -> list[CheckRecord]:
                 cols=plan.spec.r,
             )
         predicted = or_acceptance_closed_form(plan.spec)
-        rep = _measure(plan, hyp)
+        rep = agreement(hyp, _plan_batches(plan))
         sigma = binomial_sigma(predicted, rep.count)
         tol = plan.sigma_rule * sigma + plan.sigma_rule / rep.count
         records = [
@@ -788,13 +758,13 @@ def run_experiment(plan: ExperimentPlan) -> list[CheckRecord]:
                 np.ones((plan.instance.num_vertices, plan.instance.m)),
                 theta * scale,
             )
-        records = _probe_records(plan, "majority", probe)
+        records, _ = _probe_records(plan, "majority", probe)
         for trial in range(plan.random_probes):
             probe = random_regular_halfspace(
                 plan.spec, plan.master_seed, plan.stream_id, trial
             )
             sub = replace(plan, threshold=None)
-            records.extend(_probe_records(sub, f"random{trial}", probe))
+            records.extend(_probe_records(sub, f"random{trial}", probe)[0])
         if plan.learner is not None:
             sampler = _plan_sampler(plan)
             bits, labels = sampler(0, min(plan.samples, 20000))
@@ -803,8 +773,7 @@ def run_experiment(plan: ExperimentPlan) -> list[CheckRecord]:
                 (bits, labels), plan.learner, rows=rows, cols=bits.shape[1] // rows
             )
             sub = replace(plan, threshold=None)
-            learned_records = _probe_records(sub, "learned", learned)
-            rep = _measure(sub, learned)
+            learned_records, rep = _probe_records(sub, "learned", learned)
             trivial = max(rep.n1, rep.n0) / rep.count
             learned_records.append(
                 make_record(

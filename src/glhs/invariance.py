@@ -13,9 +13,13 @@ four vanishing derivatives at both ends.  Its certified fourth-derivative
 bound C/lam^4 plus the worst window mass c(alpha) of the linear form give
 the testable bound gap <= (C/alpha^4) * sum ||l_i||_1^4 + 2 c(alpha).
 
-Two arithmetic paths coexist: a float path that convolves per-ensemble
-value distributions with exact-duplicate merging, and a Fraction path used
-where tests assert literal equality (a cubic Psi gap is zero, not small).
+Two arithmetic paths coexist.  The float path convolves per-ensemble value
+distributions with exact-duplicate merging.  The exact path, used where
+tests assert literal equality (a cubic Psi gap is zero, not small), needs
+only the raw moments E[l^j] for j <= deg Psi: it computes each block's
+moments from its support rows in Fractions and combines independent blocks
+by the binomial sum rule, so its cost grows with the number of blocks, not
+with the number of atoms of l.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .moments import (
 )
 
 ENUM_GUARD_POINTS = 10_000_000
-_EXACT_GUARD_POINTS = 200_000
 
 Number = float | Fraction
 
@@ -360,30 +363,6 @@ def _convolve_float(
     return _merge_float(sums, mass)
 
 
-def _block_dist_exact(ens: Ensemble, block) -> dict[Fraction, Fraction]:
-    w = [Fraction(v) for v in block]
-    out: dict[Fraction, Fraction] = {}
-    for p, row in ens.support:
-        val = sum((Fraction(x) * wi for x, wi in zip(row, w)), Fraction(0))
-        out[val] = out.get(val, Fraction(0)) + Fraction(p)
-    return out
-
-
-def _convolve_exact(
-    a: dict[Fraction, Fraction], b: dict[Fraction, Fraction]
-) -> dict[Fraction, Fraction]:
-    out: dict[Fraction, Fraction] = {}
-    for va, pa in a.items():
-        for vb, pb in b.items():
-            key = va + vb
-            out[key] = out.get(key, Fraction(0)) + pa * pb
-    if len(out) > _EXACT_GUARD_POINTS:
-        raise GuardError(
-            f"exact convolution grew to {len(out)} atoms; guard is {_EXACT_GUARD_POINTS}"
-        )
-    return out
-
-
 def linear_form_distribution(
     fam: EnsembleFamily, blocks: Sequence[Sequence[Number]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -392,16 +371,6 @@ def linear_form_distribution(
     acc = (np.zeros(1), np.ones(1))
     for ens, block in zip(fam.ensembles, blocks):
         acc = _convolve_float(acc, _block_dist_float(ens, block))
-    return acc
-
-
-def linear_form_distribution_exact(
-    fam: EnsembleFamily, blocks: Sequence[Sequence[Number]]
-) -> dict[Fraction, Fraction]:
-    _check_blocks(fam, blocks)
-    acc: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
-    for ens, block in zip(fam.ensembles, blocks):
-        acc = _convolve_exact(acc, _block_dist_exact(ens, block))
     return acc
 
 
@@ -416,15 +385,41 @@ def expect_psi(
     return float(np.dot(probs, np.asarray(psi(atoms - theta), dtype=np.float64)))
 
 
+def _block_raw_moments(ens: Ensemble, block, degree: int) -> list[Fraction]:
+    """E[<l_i, x_i>^j] for j = 0..degree, exactly, from the support rows."""
+    w = [Fraction(v) for v in block]
+    moments = [Fraction(0)] * (degree + 1)
+    for p, row in ens.support:
+        val = sum((Fraction(x) * wi for x, wi in zip(row, w)), Fraction(0))
+        term = Fraction(p)
+        for j in range(degree + 1):
+            moments[j] += term
+            term *= val
+    return moments
+
+
+def _add_independent(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Raw moments of X + Y for independent X, Y: the binomial sum rule."""
+    return [
+        sum((math.comb(j, i) * a[i] * b[j - i] for i in range(j + 1)), Fraction(0))
+        for j in range(len(a))
+    ]
+
+
 def expect_psi_exact(
     fam: EnsembleFamily,
     blocks: Sequence[Sequence[Number]],
     theta: Number,
-    psi: Callable,
+    psi: PolyPsi,
 ) -> Fraction:
-    dist = linear_form_distribution_exact(fam, blocks)
-    th = Fraction(theta)
-    return sum((p * Fraction(psi(v - th)) for v, p in dist.items()), Fraction(0))
+    """Exact E[Psi(l(x) - theta)] for a polynomial Psi, by moment propagation."""
+    _check_blocks(fam, blocks)
+    degree = len(psi.coeffs) - 1
+    shift = -Fraction(theta)
+    moments = [shift**j for j in range(degree + 1)]
+    for ens, block in zip(fam.ensembles, blocks):
+        moments = _add_independent(moments, _block_raw_moments(ens, block, degree))
+    return sum((Fraction(c) * m for c, m in zip(psi.coeffs, moments)), Fraction(0))
 
 
 def sum_l1_fourth(blocks: Sequence[Sequence[Number]]) -> float:
@@ -497,9 +492,9 @@ def invariance_gap_exact(
     fam_b: EnsembleFamily,
     blocks: Sequence[Sequence[Number]],
     theta: Number,
-    psi: Callable,
+    psi: PolyPsi,
 ) -> Fraction:
-    """The signed gap E_A - E_B as an exact rational."""
+    """The signed gap E_A - E_B of a polynomial Psi as an exact rational."""
     _require_matching(fam_a, fam_b, 3)
     return expect_psi_exact(fam_a, blocks, theta, psi) - expect_psi_exact(
         fam_b, blocks, theta, psi

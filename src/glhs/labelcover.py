@@ -20,7 +20,6 @@ round-trip losslessly through a line-oriented text format.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from .core import (
-    CursorRng,
     GuardError,
     rng_words,
     words_to_open_uniforms,
@@ -547,54 +546,10 @@ def _popcounts(n_patterns: int) -> np.ndarray:
     return np.bitwise_count(np.arange(n_patterns, dtype=np.uint64)).astype(np.int64)
 
 
-def enum_pmf(dist: ColumnSource) -> np.ndarray:
-    """Full pmf over all 2^k columns by direct enumeration (k <= 20).
-
-    Independent of the closed forms: component pmfs are assembled pointwise
-    and noise is applied as an explicit per-bit transfer.
-    """
-    if isinstance(dist, NoisySource):
-        base = enum_pmf(dist.base)
-        g = dist.gamma
-        m = np.array(
-            [[1.0 - g / 2.0, g / 2.0], [g / 2.0, 1.0 - g / 2.0]], dtype=np.float64
-        )
-        pmf = base.reshape((2,) * dist.k)
-        for _ in range(dist.k):
-            pmf = np.tensordot(pmf, m, axes=([0], [1]))
-        return pmf.reshape(-1)
-
-    k = dist.k
-    if k > ENUM_GUARD_K:
-        raise GuardError(
-            f"enumeration over 2^{k} columns exceeds the 2^{ENUM_GUARD_K} guard"
-        )
-    n = 1 << k
-    pop = _popcounts(n)
-    pmf = np.zeros(n, dtype=np.float64)
-    for w, comp in zip(dist.weights, dist.components):
-        if comp.kind == KIND_ALL_ZERO:
-            pmf[0] += w
-        elif comp.kind == KIND_EXACTLY_ONE:
-            for i in range(k):
-                pmf[1 << i] += w / k
-        else:
-            q = comp.rate
-            if q == 0.0:
-                pmf[0] += w
-            elif q == 1.0:
-                pmf[n - 1] += w
-            else:
-                pmf += w * np.exp(
-                    pop * math.log(q) + (k - pop) * math.log1p(-q)
-                )
-    return pmf
-
-
 def enum_oracle_moment(dist: ColumnSource, coords: Iterable[int]) -> float:
     """Brute-force E[prod x_i] over all 2^k points; the closed forms' oracle."""
     s = _distinct_coords(dist, coords)
-    pmf = enum_pmf(dist)
+    pmf = marginal_pmf(dist, dist.k)
     mask = 0
     for i in s:
         mask |= 1 << i
@@ -606,7 +561,10 @@ def enum_oracle_moment(dist: ColumnSource, coords: Iterable[int]) -> float:
 def marginal_pmf(dist: ColumnSource, m: int) -> np.ndarray:
     """pmf of the first m coordinates (the sources are exchangeable).
 
-    Pattern index encodes coordinate i at bit i.
+    Pattern index encodes coordinate i at bit i.  With m = k this is the
+    full pmf over all 2^k columns: the enumeration oracle, independent of
+    the closed forms, since component pmfs are assembled pointwise and noise
+    is applied as an explicit per-bit transfer.
     """
     if not 1 <= m <= dist.k:
         raise ValueError(f"marginal size must be in [1, {dist.k}], got {m}")
@@ -745,28 +703,6 @@ def column_sum_pmf(dist: ColumnSource) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def sample_column(dist: ColumnSource, rng: CursorRng) -> np.ndarray:
-    """One column as a uint8 array, consuming the cursor sequentially."""
-    if isinstance(dist, NoisySource):
-        col = sample_column(dist.base, rng)
-        g = dist.gamma
-        if g > 0.0:
-            mask = rng.uniforms(dist.k) < g
-            vals = rng.uniforms(dist.k) < 0.5
-            col = np.where(mask, vals.astype(np.uint8), col)
-        return col
-
-    cdf, kinds, rates = dist.sampler_tables
-    comp = int(np.searchsorted(cdf, rng.uniform(), side="right"))
-    comp = min(comp, len(kinds) - 1)
-    col = np.zeros(dist.k, dtype=np.uint8)
-    if kinds[comp] == KIND_EXACTLY_ONE:
-        col[rng.randint(dist.k)] = 1
-    elif kinds[comp] == KIND_BERNOULLI:
-        col = (rng.uniforms(dist.k) < rates[comp]).astype(np.uint8)
-    return col
 
 
 _COLUMN_BLOCK_EXTRA = 2  # component word + hot word
@@ -908,24 +844,3 @@ def apply_noise(
         out[rows, pos[rows]] = vals[alive]
         active = rows
     return out
-
-
-def sample_frequencies(
-    dist: ColumnSource,
-    coords: Sequence[int],
-    trials: int,
-    master_seed: int,
-    stream_id: int,
-) -> float:
-    """Empirical E[prod_{i in coords} x_i] over `trials` sampled columns."""
-    s = sorted(_distinct_coords(dist, coords))
-    total = 0
-    chunk = max(1, min(trials, 1 << 16))
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        cols = sample_columns(dist, master_seed, stream_id, done, n)
-        sel = cols[:, s] if s else np.ones((n, 1), dtype=np.uint8)
-        total += int(sel.all(axis=1).sum())
-        done += n
-    return total / trials

@@ -46,8 +46,6 @@ from .core import (
     PURPOSE_LABEL,
     PURPOSE_NOISE,
     PURPOSE_X,
-    BitVector,
-    LabeledExample,
     purpose_stream,
     rng_words,
     words_to_uniforms,
@@ -236,13 +234,6 @@ def dict_test_batch(
         flat, spec.gamma, master_seed, purpose_stream(stream_id, PURPOSE_NOISE), start
     )
     return noisy, labels
-
-
-def dict_test_sample(
-    spec: TestSpec, master_seed: int, stream_id: int, index: int
-) -> LabeledExample:
-    bits, labels = dict_test_batch(spec, master_seed, stream_id, index, 1)
-    return LabeledExample(features=BitVector(bits[0]), label=int(labels[0]))
 
 
 def ug_reduce_batch(

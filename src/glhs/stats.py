@@ -1,17 +1,10 @@
-"""Interval estimates and slack rules for Monte Carlo checks.
+"""Binomial interval estimates for Monte Carlo checks.
 
-Every sampled estimate in the test harness is compared against its target
-through one of these helpers, so the tolerance policy lives in one place:
-
-* two-sided comparisons against an exact prediction use the binomial standard
-  deviation at the *predicted* rate plus an absolute cushion, at 4 sigma;
-* one-sided comparisons against an upper bound allow the bound plus 4 sigma
-  of the empirical rate plus the same cushion;
-* separating two estimates uses the delta-method standard error of their
-  difference, again at 4 sigma.
-
-4 sigma keeps the per-check false-alarm rate near 6e-5 even across hundreds
-of checks per run.
+Estimators report their rate with a Wilson score interval; checks that
+compare a sampled rate with an exact prediction take the binomial standard
+deviation at the predicted rate and allow a fixed number of sigmas (4 by
+default, which keeps the per-check false-alarm rate near 6e-5 even across
+hundreds of checks per run).
 """
 
 from __future__ import annotations
@@ -22,23 +15,11 @@ from dataclasses import dataclass
 # two-sided 95% normal quantile, to full double precision
 Z95 = 1.959963984540054
 
-SIGMA_RULE = 4.0
-
 
 @dataclass(frozen=True)
 class Interval:
     lo: float
     hi: float
-
-    def __contains__(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def separated_from(self, other: "Interval") -> bool:
-        return self.hi < other.lo or other.hi < self.lo
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> Interval:
@@ -63,53 +44,6 @@ def binomial_sigma(rate: float, trials: int) -> float:
         raise ValueError(f"trials must be positive, got {trials}")
     rate = min(max(rate, 0.0), 1.0)
     return math.sqrt(rate * (1.0 - rate) / trials)
-
-
-def mc_matches(
-    estimate: float, predicted: float, trials: int, sigma: float = SIGMA_RULE
-) -> bool:
-    """Two-sided check of an empirical rate against an exact prediction."""
-    tol = sigma * binomial_sigma(predicted, trials) + sigma / trials
-    return abs(estimate - predicted) <= tol
-
-
-def mc_within_upper(
-    estimate: float, bound: float, trials: int, sigma: float = SIGMA_RULE
-) -> bool:
-    """One-sided check: does the estimate respect an upper bound?
-
-    The slack uses the empirical rate because the true rate is unknown here;
-    the 1/trials cushion covers the zero-variance corner.
-    """
-    tol = sigma * binomial_sigma(estimate, trials) + sigma / trials
-    return estimate <= bound + tol
-
-
-def mc_within_lower(
-    estimate: float, bound: float, trials: int, sigma: float = SIGMA_RULE
-) -> bool:
-    """One-sided check: does the estimate respect a lower bound?"""
-    tol = sigma * binomial_sigma(estimate, trials) + sigma / trials
-    return estimate >= bound - tol
-
-
-def diff_sigma(rate_a: float, trials_a: int, rate_b: float, trials_b: int) -> float:
-    """Standard error of the difference of two independent rates."""
-    va = binomial_sigma(rate_a, trials_a) ** 2
-    vb = binomial_sigma(rate_b, trials_b) ** 2
-    return math.sqrt(va + vb)
-
-
-def rates_separated(
-    rate_a: float,
-    trials_a: int,
-    rate_b: float,
-    trials_b: int,
-    sigma: float = SIGMA_RULE,
-) -> bool:
-    """Are two empirical rates separated by more than their joint noise?"""
-    gap = abs(rate_a - rate_b)
-    return gap > sigma * diff_sigma(rate_a, trials_a, rate_b, trials_b)
 
 
 def gaussian_cdf(x: float) -> float:

@@ -10,6 +10,7 @@ also carries a wall-clock budget, asserted alongside the substance.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import time
@@ -28,7 +29,7 @@ from glhs.concentration import (
     uniform_bits,
     unique_point_in_interval,
 )
-from glhs.core import CursorRng, GuardError
+from glhs.core import CursorRng
 from glhs.halfspace import (
     Disjunction,
     Halfspace,
@@ -73,8 +74,8 @@ from glhs.moments import (
     build_pair,
     completeness_pair,
     default_noise_rate,
-    enum_pmf,
     exact_moment,
+    marginal_pmf,
     moment_gap,
     prob_all_zero,
     solve_d0_weights,
@@ -201,7 +202,7 @@ def test_matched_pair_moments_solver_and_enumeration():
     pts = np.arange(1 << 12)
     worst_enum = 0.0
     for dist in (d0, d1, d0.noisy(gamma12), d1.noisy(gamma12)):
-        pmf = enum_pmf(dist)
+        pmf = marginal_pmf(dist, dist.k)
         mass_err = abs(float(pmf.sum()) - 1.0)
         if mass_err > 1e-12:
             failures.append(f"enumerated pmf mass off by {mass_err:.3e}")
@@ -601,15 +602,12 @@ def test_invariance_bounds_on_exhaustive_micro_families():
             quartic_fail += 1
         worst_excess = max(worst_excess, quartic.gap - quartic.bound)
 
-        try:
-            cubic = invariance_gap_exact(
-                fam_a, fam_b, blocks, 0, PolyPsi(coeffs=(0, 1, 1, 1))
-            )
-            cubic_checked += 1
-            if cubic != 0:
-                cubic_nonzero += 1
-        except GuardError:
-            pass  # atom count past the exact-path guard; float checks still run
+        cubic = invariance_gap_exact(
+            fam_a, fam_b, blocks, 0, PolyPsi(coeffs=(0, 1, 1, 1))
+        )
+        cubic_checked += 1
+        if cubic != 0:
+            cubic_nonzero += 1
 
         steps = hybrid_steps(fam_a, fam_b, blocks, theta, QUARTIC)
         per_step = QUARTIC.k_bound / 12.0
@@ -838,15 +836,47 @@ def test_niceness_audits_within_bounds():
 # 12. every sampling subcommand is byte-deterministic under its seed
 
 
-def test_sampling_commands_are_byte_deterministic(tmp_path):
+# SHA-256 of each run's output file and labeling (None: the run writes no
+# labeling).  The reduce streams echo the relative --instance path into their
+# header, so the test runs inside tmp_path with relative file names.
+_GOLDEN_DIGESTS = {
+    "gen-lc-unique": (
+        "81effcc2787f1e13715f9c2cbc009a4f5df22c98fa24f0e806e4e7a7033d8641",
+        "8c28b6707503a236f590ba4cce934035971d2a69bd11023b831a32f3bbd4004c",
+    ),
+    "gen-lc-projection": (
+        "152f27aa3ec6159ca49ed83c2d23844e29c983853827725a480f0a889711242f",
+        "dba921e4245d62a438150ce7708eeff267a2efc8e480cbad254f65741b906520",
+    ),
+    "gen-lc-smooth": (
+        "29f3729d2dab5f3861db1dd9e465f2e393ce3faf9391608104f467926496d493",
+        "3711a86ee28220e55bae50e6730f23ab8b55b3a519836b816ae2f8a5af30e600",
+    ),
+    "sample": (
+        "18adf44237c85b9b72de83071b650069c79e7a696b0c6ecb81d6fcb405b425a0",
+        None,
+    ),
+    "reduce-unique": (
+        "6de44e896245a282671d3d595ca5b8dcfb35550c056243529a16e0a8f72fd815",
+        None,
+    ),
+    "reduce-projection": (
+        "3b8f7ecd6de228cd49cff2280fefb0908f7325b06fb2895c62352ff02287ba2a",
+        None,
+    ),
+}
+
+
+def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch):
     from glhs.cli import main
 
     t0 = time.perf_counter()
     failures: list[str] = []
+    monkeypatch.chdir(tmp_path)
 
     gadget = ["--k", "12", "--eps", "0.82", "--p", "0.25", "--gamma", "0.01"]
-    unique_inst = str(tmp_path / "unique.lc")
-    proj_inst = str(tmp_path / "proj.lc")
+    unique_inst = "unique.lc"
+    proj_inst = "proj.lc"
     runs = {
         "gen-lc-unique": lambda out, lab: [
             "gen-lc", "--kind", "unique", "--vertices", "14", "--edges", "20",
@@ -879,26 +909,25 @@ def test_sampling_commands_are_byte_deterministic(tmp_path):
     }
 
     # instances consumed by the reduce runs
-    first = runs["gen-lc-unique"](unique_inst, str(tmp_path / "unique.lab"))
-    assert main(first) == 0
-    assert main(
-        runs["gen-lc-projection"](proj_inst, str(tmp_path / "proj.lab"))
-    ) == 0
+    assert main(runs["gen-lc-unique"](unique_inst, "unique.lab")) == 0
+    assert main(runs["gen-lc-projection"](proj_inst, "proj.lab")) == 0
 
     for name, build in runs.items():
-        outs = []
+        digests = []
         for tag in ("a", "b"):
             out = tmp_path / f"{name}-{tag}.out"
             lab = tmp_path / f"{name}-{tag}.lab"
-            code = main(build(str(out), str(lab)))
+            code = main(build(out.name, lab.name))
             if code != 0:
                 failures.append(f"{name} ({tag}) exited {code}")
-            outs.append(out.read_bytes())
-            if lab.exists():
-                outs.append(lab.read_bytes())
-        half = len(outs) // 2
-        if outs[:half] != outs[half:]:
+            digests.append((
+                hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(lab.read_bytes()).hexdigest() if lab.exists() else None,
+            ))
+        if digests[0] != digests[1]:
             failures.append(f"{name}: rerun output differs byte-for-byte")
+        if digests[0] != _GOLDEN_DIGESTS[name]:
+            failures.append(f"{name}: output digests {digests[0]} are not the golden ones")
 
     elapsed = _budget(failures, t0, 60.0)
     _verdict(

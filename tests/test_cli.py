@@ -223,6 +223,16 @@ class TestVerifyLemmas:
         assert recs["small-ball.unique-point"].status == "pass"
         assert recs["small-ball.noisy-mass"].status == "pass"
 
+    def test_small_ball_interval_survives_rounding(self, capsys):
+        # at seed 1, center -/+ m/6 rounded to an interval longer than m/3
+        code, out, err = _run(
+            capsys,
+            ["verify", "small-ball", "--cases", "60", "--trials", "2000", "--seed", "1"],
+        )
+        assert code == 0, err
+        recs = {r.check_id: r for r in _check_lines(out)}
+        assert recs["small-ball.unique-point"].status == "pass"
+
     def test_spread(self, capsys):
         code, out, _ = _run(
             capsys,

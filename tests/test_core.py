@@ -1,4 +1,4 @@
-"""Counter-addressed words, bit containers, and the example stream format."""
+"""Counter-addressed words and the example stream format."""
 
 import numpy as np
 import pytest
@@ -12,22 +12,16 @@ from glhs.core import (
     PURPOSE_NOISE,
     PURPOSE_X,
     STREAM_FORMAT_VERSION,
-    BitMatrix,
-    BitVector,
     CorruptionError,
     CursorRng,
     FormatError,
-    LabeledExample,
     SeedSpec,
     StreamReader,
     StreamWriter,
     mix64,
-    pack_example,
     purpose_stream,
-    read_stream,
     rng_word,
     rng_words,
-    unpack_example,
     words_to_open_uniforms,
     words_to_uniforms,
 )
@@ -105,10 +99,11 @@ class TestCursorRng:
 
     def test_words_advances_cursor(self):
         rng = CursorRng(777, 9)
-        a = rng.words(10)
-        b = rng.words(10)
-        both = rng_words(777, 9, np.arange(20, dtype=np.uint64))
+        a = rng.uniforms(10)
+        b = rng.uniforms(10)
+        both = words_to_uniforms(rng_words(777, 9, np.arange(20, dtype=np.uint64)))
         assert np.array_equal(np.concatenate([a, b]), both)
+        assert rng.index == 20
 
     def test_explicit_index_resume(self):
         rng = CursorRng(777, 9, index=13)
@@ -149,60 +144,43 @@ class TestCursorRng:
 
 
 class TestBitContainers:
-    @given(st.lists(st.integers(0, 1), min_size=0, max_size=200))
-    @settings(max_examples=60, deadline=None)
-    def test_bitvector_roundtrip(self, bits):
-        v = BitVector(bits)
-        assert v.to_array().tolist() == bits
-        assert len(v) == len(bits)
-        assert v.popcount() == sum(bits)
+    def test_bitvector_packing_is_little_endian(self, tmp_path):
+        path = tmp_path / "s.glhs"
+        with StreamWriter(str(path), 1, 9) as w:
+            w.append_batch(np.array([[1, 0, 0, 0, 0, 0, 0, 0, 1]]), np.array([0]))
+        assert path.read_bytes()[-3:] == bytes([0x01, 0x01, 0x00])
 
-    def test_bitvector_packing_is_little_endian(self):
-        v = BitVector([1, 0, 0, 0, 0, 0, 0, 0, 1])
-        assert v.packed_bytes() == bytes([0x01, 0x01])
-
-    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32))
-    @settings(max_examples=40, deadline=None)
-    def test_bitmatrix_row_major_flattening(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        arr = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-        m = BitMatrix.from_array(arr)
-        assert np.array_equal(m.to_array(), arr)
-        assert np.array_equal(m.flat().to_array(), arr.reshape(-1))
-        i, j = rng.integers(0, rows), rng.integers(0, cols)
-        assert m.bit(int(i), int(j)) == arr[i, j]
-        assert np.array_equal(m.row(int(i)).to_array(), arr[i])
-        assert np.array_equal(m.col(int(j)).to_array(), arr[:, j])
-
-    def test_labeled_example_validates_label(self):
-        with pytest.raises(ValueError):
-            LabeledExample(features=BitVector.zeros(4), label=2)
+    def test_labeled_example_validates_label(self, tmp_path):
+        with StreamWriter(str(tmp_path / "s.glhs"), 1, 4) as w:
+            with pytest.raises(ValueError, match="0 or 1"):
+                w.append_batch(np.zeros((3, 4), dtype=np.uint8), np.array([0, 2, 1]))
 
 
 class TestRecords:
     @given(st.integers(1, 8), st.integers(1, 9), st.integers(0, 1), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
-    def test_pack_unpack_roundtrip(self, rows, cols, label, seed):
+    def test_pack_unpack_roundtrip(self, tmp_path_factory, rows, cols, label, seed):
+        path = tmp_path_factory.mktemp("rec") / "s.glhs"
         rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=rows * cols, dtype=np.uint8)
-        ex = LabeledExample(features=BitVector(bits), label=label)
-        rec = pack_example(ex, rows, cols)
-        assert len(rec) == (rows * cols + 7) // 8 + 1
-        back = unpack_example(rec, rows, cols)
-        assert back.label == label
-        assert np.array_equal(back.features.to_array(), bits)
+        bits = rng.integers(0, 2, size=(3, rows * cols), dtype=np.uint8)
+        labels = np.full(3, label, dtype=np.uint8)
+        with StreamWriter(str(path), rows, cols) as w:
+            w.append_batch(bits, labels)
+        reader = StreamReader(str(path))
+        assert reader.header.record_size == (rows * cols + 7) // 8 + 1
+        [(back_bits, back_labels)] = list(reader.read_batches())
+        assert np.array_equal(back_bits, bits)
+        assert np.array_equal(back_labels, labels)
 
-    def test_unpack_rejects_bad_label_byte(self):
-        ex = LabeledExample(features=BitVector.zeros(8), label=0)
-        rec = bytearray(pack_example(ex, 1, 8))
-        rec[-1] = 7
+    def test_unpack_rejects_bad_label_byte(self, tmp_path):
+        path = tmp_path / "s.glhs"
+        with StreamWriter(str(path), 1, 8) as w:
+            w.append_batch(np.zeros((1, 8), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 7
+        path.write_bytes(bytes(blob))
         with pytest.raises(CorruptionError):
-            unpack_example(bytes(rec), 1, 8)
-
-    def test_pack_rejects_shape_mismatch(self):
-        ex = LabeledExample(features=BitVector.zeros(8), label=0)
-        with pytest.raises(ValueError):
-            pack_example(ex, 2, 5)
+            list(StreamReader(str(path)).read_batches())
 
 
 class TestStreamFormat:
@@ -212,8 +190,7 @@ class TestStreamFormat:
         labels = rng.integers(0, 2, size=n, dtype=np.uint8)
         with StreamWriter(str(path), rows, cols, meta=meta) as w:
             w.append_batch(bits[: n // 2], labels[: n // 2])
-            for row, lab in zip(bits[n // 2 :], labels[n // 2 :]):
-                w.append(LabeledExample(BitVector(row), int(lab)))
+            w.append_batch(bits[n // 2 :], labels[n // 2 :])
         return bits, labels
 
     def test_roundtrip_batches(self, tmp_path):
@@ -236,16 +213,17 @@ class TestStreamFormat:
     def test_roundtrip_examples(self, tmp_path):
         path = tmp_path / "s.glhs"
         bits, labels = self._write(path, 2, 4, 9)
-        header, examples = read_stream(str(path))
-        assert header.count == len(examples) == 9
-        for ex, row, lab in zip(examples, bits, labels):
-            assert ex.label == int(lab)
-            assert np.array_equal(ex.features.to_array(), row)
+        batches = list(StreamReader(str(path)).read_batches(chunk=1))
+        assert len(batches) == 9
+        for (b, l), row, lab in zip(batches, bits, labels):
+            assert b.shape == (1, 8)
+            assert np.array_equal(b[0], row)
+            assert l.tolist() == [lab]
 
     def test_count_is_patched_on_close(self, tmp_path):
         path = tmp_path / "s.glhs"
         w = StreamWriter(str(path), 1, 8)
-        w.append(LabeledExample(BitVector.zeros(8), 0))
+        w.append_batch(np.zeros((1, 8), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
         w.close()
         w.close()  # idempotent
         assert StreamReader(str(path)).header.count == 1
@@ -256,7 +234,6 @@ class TestStreamFormat:
             pass
         reader = StreamReader(str(path))
         assert len(reader) == 0
-        assert list(reader) == []
         assert [b.shape[0] for b, _ in reader.read_batches()] == []
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -151,15 +151,16 @@ class TestAgreement:
 
     def test_example_sequence_input(self):
         bits, labels, h = _hand_case()
-        from glhs.core import BitVector, LabeledExample
-
-        examples = [
-            LabeledExample(features=BitVector(row), label=int(lab))
-            for row, lab in zip(bits, labels)
-        ]
-        rep = agreement(h, examples)
-        assert rep.matches == agreement(h, (bits, labels)).matches
-        assert rep.provenance == "examples"
+        batches = [(bits[:2], labels[:2]), (bits[2:5], labels[2:5]), (bits[5:], labels[5:])]
+        rep = agreement(h, batches)
+        whole = agreement(h, (bits, labels))
+        assert (rep.count, rep.matches, rep.n1, rep.hits1) == (
+            whole.count, whole.matches, whole.n1, whole.hits1
+        )
+        assert rep.provenance == "batches"
+        wide = Halfspace.from_grid(np.ones((1, 4)), 1.0)
+        with pytest.raises(ValueError, match="reads 4 bits"):
+            agreement(wide, iter(batches))
 
     def test_dim_mismatch_and_empty(self):
         bits, labels, h = _hand_case()

@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from glhs.core import GuardError
-from glhs.moments import build_pair, solve_d0_weights
+from glhs.moments import build_pair, marginal_pmf, solve_d0_weights
 from glhs.invariance import (
     C_PHI,
     QUARTIC,
@@ -17,6 +16,7 @@ from glhs.invariance import (
     conditioned_marginal_ensemble,
     ensemble_from_pmf,
     expect_psi,
+    expect_psi_exact,
     family,
     first_moment_mismatch,
     hybrid_steps,
@@ -126,11 +126,9 @@ class TestMarginalEnsembles:
         assert got != 0
 
     def test_conditioned_oracle_via_enumeration(self):
-        from glhs.moments import enum_pmf
-
         _, d1 = build_pair(K, EPS, P)
         cond = conditioned_marginal_ensemble(d1, 2, exact=False)
-        pmf = enum_pmf(d1)
+        pmf = marginal_pmf(d1, K)
         patt = np.arange(pmf.size)
         on0 = (patt & 1) == 1
         want = pmf[on0 & ((patt >> 1) & 1 == 1) & ((patt >> 2) & 1 == 1)].sum()
@@ -251,13 +249,49 @@ class TestInvarianceGap:
         with pytest.raises(ValueError, match="degree"):
             invariance_gap(fam_a, bad, [[0.1, 0.1], [0.1, 0.1]], 0.0, QUARTIC, 24.0)
 
-    def test_exact_convolution_guard(self):
-        # 18 incommensurate singleton blocks double the atom count per step
+    def test_eighteen_incommensurate_blocks_are_exact(self):
+        # the product support has 2^18 distinct atoms; moment propagation
+        # never forms it
         ens = ensemble_from_pmf([Fraction(1, 2), Fraction(1, 2)], 1)
         fams = family(*([ens] * 18))
         blocks = [[Fraction(1, 997 + i)] for i in range(18)]
-        with pytest.raises(GuardError, match="atoms"):
-            invariance_gap_exact(fams, fams, blocks, Fraction(0), QUARTIC)
+        assert invariance_gap_exact(fams, fams, blocks, Fraction(0), QUARTIC) == 0
+
+    def test_exact_route_matches_brute_force_enumeration(self):
+        d0, d1 = build_pair(K, EPS, P)
+        # conditioned marginals match to degree 3 only, so a block of four
+        # 0/1 variables gives a nonzero quartic gap; mixed block sizes
+        # exercise the binomial sum rule
+        sizes = (4, 2, 3)
+        fam_a = family(*(conditioned_marginal_ensemble(d0, m, exact=True) for m in sizes))
+        fam_b = family(*(conditioned_marginal_ensemble(d1, m, exact=True) for m in sizes))
+        blocks = [
+            [Fraction(1, 3), Fraction(-2, 7), Fraction(2, 5), Fraction(1, 2)],
+            [Fraction(1, 5), Fraction(-1, 4)],
+            [Fraction(3, 8), Fraction(1, 9), Fraction(-1, 6)],
+        ]
+        theta = Fraction(2, 7)
+        cubic = PolyPsi(coeffs=(Fraction(1), Fraction(-2), Fraction(3), Fraction(5)))
+        quartic = PolyPsi(
+            coeffs=(Fraction(1, 2), Fraction(1), Fraction(-1), Fraction(2), Fraction(3))
+        )
+
+        def brute(fam, psi):
+            total = Fraction(0)
+            for rows in itertools.product(*(ens.support for ens in fam.ensembles)):
+                prob, value = Fraction(1), -theta
+                for (p, vals), block in zip(rows, blocks):
+                    prob *= p
+                    value += sum(x * w for x, w in zip(vals, block))
+                total += prob * psi(value)
+            return total
+
+        for psi in (cubic, quartic):
+            want_a, want_b = brute(fam_a, psi), brute(fam_b, psi)
+            assert expect_psi_exact(fam_a, blocks, theta, psi) == want_a
+            assert expect_psi_exact(fam_b, blocks, theta, psi) == want_b
+            assert invariance_gap_exact(fam_a, fam_b, blocks, theta, psi) == want_a - want_b
+        assert brute(fam_a, quartic) != brute(fam_b, quartic)
 
 
 class TestHybridSteps:

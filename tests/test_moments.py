@@ -24,7 +24,6 @@ from glhs.moments import (
     completeness_pair,
     conditional_moment,
     enum_oracle_moment,
-    enum_pmf,
     exact_moment,
     exact_moment_rational,
     marginal_pmf,
@@ -183,7 +182,7 @@ class TestMomentMatching:
     def test_conditional_moment_oracle(self):
         # E[x_0 x_1 | x_2 = 1] via enumeration
         _, d1 = build_pair(K, EPS, P)
-        pmf = enum_pmf(d1)
+        pmf = marginal_pmf(d1, K)
         patt = np.arange(pmf.size)
         on2 = (patt >> 2) & 1 == 1
         both = ((patt >> 0) & 1 == 1) & ((patt >> 1) & 1 == 1)
@@ -195,7 +194,7 @@ class TestDistributionShapes:
     def test_pmf_sums_to_one(self):
         d0, d1 = build_pair(K, EPS, P)
         for dist in (d0, d1, d0.noisy(Fraction(1, 9))):
-            pmf = enum_pmf(dist)
+            pmf = marginal_pmf(dist, K)
             assert pmf.size == 2**K
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
             assert pmf.min() >= 0
@@ -203,7 +202,7 @@ class TestDistributionShapes:
     def test_prob_all_zero_closed_form(self):
         d0, d1 = build_pair(K, EPS, P)
         for dist in (d0, d1, d1.noisy(Fraction(1, 31))):
-            assert prob_all_zero(dist) == pytest.approx(enum_pmf(dist)[0], abs=1e-12)
+            assert prob_all_zero(dist) == pytest.approx(marginal_pmf(dist, K)[0], abs=1e-12)
 
     def test_marginal_pmf_from_component_marginals(self):
         # exchangeable mixture: hand-build the m-coordinate marginal per component
@@ -232,7 +231,7 @@ class TestDistributionShapes:
 
     def test_column_sum_pmf_against_enumeration(self):
         d0, _ = build_pair(K, EPS, P)
-        pmf = enum_pmf(d0)
+        pmf = marginal_pmf(d0, K)
         pop = np.array([bin(i).count("1") for i in range(pmf.size)])
         want = np.bincount(pop, weights=pmf, minlength=K + 1)
         assert np.allclose(column_sum_pmf(d0), want, atol=1e-12)

@@ -9,13 +9,12 @@ import pytest
 from glhs.core import GuardError
 from glhs.halfspace import Disjunction, Halfspace, regularizing_prefix, truncate
 from glhs.labelcover import LabelCoverInstance, gen_planted_projection, gen_planted_unique
-from glhs.moments import build_pair, completeness_pair, enum_pmf, exact_moment
+from glhs.moments import build_pair, completeness_pair, exact_moment, marginal_pmf
 from glhs.reduction import (
     DecoderSpec,
     copy_disagreement_bound,
     decode_labeling,
     dict_test_batch,
-    dict_test_sample,
     disjoint_tops,
     edge_incidence_fraction,
     edge_niceness_audit,
@@ -140,9 +139,10 @@ class TestDictTestStream:
     def test_single_sample_matches_batch(self):
         spec = _matched_spec()
         bits, labels = dict_test_batch(spec, SEED, 2, 6, 1)
-        ex = dict_test_sample(spec, SEED, 2, 6)
-        assert ex.features.to_array().tolist() == bits[0].tolist()
-        assert ex.label == int(labels[0])
+        full_bits, full_labels = dict_test_batch(spec, SEED, 2, 0, 7)
+        assert bits.shape == (1, spec.dim)
+        assert bits[0].tolist() == full_bits[6].tolist()
+        assert int(labels[0]) == int(full_labels[6])
 
     def test_label_balance(self):
         spec = _matched_spec(r=1)
@@ -160,8 +160,8 @@ class TestDictTestStream:
 class TestAcceptanceClosedForm:
     def test_matches_enumeration(self):
         spec = _matched_spec(r=3, gamma=0.125)
-        p0 = float(enum_pmf(spec.d0.noisy(spec.gamma))[0])
-        p1 = float(enum_pmf(spec.d1.noisy(spec.gamma))[0])
+        p0 = float(marginal_pmf(spec.d0.noisy(spec.gamma), spec.k)[0])
+        p1 = float(marginal_pmf(spec.d1.noisy(spec.gamma), spec.k)[0])
         want = 0.5 * p0 + 0.5 * (1.0 - p1)
         assert or_acceptance_closed_form(spec) == pytest.approx(want, rel=1e-12)
 
@@ -184,7 +184,7 @@ class TestAcceptanceClosedForm:
         # and wrong on b=1 exactly when the mixture drew its all-zero part.
         spec = _onesided_spec(r=1, gamma=0.0)
         want = or_acceptance_closed_form(spec)
-        assert want == pytest.approx(0.5 + 0.5 * (1.0 - float(enum_pmf(spec.d1)[0])))
+        assert want == pytest.approx(0.5 + 0.5 * (1.0 - float(marginal_pmf(spec.d1, spec.k)[0])))
         n = 20000
         bits, labels = dict_test_batch(spec, SEED, 9, 0, n)
         full_or = Disjunction(
