@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .core import CursorRng, FormatError, GuardError, PURPOSE_AUX, purpose_stream
+from .core import MASK64, CursorRng, FormatError, GuardError, PURPOSE_AUX, purpose_stream
 from .concentration import (
     PointMass,
     ProductBits,
@@ -130,8 +130,13 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise CliError("config file must hold a JSON object of parameter=value")
     for key, value in loaded.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if not hasattr(args, attr) or value is None:
             continue
+        if not isinstance(value, (str, int, float)):
+            raise CliError(
+                f"config value for {key!r} must be a number or a string, "
+                f"got {type(value).__name__}"
+            )
         if getattr(args, attr) is None:
             setattr(args, attr, value)
 
@@ -144,6 +149,25 @@ def _require(args: argparse.Namespace, name: str) -> object:
             f"(set it on the command line or in --config)"
         )
     return value
+
+
+def _seed(args: argparse.Namespace, default: int | None = None) -> int:
+    """The master seed: --seed, or `default` when it may be omitted."""
+    if default is None:
+        seed = int(_require(args, "seed"))
+    else:
+        seed = int(getattr(args, "seed", None) or default)
+    if not 0 <= seed <= MASK64:
+        raise CliError(f"--seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
+def _count(args: argparse.Namespace, name: str) -> int:
+    """A required example count (--count, --samples); never negative."""
+    count = int(_require(args, name))
+    if count < 0:
+        raise CliError(f"--{name} must be >= 0, got {count}")
+    return count
 
 
 def _resolve_gadget(args: argparse.Namespace) -> tuple[TestSpec, dict]:
@@ -203,7 +227,7 @@ def _aux_rng(seed: int, lane: int = 0) -> CursorRng:
 
 def _cmd_gen_lc(args: argparse.Namespace) -> int:
     kind = _require(args, "kind")
-    seed = int(_require(args, "seed"))
+    seed = _seed(args)
     out = _require(args, "out")
     k = int(_require(args, "k"))
     records = []
@@ -280,9 +304,9 @@ def _cmd_gen_lc(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, require_instance: bool) -> int:
-    seed = int(_require(args, "seed"))
+    seed = _seed(args)
     out = _require(args, "out")
-    count = int(_require(args, "count"))
+    count = _count(args, "count")
     stream_id = int(getattr(args, "stream_id", None) or 0)
     inst_path = getattr(args, "instance", None)
     if require_instance and not inst_path:
@@ -313,8 +337,8 @@ def _cmd_sample(args: argparse.Namespace, require_instance: bool) -> int:
 
 
 def _cmd_dict_test(args: argparse.Namespace) -> int:
-    seed = int(_require(args, "seed"))
-    samples = int(_require(args, "samples"))
+    seed = _seed(args)
+    samples = _count(args, "samples")
     spec, echo = _resolve_gadget(args)
     echo.update({"samples": samples, "seed": seed})
     records = run_experiment(
@@ -408,7 +432,7 @@ def _random_decaying_vector(rng: CursorRng, dim: int, ratio: float) -> np.ndarra
 
 
 def _cmd_verify_critical_index(args: argparse.Namespace) -> int:
-    seed = int(getattr(args, "seed", None) or 0)
+    seed = _seed(args, default=0)
     count = int(getattr(args, "count", None) or 1000)
     dim = int(getattr(args, "dim", None) or 32)
     tau = float(getattr(args, "tau", None) or 0.25)
@@ -456,7 +480,7 @@ def _cmd_verify_critical_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_small_ball(args: argparse.Namespace) -> int:
-    seed = int(_require(args, "seed"))
+    seed = _seed(args)
     cases = int(getattr(args, "cases", None) or 100)
     t = int(getattr(args, "t", None) or 12)
     gamma = float(getattr(args, "gamma", None) or 0.25)
@@ -504,7 +528,7 @@ def _regular_unit_vector(rng: CursorRng, tau: float) -> np.ndarray:
 
 
 def _cmd_verify_spread(args: argparse.Namespace) -> int:
-    seed = int(_require(args, "seed"))
+    seed = _seed(args)
     cases = int(getattr(args, "cases", None) or 20)
     gamma = float(getattr(args, "gamma", None) or 0.2)
     tau = float(getattr(args, "tau", None) or 0.2)
@@ -546,7 +570,7 @@ _MICRO_GADGETS = ((12, "0.82", "0.25"), (16, "0.78", "0.25"), (24, "0.7", "0.25"
 
 
 def _cmd_verify_invariance(args: argparse.Namespace) -> int:
-    seed = int(getattr(args, "seed", None) or 0)
+    seed = _seed(args, default=0)
     families = int(getattr(args, "families", None) or 50)
     r = int(getattr(args, "r", None) or 4)
     if r > 6:
@@ -671,7 +695,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         epochs=int(getattr(args, "epochs", None) or 5),
         rate=float(getattr(args, "rate", None) or 1.0),
         schedule=getattr(args, "schedule", None) or "constant",
-        shuffle_seed=int(getattr(args, "seed", None) or 0),
+        shuffle_seed=_seed(args, default=0),
         averaged=not getattr(args, "no_average", False),
     )
     h = perceptron_train(stream, cfg)
@@ -702,7 +726,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    seed = int(_require(args, "seed"))
+    seed = _seed(args)
     h = read_halfspace(_require(args, "halfspace"))
     inst = read_instance(_require(args, "instance"))
     spec = DecoderSpec(

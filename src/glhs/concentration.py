@@ -37,7 +37,7 @@ from .core import (
     PURPOSE_X,
     purpose_stream,
     rng_words,
-    words_to_uniforms,
+    uniform_threshold,
 )
 from .halfspace import critical_index
 from .moments import ColumnMixture, NoisySource, apply_noise, sample_columns
@@ -193,9 +193,9 @@ class ProductBits:
             np.arange(start, start + count, dtype=np.uint64)[:, None] * np.uint64(n)
             + np.arange(n, dtype=np.uint64)[None, :]
         )
-        u = words_to_uniforms(rng_words(master_seed, stream_id, idx.reshape(-1)))
-        rates = np.asarray(self.rates, dtype=np.float64)
-        return (u.reshape(count, n) < rates[None, :]).astype(np.uint8)
+        w = rng_words(master_seed, stream_id, idx)
+        w >>= np.uint64(11)
+        return (w < uniform_threshold(self.rates)).astype(np.uint8)
 
 
 def uniform_bits(dim: int) -> ProductBits:
@@ -428,14 +428,16 @@ def noise_mass_estimate(
     hits = 0
     done = 0
     threshold = gamma / 2.0
+    noise_t = uniform_threshold(gamma)
     while done < trials:
         rows = min(chunk, trials - done)
         idx = (
             np.arange(done, done + rows, dtype=np.uint64)[:, None] * np.uint64(n)
             + np.arange(n, dtype=np.uint64)[None, :]
         )
-        u = words_to_uniforms(rng_words(master_seed, stream, idx.reshape(-1)))
-        z = u.reshape(rows, n) < gamma
+        w = rng_words(master_seed, stream, idx)
+        w >>= np.uint64(11)
+        z = w < noise_t
         mass = z @ sq
         hits += int(np.count_nonzero(mass >= threshold))
         done += rows

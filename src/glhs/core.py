@@ -5,6 +5,11 @@ Everything downstream samples through `rng_word`: a pure function from a
 disjoint index ranges instead of sharing mutable generator state, so the same
 triple always produces the same word, chunked and parallel runs produce
 byte-identical output, and any example can be regenerated in isolation.
+`rng_words` mixes its words in place, a cache-sized block at a time; the
+samplers downstream draw in row blocks, and because each row owns its
+counter addresses their output does not depend on block boundaries.
+`uniform_threshold` turns a Bernoulli rate into the integer bound that
+decides the same draws as comparing `words_to_uniforms` against the rate.
 
 Streams of labeled examples are stored in a small binary format (magic
 ``GLHS``).  In memory a batch of examples is a uint8 bit matrix of shape
@@ -15,6 +20,7 @@ followed by its label byte.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -66,14 +72,35 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_M1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_M2)
-    x ^= x >> np.uint64(31)
+# Words mixed at a time by `_mix64_inplace`: a block and its scratch stay in
+# L2, so the eight array passes of the finalizer do not stream through memory.
+_MIX_BLOCK = 1 << 15
+
+
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a contiguous uint64 array, in place; returns x."""
+    flat = x.reshape(-1)
+    scratch = np.empty(min(flat.size, _MIX_BLOCK), dtype=np.uint64)
+    for start in range(0, flat.size, _MIX_BLOCK):
+        v = flat[start : start + _MIX_BLOCK]
+        t = scratch[: v.size]
+        np.right_shift(v, np.uint64(30), out=t)
+        v ^= t
+        v *= np.uint64(_M1)
+        np.right_shift(v, np.uint64(27), out=t)
+        v ^= t
+        v *= np.uint64(_M2)
+        np.right_shift(v, np.uint64(31), out=t)
+        v ^= t
     return x
+
+
+def _words_from(base: int, indices) -> np.ndarray:
+    """Words at `indices` of the stream keyed by `base`; indices are not modified."""
+    idx = np.asarray(indices).astype(np.uint64, copy=False)
+    x = np.bitwise_xor(idx, np.uint64(base), out=np.empty(idx.shape, dtype=np.uint64))
+    x += np.uint64(_C_INDEX)
+    return _mix64_inplace(x)
 
 
 @dataclass(frozen=True)
@@ -102,14 +129,23 @@ def rng_word(spec: SeedSpec) -> int:
 
 def rng_words(master_seed: int, stream_id: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized `rng_word` over an array of indices (returns uint64)."""
-    base = _stream_base(master_seed, stream_id)
-    idx = np.asarray(indices).astype(np.uint64, copy=False)
-    return _mix64_array((np.uint64(base) ^ idx) + np.uint64(_C_INDEX))
+    return _words_from(_stream_base(master_seed, stream_id), indices)
 
 
 def words_to_uniforms(words: np.ndarray) -> np.ndarray:
     """Map 64-bit words to float64 uniforms in [0, 1) using the top 53 bits."""
     return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def uniform_threshold(q) -> np.ndarray:
+    """Integer form of the test ``words_to_uniforms(w) < q``, elementwise in q.
+
+    Returns T = ceil(q * 2^53), clipped to [0, 2^53], as uint64.  Then
+    ``(w >> 11) < T`` holds exactly when ``words_to_uniforms(w) < q``: w >> 11
+    is an integer below 2^53, and q * 2^53 is exact in float64.
+    """
+    t = np.ceil(np.asarray(q, dtype=np.float64) * 2.0**53)
+    return np.clip(t, 0.0, 2.0**53).astype(np.uint64)
 
 
 def words_to_open_uniforms(words: np.ndarray) -> np.ndarray:
@@ -128,6 +164,11 @@ def purpose_stream(stream_id: int, purpose: int) -> int:
     if not 0 <= purpose < 8:
         raise ValueError(f"purpose must be in [0, 8), got {purpose}")
     return (stream_id << 3) | purpose
+
+
+# Swaps per batch of words in `CursorRng.shuffle`: small enough that its index
+# lists stay a few kB next to the list being shuffled.
+_SHUFFLE_BLOCK = 256
 
 
 class CursorRng:
@@ -155,9 +196,7 @@ class CursorRng:
     def uniforms(self, count: int) -> np.ndarray:
         idx = np.arange(self.index, self.index + count, dtype=np.uint64)
         self.index += count
-        return words_to_uniforms(
-            _mix64_array((np.uint64(self._base) ^ idx) + np.uint64(_C_INDEX))
-        )
+        return words_to_uniforms(_words_from(self._base, idx))
 
     def bernoulli(self, p: float) -> int:
         return 1 if self.uniform() < p else 0
@@ -170,10 +209,18 @@ class CursorRng:
         return min(v, n - 1)
 
     def shuffle(self, items: list) -> list:
-        """Fisher-Yates shuffle, in place; also returns the list."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """Fisher-Yates shuffle, in place; also returns the list.
+
+        Swap i = n-1, ..., 1 takes j = randint(i + 1) from the next word.  The
+        words are drawn _SHUFFLE_BLOCK swaps at a time, with the same float
+        arithmetic as `randint`, so only the swaps run one by one.
+        """
+        for top in range(len(items) - 1, 0, -_SHUFFLE_BLOCK):
+            span = np.arange(top, max(top - _SHUFFLE_BLOCK, 0), -1)
+            u = self.uniforms(span.size)
+            picks = np.minimum((u * (span + 1)).astype(np.int64), span)
+            for i, j in zip(range(top, top - span.size, -1), picks.tolist()):
+                items[i], items[j] = items[j], items[i]
         return items
 
     def sample_without_replacement(self, n: int, m: int) -> list[int]:
@@ -250,14 +297,25 @@ def _decode_header(blob: bytes) -> tuple[StreamHeader, int]:
 
 
 class StreamWriter:
-    """Writes a GLHS example stream; the count field is patched on close."""
+    """Writes a GLHS example stream; nothing appears at `path` until a clean close.
+
+    Records go to a temporary file next to `path`.  `close` patches the
+    count field and moves the file into place with `os.replace`; leaving a
+    `with` block by an exception calls `abort` instead, which deletes the
+    temporary file, so an interrupted run leaves no stream that reads as valid.
+    """
 
     def __init__(self, path: str, rows: int, cols: int, meta: str = ""):
+        self.path = path
         self.rows = rows
         self.cols = cols
         self.meta = meta
         self._count = 0
-        self._fh = open(path, "wb")
+        self._tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            self._fh = open(self._tmp, "wb")
+        except FileNotFoundError as exc:  # name the target, not the temporary
+            raise FileNotFoundError(exc.errno, exc.strerror, path) from exc
         self._fh.write(
             _encode_header(StreamHeader(rows=rows, cols=cols, count=0, meta=meta))
         )
@@ -288,12 +346,23 @@ class StreamWriter:
             )
         )
         self._fh.close()
+        os.replace(self._tmp, self.path)
+
+    def abort(self) -> None:
+        """Discard the stream: delete the temporary file and write nothing."""
+        if self._fh.closed:
+            return
+        self._fh.close()
+        os.unlink(self._tmp)
 
     def __enter__(self) -> "StreamWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
 
 
 class StreamReader:

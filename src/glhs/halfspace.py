@@ -26,6 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import FormatError
+
 
 def sgn(t: float) -> int:
     """Global sign convention: 1 iff t >= 0, else -1."""
@@ -372,22 +374,28 @@ def read_halfspace(path: str) -> Halfspace:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith(_HS_MAGIC):
-        raise ValueError(f"not a halfspace record: missing {_HS_MAGIC} header")
-    version = lines[0].split()[1]
-    if int(version) != _HS_VERSION:
-        raise ValueError(f"unsupported halfspace record version {version}")
+        raise FormatError(f"not a halfspace record: missing {_HS_MAGIC} header")
+    version = lines[0][len(_HS_MAGIC):].strip()
+    if version != str(_HS_VERSION):
+        raise FormatError(f"unsupported halfspace record version {version!r}")
     fields: dict[str, str] = {}
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         fields[key] = rest
     if fields.get("order", "row-major") != "row-major":
-        raise ValueError(f"unknown coordinate order {fields.get('order')!r}")
-    rows = int(fields["rows"])
-    cols = int(fields["cols"])
-    theta = float(fields["theta"])
-    weights = np.asarray([float(v) for v in fields["weights"].split()])
-    if weights.size != rows * cols:
-        raise ValueError(
+        raise FormatError(f"unknown coordinate order {fields.get('order')!r}")
+    missing = [key for key in ("rows", "cols", "theta", "weights") if key not in fields]
+    if missing:
+        raise FormatError(f"halfspace record {path} lacks {', '.join(missing)}")
+    try:
+        rows = int(fields["rows"])
+        cols = int(fields["cols"])
+        theta = float(fields["theta"])
+        weights = np.asarray([float(v) for v in fields["weights"].split()])
+    except ValueError as exc:
+        raise FormatError(f"halfspace record {path}: {exc}") from exc
+    if rows < 1 or cols < 1 or weights.size != rows * cols:
+        raise FormatError(
             f"weight count {weights.size} does not match {rows}x{cols}"
         )
     return Halfspace.from_grid(weights.reshape(rows, cols), theta)

@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     GuardError,
     rng_words,
+    uniform_threshold,
     words_to_open_uniforms,
     words_to_uniforms,
 )
@@ -707,6 +708,11 @@ def column_sum_pmf(dist: ColumnSource) -> np.ndarray:
 
 _COLUMN_BLOCK_EXTRA = 2  # component word + hot word
 
+# Counter words drawn per block of rows by the samplers below, so their word
+# arrays and temporaries stay cache-sized.  Every row owns fixed counter
+# addresses, so the output does not depend on where the blocks fall.
+_BLOCK_WORDS = 1 << 17
+
 
 def column_block_size(k: int, noisy: bool) -> int:
     """Counter words reserved per sampled column."""
@@ -748,42 +754,48 @@ def sample_columns_at(
     noisy = isinstance(dist, NoisySource)
     base_mix = dist.base if noisy else dist
     k = base_mix.k
-    block = column_block_size(k, noisy)
-    columns = np.asarray(columns, dtype=np.uint64)
-    count = columns.size
-    idx = columns * np.uint64(block)
-
+    idx = np.asarray(columns, dtype=np.uint64) * np.uint64(column_block_size(k, noisy))
     cdf, kinds, rates = base_mix.sampler_tables
-    u = words_to_uniforms(rng_words(master_seed, stream_id, idx))
-    comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(kinds) - 1)
-    kind_arr = kinds[comp]
-    rate_arr = rates[comp]
+    rate_t = uniform_threshold(rates)
+    noise_t = uniform_threshold(dist.gamma) if noisy and dist.gamma > 0.0 else None
+    bern_lanes = np.arange(2, 2 + k, dtype=np.uint64)
+    noise_lanes = bern_lanes + np.uint64(k)
 
-    cols = np.zeros((count, k), dtype=np.uint8)
+    cols = np.zeros((idx.size, k), dtype=np.uint8)
+    step = max(1, _BLOCK_WORDS // k)
+    for start in range(0, idx.size, step):
+        blk = idx[start : start + step]
+        out = cols[start : start + step]
+        u = words_to_uniforms(rng_words(master_seed, stream_id, blk))
+        comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(kinds) - 1)
+        kind_arr = kinds[comp]
 
-    hot_rows = np.flatnonzero(kind_arr == KIND_EXACTLY_ONE)
-    if hot_rows.size:
-        hw = words_to_uniforms(
-            rng_words(master_seed, stream_id, idx[hot_rows] + np.uint64(1))
-        )
-        hot = np.minimum((hw * k).astype(np.int64), k - 1)
-        cols[hot_rows, hot] = 1
+        hot_rows = np.flatnonzero(kind_arr == KIND_EXACTLY_ONE)
+        if hot_rows.size:
+            hw = words_to_uniforms(
+                rng_words(master_seed, stream_id, blk[hot_rows] + np.uint64(1))
+            )
+            out[hot_rows, np.minimum((hw * k).astype(np.int64), k - 1)] = 1
 
-    bern_rows = np.flatnonzero(kind_arr == KIND_BERNOULLI)
-    if bern_rows.size:
-        widx = idx[bern_rows, None] + np.uint64(2) + np.arange(k, dtype=np.uint64)[None, :]
-        bu = words_to_uniforms(rng_words(master_seed, stream_id, widx.reshape(-1)))
-        bits = bu.reshape(bern_rows.size, k) < rate_arr[bern_rows, None]
-        cols[bern_rows] = bits.astype(np.uint8)
+        bern_rows = np.flatnonzero(kind_arr == KIND_BERNOULLI)
+        if bern_rows.size:
+            w = rng_words(master_seed, stream_id, blk[bern_rows, None] + bern_lanes)
+            w >>= np.uint64(11)
+            out[bern_rows] = w < rate_t[comp[bern_rows], None]
 
-    if noisy and dist.gamma > 0.0:
-        g = dist.gamma
-        widx = idx[:, None] + np.uint64(2 + k) + np.arange(k, dtype=np.uint64)[None, :]
-        w = rng_words(master_seed, stream_id, widx.reshape(-1)).reshape(count, k)
-        mask = words_to_uniforms(w) < g
-        vals = (w & np.uint64(1)).astype(np.uint8)
-        cols = np.where(mask, vals, cols)
+        if noise_t is not None:
+            w = rng_words(master_seed, stream_id, blk[:, None] + noise_lanes)
+            _replace_bits(out, w, noise_t)
     return cols
+
+
+def _replace_bits(out: np.ndarray, words: np.ndarray, threshold: np.ndarray) -> None:
+    """Replacement noise in place: where ``(words >> 11) < threshold``, set out
+    to the word's low bit.  Consumes `words` (shifted in place)."""
+    vals = words.astype(np.uint8)
+    vals &= np.uint8(1)
+    words >>= np.uint64(11)
+    np.copyto(out, vals, where=words < threshold)
 
 
 def noise_block_size(length: int) -> int:
@@ -822,11 +834,14 @@ def apply_noise(
     base = (np.arange(start, start + count, dtype=np.uint64)) * block
 
     if gamma >= _DENSE_NOISE_THRESHOLD:
-        widx = base[:, None] + np.arange(length, dtype=np.uint64)[None, :]
-        w = rng_words(master_seed, stream_id, widx.reshape(-1)).reshape(count, length)
-        mask = words_to_uniforms(w) < gamma
-        vals = (w & np.uint64(1)).astype(np.uint8)
-        return np.where(mask, vals, out)
+        threshold = uniform_threshold(gamma)
+        lanes = np.arange(length, dtype=np.uint64)
+        step = max(1, _BLOCK_WORDS // length)
+        for lo in range(0, count, step):
+            rows = slice(lo, lo + step)
+            w = rng_words(master_seed, stream_id, base[rows, None] + lanes)
+            _replace_bits(out[rows], w, threshold)
+        return out
 
     inv_log = 1.0 / math.log1p(-gamma)
     pos = np.full(count, -1, dtype=np.int64)

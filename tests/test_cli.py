@@ -399,3 +399,78 @@ class TestConfigFile:
         )
         assert code == 2
         assert "cannot read" in err
+
+
+class TestHostileInput:
+    @pytest.fixture
+    def instance(self, capsys, tmp_path):
+        path = tmp_path / "p.lc"
+        assert main(
+            ["gen-lc", "--kind", "projection", "--vertices", "5", "--edges", "6",
+             "--k", "3", "--m", "4", "--n", "2", "--d", "2", "--seed", "2",
+             "--out", str(path)]
+        ) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("command", ["sample", "reduce", "dict-test"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("count", "-5"), ("seed", "-3"), ("seed", str(2**64)),
+         ("seed", "99999999999999999999999")],
+    )
+    def test_out_of_range_counts_and_seeds(self, capsys, tmp_path, instance,
+                                           command, flag, value):
+        out = tmp_path / "x.stream"
+        argv = {
+            "sample": ["sample", *GADGET, "--r", "2", "--count", "8", "--seed", "1",
+                       "--out", str(out)],
+            "reduce": ["reduce", "--instance", str(instance), "--k", "3", "--eps", "0.5",
+                       "--p", "0.25", "--completeness-only", "--count", "8",
+                       "--seed", "1", "--out", str(out)],
+            "dict-test": ["dict-test", *GADGET, "--r", "2", "--samples", "8",
+                          "--seed", "1"],
+        }[command]
+        name = "--samples" if command == "dict-test" and flag == "count" else f"--{flag}"
+        argv[argv.index(name) + 1] = value
+        code, stdout, err = _run(capsys, argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: " + name) and err.count("\n") == 1
+        assert list(tmp_path.glob("x.stream*")) == []
+
+    def test_halfspace_record_without_cols(self, capsys, tmp_path, instance):
+        h_path = tmp_path / "bad.hs"
+        write_halfspace(Halfspace.from_grid(np.ones((5, 4)), 1.0), str(h_path))
+        h_path.write_text(
+            "".join(ln for ln in h_path.read_text().splitlines(True)
+                    if not ln.startswith("cols"))
+        )
+        for argv in (
+            ["decode", "--halfspace", str(h_path), "--instance", str(instance),
+             "--seed", "1"],
+            ["verify", "niceness", "--instance", str(instance),
+             "--halfspace", str(h_path), "--tau", "0.5"],
+        ):
+            code, _, err = _run(capsys, argv)
+            assert code == 2
+            assert err.startswith("error:") and "cols" in err
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [[1, 2], {"a": 1}])
+    def test_config_value_that_is_not_a_scalar(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": value, "eps": "0.82", "p": "0.25"}))
+        code, _, err = _run(capsys, ["verify", "moments", "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith("error:") and "'k'" in err
+        assert err.count("\n") == 1
+
+    def test_stream_into_missing_directory_names_the_target(self, capsys, tmp_path):
+        out = tmp_path / "nodir" / "x.stream"
+        code, _, err = _run(
+            capsys,
+            ["sample", *GADGET, "--r", "2", "--count", "8", "--seed", "1", "--out", str(out)],
+        )
+        assert code == 2
+        assert err == f"error: missing file: {out}\n"

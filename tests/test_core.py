@@ -1,5 +1,7 @@
 """Counter-addressed words and the example stream format."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from glhs.core import (
     purpose_stream,
     rng_word,
     rng_words,
+    uniform_threshold,
     words_to_open_uniforms,
     words_to_uniforms,
 )
@@ -60,6 +63,37 @@ class TestWords:
         rate = bits.mean()
         # 4096*64 draws, sigma ~ 1e-3; allow 5 sigma
         assert abs(rate - 0.5) < 5e-3
+
+    def test_in_place_words_match_scalar_path_across_blocks(self):
+        # more indices than one mixing block, and indices that wrap near 2^64
+        n = (1 << 15) + 5
+        idx = np.arange(MASK64 - n + 1, MASK64 + 1, dtype=np.uint64)
+        idx[:3] = [0, 1, 2**63]
+        vec = rng_words(2**64 - 1, 2**60 + 3, idx)
+        picks = [0, 1, 2, 3, (1 << 15) - 1, 1 << 15, n - 2, n - 1]
+        for i in picks:
+            assert int(vec[i]) == rng_word(SeedSpec(2**64 - 1, 2**60 + 3, int(idx[i])))
+        # the caller's index array is left untouched, and shape is kept
+        assert int(idx[-1]) == MASK64
+        grid = rng_words(5, 1, idx[:12].reshape(3, 4))
+        assert grid.shape == (3, 4)
+        assert grid.reshape(-1).tolist() == rng_words(5, 1, idx[:12]).tolist()
+
+    @pytest.mark.parametrize(
+        "q",
+        [0.0, 2.0**-53, 1 / 4096, 1 / 32, float(np.nextafter(0.25, 0)), 0.25,
+         1 - 2.0**-53, 1.0],
+    )
+    def test_integer_threshold_matches_float_compare(self, q):
+        t = int(uniform_threshold(q))
+        assert t == math.ceil(q * 2**53)
+        tops = [m for m in (t - 1, t, t + 1) if 0 <= m < 2**53]
+        words = np.asarray(
+            [(m << 11) | low for m in tops for low in (0, 1, 2047)], dtype=np.uint64
+        )
+        assert np.array_equal((words >> np.uint64(11)) < t, words_to_uniforms(words) < q)
+        # and elementwise over an array of rates
+        assert uniform_threshold(np.array([q, q])).tolist() == [t, t]
 
     def test_uniform_maps(self):
         words = rng_words(11, 5, np.arange(1024, dtype=np.uint64))
@@ -135,6 +169,17 @@ class TestCursorRng:
         rng = CursorRng(5, 2)
         out = rng.shuffle(list(range(50)))
         assert sorted(out) == list(range(50))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 1000])
+    def test_shuffle_matches_scalar_fisher_yates(self, n):
+        rng = CursorRng(5, 2, index=2**40)
+        ref = CursorRng(5, 2, index=2**40)
+        expected = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = ref.randint(i + 1)
+            expected[i], expected[j] = expected[j], expected[i]
+        assert rng.shuffle(list(range(n))) == expected
+        assert rng.index == ref.index == 2**40 + max(n - 1, 0)
 
     def test_bernoulli_rate(self):
         rng = CursorRng(17, 4)
@@ -227,6 +272,23 @@ class TestStreamFormat:
         w.close()
         w.close()  # idempotent
         assert StreamReader(str(path)).header.count == 1
+
+    def test_interrupted_writer_leaves_no_stream(self, tmp_path):
+        path = tmp_path / "s.glhs"
+        with pytest.raises(RuntimeError):
+            with StreamWriter(str(path), 1, 8) as w:
+                w.append_batch(np.zeros((3, 8), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+                raise RuntimeError("interrupted")
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+        # an existing stream at the target survives an interrupted rewrite
+        self._write(path, 1, 8, 2)
+        before = path.read_bytes()
+        with pytest.raises(KeyboardInterrupt):
+            with StreamWriter(str(path), 1, 8) as w:
+                raise KeyboardInterrupt
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_empty_stream_reads_back(self, tmp_path):
         path = tmp_path / "s.glhs"

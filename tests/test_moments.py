@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glhs.core import rng_words, words_to_uniforms
 from glhs.moments import (
+    KIND_BERNOULLI,
+    KIND_EXACTLY_ONE,
     AllZero,
     Bernoulli,
     ColumnMixture,
@@ -245,6 +248,31 @@ class TestDistributionShapes:
         assert moment_gap(d0, d1, 1) == pytest.approx(float(d1.moment_of_size_exact(1)))
 
 
+def _float_domain_columns(dist, master_seed, stream_id, columns):
+    """Oracle for sample_columns_at: one unblocked pass, Bernoulli and noise
+    draws compared as float uniforms."""
+    noisy = hasattr(dist, "base")
+    mix = dist.base if noisy else dist
+    k = mix.k
+    idx = columns * np.uint64(column_block_size(k, noisy))
+    cdf, kinds, rates = mix.sampler_tables
+    u = words_to_uniforms(rng_words(master_seed, stream_id, idx))
+    comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(kinds) - 1)
+    lanes = np.arange(k, dtype=np.uint64)
+    cols = np.zeros((idx.size, k), dtype=np.uint8)
+    for n in range(idx.size):
+        if kinds[comp[n]] == KIND_EXACTLY_ONE:
+            hw = words_to_uniforms(rng_words(master_seed, stream_id, idx[n : n + 1] + 1))
+            cols[n, min(int(hw[0] * k), k - 1)] = 1
+    bern = kinds[comp] == KIND_BERNOULLI
+    bu = words_to_uniforms(rng_words(master_seed, stream_id, idx[:, None] + 2 + lanes))
+    cols[bern] = bu[bern] < rates[comp[bern], None]
+    if noisy:
+        w = rng_words(master_seed, stream_id, idx[:, None] + np.uint64(2 + k) + lanes)
+        cols = np.where(words_to_uniforms(w) < dist.gamma, w & np.uint64(1), cols)
+    return cols
+
+
 class TestSampling:
     def test_batching_does_not_change_bits(self):
         d0, _ = build_pair(K, EPS, P)
@@ -260,6 +288,19 @@ class TestSampling:
         got = sample_columns_at(d1, 99, 5, cols)
         ref = sample_columns(d1, 99, 5, 0, 18)
         assert np.array_equal(got, ref[[3, 17, 4, 3]])
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_block_boundaries_do_not_change_bits(self, noisy):
+        # k=64 gives 2048 rows per block; split points fall inside blocks
+        d0, d1 = build_pair(64, "0.5", "0.25")
+        for dist in (d0, d1):
+            dist = dist.noisy(Fraction(1, 64)) if noisy else dist
+            cols = np.arange(5000, dtype=np.uint64) * np.uint64(3) + np.uint64(2**40)
+            whole = sample_columns_at(dist, 21, 4, cols)
+            cuts = [0, 7, 2100, 4301, 5000]
+            parts = [sample_columns_at(dist, 21, 4, cols[a:b]) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(whole, np.concatenate(parts))
+            assert np.array_equal(whole, _float_domain_columns(dist, 21, 4, cols))
 
     def test_reruns_are_byte_identical(self):
         _, d1 = build_pair(K, EPS, P)
@@ -326,6 +367,21 @@ class TestNoiseChannel:
             [apply_noise(bits[:4], 0.02, 5, 1, 0), apply_noise(bits[4:], 0.02, 5, 1, 4)]
         )
         assert np.array_equal(whole, parts)
+
+    def test_dense_blocks_do_not_change_bits(self):
+        # 300-bit rows give 436 rows per block; split points fall inside blocks
+        rng = np.random.default_rng(1)
+        bits = rng.integers(0, 2, size=(1000, 300), dtype=np.uint8)
+        whole = apply_noise(bits, 0.1, 5, 1, 3)
+        cuts = [0, 5, 437, 900, 1000]
+        parts = [apply_noise(bits[a:b], 0.1, 5, 1, 3 + a) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(whole, np.concatenate(parts))
+        # the float-domain channel: word per bit, uniform < gamma, low bit in
+        idx = (np.arange(1000, dtype=np.uint64)[:, None] + np.uint64(3)) * np.uint64(
+            noise_block_size(300)
+        ) + np.arange(300, dtype=np.uint64)
+        w = rng_words(5, 1, idx)
+        assert np.array_equal(whole, np.where(words_to_uniforms(w) < 0.1, w & np.uint64(1), bits))
 
     def test_zero_noise_is_identity(self):
         bits = np.ones((4, 9), dtype=np.uint8)
