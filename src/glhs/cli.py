@@ -25,7 +25,15 @@ import sys
 
 import numpy as np
 
-from .core import MASK64, CursorRng, FormatError, GuardError, PURPOSE_AUX, purpose_stream
+from .core import (
+    MASK64,
+    PURPOSE_AUX,
+    AtomicFile,
+    CursorRng,
+    FormatError,
+    GuardError,
+    purpose_stream,
+)
 from .concentration import (
     PointMass,
     ProductBits,
@@ -210,7 +218,7 @@ def _emit(args: argparse.Namespace, records: list[CheckRecord], echo: dict) -> i
     print(summary.line())
     path = getattr(args, "records", None)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with AtomicFile(path) as fh:
             fh.write(f"# config: {_echo_text(echo)}\n")
             for rec in records:
                 fh.write(rec.line() + "\n")

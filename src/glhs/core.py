@@ -296,13 +296,54 @@ def _decode_header(blob: bytes) -> tuple[StreamHeader, int]:
     return header, _HEADER_SIZE + meta_len
 
 
+class AtomicFile:
+    """An output file that appears at `path` only on `commit`.
+
+    Writes go to `<path>.<pid>.tmp` next to the target; `commit` closes it
+    and moves it into place with `os.replace`, so an existing file is
+    replaced whole or not at all, and `abort` closes and deletes it.  Used as
+    a context manager it yields the open file and commits on a clean exit,
+    aborts on an exception, so an interrupted run leaves no half-written
+    output and no temporary file.
+    """
+
+    def __init__(self, path: str, mode: str = "w"):
+        self.path = path
+        self._tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            self.fh = open(self._tmp, mode, encoding=None if "b" in mode else "utf-8")
+        except FileNotFoundError as exc:  # name the target, not the temporary
+            raise FileNotFoundError(exc.errno, exc.strerror, path) from exc
+
+    def commit(self) -> None:
+        try:
+            self.fh.close()
+            os.replace(self._tmp, self.path)
+        except OSError:
+            self.abort()
+            raise
+
+    def abort(self) -> None:
+        self.fh.close()
+        os.unlink(self._tmp)
+
+    def __enter__(self):
+        return self.fh
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.commit()
+        else:
+            self.abort()
+
+
 class StreamWriter:
     """Writes a GLHS example stream; nothing appears at `path` until a clean close.
 
-    Records go to a temporary file next to `path`.  `close` patches the
-    count field and moves the file into place with `os.replace`; leaving a
-    `with` block by an exception calls `abort` instead, which deletes the
-    temporary file, so an interrupted run leaves no stream that reads as valid.
+    Records go to an `AtomicFile`.  `close` patches the count field and
+    commits it; leaving a `with` block by an exception calls `abort` instead,
+    which deletes the temporary file, so an interrupted run leaves no stream
+    that reads as valid.
     """
 
     def __init__(self, path: str, rows: int, cols: int, meta: str = ""):
@@ -311,11 +352,8 @@ class StreamWriter:
         self.cols = cols
         self.meta = meta
         self._count = 0
-        self._tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            self._fh = open(self._tmp, "wb")
-        except FileNotFoundError as exc:  # name the target, not the temporary
-            raise FileNotFoundError(exc.errno, exc.strerror, path) from exc
+        self._file = AtomicFile(path, "wb")
+        self._fh = self._file.fh
         self._fh.write(
             _encode_header(StreamHeader(rows=rows, cols=cols, count=0, meta=meta))
         )
@@ -345,15 +383,13 @@ class StreamWriter:
                 StreamHeader(rows=self.rows, cols=self.cols, count=self._count, meta=self.meta)
             )
         )
-        self._fh.close()
-        os.replace(self._tmp, self.path)
+        self._file.commit()
 
     def abort(self) -> None:
         """Discard the stream: delete the temporary file and write nothing."""
         if self._fh.closed:
             return
-        self._fh.close()
-        os.unlink(self._tmp)
+        self._file.abort()
 
     def __enter__(self) -> "StreamWriter":
         return self

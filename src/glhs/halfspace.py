@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FormatError
+from .core import AtomicFile, FormatError
 
 
 def sgn(t: float) -> int:
@@ -366,7 +366,7 @@ def write_halfspace(h: Halfspace, path: str) -> None:
         "weights " + " ".join(repr(float(v)) for v in h.weights),
         "",
     ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with AtomicFile(path) as fh:
         fh.write("\n".join(lines))
 
 

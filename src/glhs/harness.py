@@ -6,7 +6,11 @@ E[h | b] whose balanced combination obeys the half-plus-half-gap identity.
 `perceptron_train` is a deterministic averaged-perceptron probe: the
 hardness construction predicts that no efficient learner beats the trivial
 rate by much on sound instances, so its results are reported comparatively
-rather than asserted against theory constants.
+rather than asserted against theory constants.  It trains on the uint8 bit
+matrix directly: while mistakes are rare it scans ahead, summing the weights
+over each row's set bits to find the next mistake, and it updates only the
+coordinates a row sets.  Every decision and every weight is bit-identical
+to the plain per-example loop over float rows (see its docstring).
 
 `run_experiment` executes named plans (completeness, soundness,
 decode-planted) and emits one CheckRecord per check; records serialize to
@@ -25,6 +29,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .core import (
+    AtomicFile,
     CursorRng,
     PURPOSE_LEARN,
     PURPOSE_MC,
@@ -247,9 +252,44 @@ def _load_examples(
     parts = list(batches)
     if not parts or sum(b.shape[0] for b, _ in parts) == 0:
         raise ValueError("no training examples")
-    bits = np.concatenate([b for b, _ in parts])
-    labels = np.concatenate([l for _, l in parts])
+    if len(parts) == 1:
+        bits, labels = parts[0]
+    else:
+        bits = np.concatenate([b for b, _ in parts])
+        labels = np.concatenate([l for _, l in parts])
+    bits = np.asarray(bits, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    if bits.max(initial=0) > 1 or labels.max(initial=0) > 1:
+        raise ValueError("training bits and labels must be 0 or 1")
     return bits, labels, rows, cols
+
+
+# Scan-ahead walk of `perceptron_train`.  A scan of the next rows costs about
+# as much as _SCAN_MIN_RUN per-example steps, so stretches where mistakes come
+# closer together than that run one example at a time, _STEP_WINDOW rows per
+# window.  A scan covers at most _SCAN_MAX rows.
+_SCAN_MIN_RUN = 8
+_SCAN_MAX = 2048
+_STEP_WINDOW = 64
+
+
+def _active_indices(bits: np.ndarray) -> np.ndarray:
+    """(n, width) columns of each row's set bits, ascending, padded with dim.
+
+    width is the largest row count of set bits (at least 1).  The scan skips
+    the zero bytes eight at a time through a uint64 view of the matrix.
+    """
+    n, dim = bits.shape
+    flat = np.ascontiguousarray(bits).reshape(-1).view(bool)
+    head = flat.size - flat.size % 8
+    words = np.flatnonzero(flat[:head].view(np.uint64))
+    word, byte = np.nonzero(flat[:head].reshape(-1, 8)[words])
+    pos = np.concatenate([words[word] * 8 + byte, head + np.flatnonzero(flat[head:])])
+    row, col = np.divmod(pos, dim)
+    counts = np.bincount(row, minlength=n)
+    active = np.full((n, max(int(counts.max(initial=0)), 1)), dim, dtype=np.intp)
+    active[row, np.arange(pos.size) - (np.cumsum(counts) - counts)[row]] = col
+    return active
 
 
 def perceptron_train(
@@ -265,6 +305,33 @@ def perceptron_train(
     reshuffled each epoch from cfg.shuffle_seed.  With `averaged` the
     returned weights are the average over all per-step states (computed via
     the weighted-update identity, so only mistakes touch the accumulators).
+
+    The examples stay a uint8 bit matrix and no float copy of them is made.
+    A step decides by the sign of ``x @ w + bias`` (ties count as +1) for its
+    float row x: one BLAS dot per row, the same routine as ``x.dot(w)``.  The
+    walk goes through each epoch's order in windows and reaches the same
+    decisions with less work, in one of two modes picked by the distance
+    between the last two mistakes:
+
+    - Scan (mistakes _SCAN_MIN_RUN or more steps apart): the margins of the
+      next rows under the current weights come from one gather-and-sum of w
+      over each row's set bits (`_active_indices`); the walk jumps to the
+      first mistake and updates there.  With integer weights (an integer
+      rate and the constant schedule) every partial sum of both the scan and
+      the dot is an exact integer, so the two margins are equal.  Otherwise
+      each is within gamma_(dim+1) * (|w|_1 + |bias|) of the exact margin,
+      gamma_m = m u / (1 - m u) < (dim+2) u with u = 2^-53, in whatever order
+      it adds.  A row whose scanned |margin| is at most 2 (dim+2) u
+      (|w|_1 + |bias|) is therefore decided by its own dot, one row at a time
+      (a batched ``rows @ w`` is a gemv, which adds in another order); on
+      every other row both signs agree.
+    - Step (mistakes closer together): per-example steps on the float rows
+      of the next _STEP_WINDOW rows, built for that window only.
+
+    An update adds delta = eta * label to w and step * delta to u.  The scan
+    adds them on the row's set bits only: the dense update adds a signed zero
+    elsewhere, which changes no entry because w and u never hold -0.0, so the
+    weights are the same floats either way and so is the averaging identity.
     """
     bits, labels, hdr_rows, hdr_cols = _load_examples(examples, chunk)
     if rows is None or cols is None:
@@ -277,29 +344,80 @@ def perceptron_train(
             f"grid {rows}x{cols} does not match feature width {bits.shape[1]}"
         )
     n, dim = bits.shape
-    x = bits.astype(np.float64)
-    t = labels.astype(np.float64) * 2.0 - 1.0
+    positive = labels == 1
+    t = (labels.astype(np.float64) * 2.0 - 1.0).tolist()
+    active = None  # built at the first scan
 
-    w = np.zeros(dim)
+    # slot dim is the target of the index padding and is kept at zero
+    w_pad = np.zeros(dim + 1)
+    u_pad = np.zeros(dim + 1)
+    w, u = w_pad[:dim], u_pad[:dim]
     bias = 0.0
-    u = np.zeros(dim)
     u_bias = 0.0
     rng = CursorRng(cfg.shuffle_seed, purpose_stream(0, PURPOSE_LEARN))
-    step = 0
     total = n * cfg.epochs
+    integral = True
+    run = 0  # steps from one mistake to the next, as last observed
     for epoch in range(cfg.epochs):
-        order = rng.shuffle(list(range(n)))
+        order = np.asarray(rng.shuffle(list(range(n))))
         eta = cfg.rate if cfg.schedule == "constant" else cfg.rate / (epoch + 1)
-        for i in order:
-            step += 1
-            margin = x[i] @ w + bias
-            pred = 1.0 if margin >= 0.0 else -1.0
-            if pred != t[i]:
-                delta = eta * t[i]
-                w += delta * x[i]
-                bias += delta
-                u += (step * delta) * x[i]
-                u_bias += step * delta
+        integral = integral and float(eta).is_integer()
+        first = epoch * n + 1  # step number of order[0]
+        p = 0
+        clean = 0  # rows scanned since the last mistake
+        while p < n:
+            if run < _SCAN_MIN_RUN:
+                window = order[p : p + _STEP_WINDOW]
+                x = bits[window].astype(np.float64)
+                mistakes = 0
+                for j, (i, xi) in enumerate(zip(window.tolist(), x)):
+                    margin = xi.dot(w) + bias
+                    if (1.0 if margin >= 0.0 else -1.0) != t[i]:
+                        delta = eta * t[i]
+                        w += delta * xi
+                        bias += delta
+                        u += ((first + p + j) * delta) * xi
+                        u_bias += (first + p + j) * delta
+                        mistakes += 1
+                p += window.size
+                run = window.size // (mistakes + 1)
+                continue
+
+            if active is None:
+                active = _active_indices(bits)
+            window = order[p : p + min(2 * run, _SCAN_MAX)]
+            margins = w_pad[active[window]].sum(axis=1)
+            margins += bias
+            suspect = (margins >= 0.0) != positive[window]
+            norm = float(np.abs(w).sum()) + abs(bias)
+            unsure = None
+            if not (integral and norm <= 2.0**53):
+                unsure = np.abs(margins) <= 2 * (dim + 2) * 2.0**-53 * norm
+                suspect |= unsure
+            j = -1  # the first mistake in the window
+            for c in np.flatnonzero(suspect).tolist():
+                if unsure is not None and unsure[c]:
+                    i = int(window[c])
+                    margin = bits[i].astype(np.float64).dot(w) + bias
+                    if (1.0 if margin >= 0.0 else -1.0) == t[i]:
+                        continue
+                j = c
+                break
+            if j < 0:
+                p += window.size
+                clean += window.size
+                run = max(run, clean)
+                continue
+            i = int(window[j])
+            step = first + p + j
+            delta = eta * t[i]
+            w_pad[active[i]] += delta
+            u_pad[active[i]] += step * delta
+            w_pad[dim] = u_pad[dim] = 0.0
+            bias += delta
+            u_bias += step * delta
+            p += j + 1
+            run, clean = clean + j + 1, 0
     if cfg.averaged:
         w = w * ((total + 1) / total) - u / total
         bias = bias * ((total + 1) / total) - u_bias / total
@@ -528,7 +646,7 @@ def parse_record(line: str) -> CheckRecord:
 
 
 def write_records(records: Iterable[CheckRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with AtomicFile(path) as fh:
         for rec in records:
             fh.write(rec.line() + "\n")
 

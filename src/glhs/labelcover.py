@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CursorRng, GuardError
+from .core import AtomicFile, CursorRng, GuardError
 from .stats import Interval, wilson_interval
 
 SMOOTH_PAIR_GUARD_M = 512
@@ -479,7 +479,7 @@ def audit_connected(inst: LabelCoverInstance) -> bool:
 
 
 def write_instance(inst: LabelCoverInstance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with AtomicFile(path) as fh:
         fh.write(f"{_LC_MAGIC} {_LC_VERSION}\n")
         fh.write(f"k {inst.k}\n")
         fh.write(f"vertices {inst.num_vertices}\n")
@@ -564,7 +564,7 @@ def read_instance(path: str) -> LabelCoverInstance:
 
 
 def write_labeling(lab: Labeling, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with AtomicFile(path) as fh:
         fh.write(f"{_LAB_MAGIC} {_LAB_VERSION}\n")
         fh.write(f"vertices {lab.num_vertices}\n")
         fh.write(f"labels {lab.m}\n")

@@ -809,6 +809,7 @@ def apply_noise(
     master_seed: int,
     stream_id: int,
     start: int,
+    copy: bool = True,
 ) -> np.ndarray:
     """Per-bit replacement noise over rows of a (count, L) bit array.
 
@@ -819,6 +820,9 @@ def apply_noise(
     gap uniform, so the channel is exactly the independent per-bit one.
     Dense rates use one word per bit.  The path depends only on gamma, so
     equal parameters give identical output regardless of batching.
+
+    Returns a noisy copy; with ``copy=False`` a uint8 `bits` is noised in
+    place and returned, for callers that own their array.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
@@ -826,7 +830,7 @@ def apply_noise(
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"noise rate must be in [0, 1], got {gamma}")
     count, length = bits.shape
-    out = bits.copy()
+    out = bits.copy() if copy else bits
     if gamma == 0.0 or length == 0 or count == 0:
         return out
 

@@ -190,7 +190,8 @@ def _grid_columns(
     stream_id: int,
     start: int,
 ) -> np.ndarray:
-    """(count, k, width) noiseless grids; example n owns columns n*width ...
+    """(count, k, width) noiseless grids, C-contiguous; example n owns
+    columns n*width ...
 
     Rows with label 0 draw their columns from d0, rows with label 1 from d1,
     at the same counter addresses either way.
@@ -201,15 +202,16 @@ def _grid_columns(
         np.arange(start, start + count, dtype=np.uint64)[:, None] * np.uint64(width)
         + np.arange(width, dtype=np.uint64)[None, :]
     )
-    cols = np.empty((count, width, spec.k), dtype=np.uint8)
+    grids = np.empty((count, spec.k, width), dtype=np.uint8)
     for bit, mixture in ((0, spec.d0), (1, spec.d1)):
         rows = np.flatnonzero(labels == bit)
         if rows.size:
             drawn = sample_columns_at(
                 mixture, master_seed, x_stream, base[rows].reshape(-1)
             )
-            cols[rows] = drawn.reshape(rows.size, width, spec.k)
-    return cols.transpose(0, 2, 1)
+            # through the transposed view the scatter needs no temporary
+            grids.transpose(0, 2, 1)[rows] = drawn.reshape(rows.size, width, spec.k)
+    return grids
 
 
 def dict_test_batch(
@@ -229,9 +231,13 @@ def dict_test_batch(
         return np.zeros((0, spec.dim), dtype=np.uint8), np.zeros(0, dtype=np.uint8)
     labels = _labels_for(master_seed, stream_id, start, count)
     grids = _grid_columns(spec, labels, spec.r, master_seed, stream_id, start)
-    flat = np.ascontiguousarray(grids).reshape(count, spec.dim)
     noisy = apply_noise(
-        flat, spec.gamma, master_seed, purpose_stream(stream_id, PURPOSE_NOISE), start
+        grids.reshape(count, spec.dim),
+        spec.gamma,
+        master_seed,
+        purpose_stream(stream_id, PURPOSE_NOISE),
+        start,
+        copy=False,
     )
     return noisy, labels
 
@@ -266,9 +272,13 @@ def ug_reduce_batch(
     labels = _labels_for(master_seed, stream_id, start, count)
     edge_ids = _edges_for(master_seed, stream_id, start, count, inst.num_edges)
     grids = _grid_columns(spec, labels, r, master_seed, stream_id, start)
-    flat = np.ascontiguousarray(grids).reshape(count, spec.k * r)
     noisy = apply_noise(
-        flat, spec.gamma, master_seed, purpose_stream(stream_id, PURPOSE_NOISE), start
+        grids.reshape(count, spec.k * r),
+        spec.gamma,
+        master_seed,
+        purpose_stream(stream_id, PURPOSE_NOISE),
+        start,
+        copy=False,
     ).reshape(count, spec.k, r)
 
     out = np.zeros((count, inst.num_vertices, r), dtype=np.uint8)
@@ -320,6 +330,7 @@ def lc_reduce_batch(
         master_seed,
         purpose_stream(stream_id, PURPOSE_NOISE),
         start,
+        copy=False,
     ).reshape(count, inst.k, inst.m)
 
     out = np.zeros((count, inst.num_vertices, inst.m), dtype=np.uint8)

@@ -837,8 +837,9 @@ def test_niceness_audits_within_bounds():
 
 
 # SHA-256 of each run's output file and labeling (None: the run writes no
-# labeling).  The reduce streams echo the relative --instance path into their
-# header, so the test runs inside tmp_path with relative file names.
+# labeling); for learn the output is the .hs file, for decode the .lab.  The
+# reduce streams echo the relative --instance path into their header, so the
+# test runs inside tmp_path with relative file names.
 _GOLDEN_DIGESTS = {
     "gen-lc-unique": (
         "81effcc2787f1e13715f9c2cbc009a4f5df22c98fa24f0e806e4e7a7033d8641",
@@ -864,6 +865,22 @@ _GOLDEN_DIGESTS = {
         "3b8f7ecd6de228cd49cff2280fefb0908f7325b06fb2895c62352ff02287ba2a",
         None,
     ),
+    "learn-projection": (
+        "9dd9899276424565110b3725f8bcd67966096ece9b1b6ad73d9ba193c71420c8",
+        None,
+    ),
+    "learn-sample": (
+        "f3f6b6f3024884e29d223666f8a2f80338f64dc26871240996ea446b08cfa292",
+        None,
+    ),
+    "learn-projection-inverse": (
+        "29fe7540eb2c3d84ce8a6dd14d87169ff85d1018a4fa17974f6761bc1a50dbe3",
+        None,
+    ),
+    "decode": (
+        "9efebc9430521c7b7f2892fcc4e3c327f1d3b7f2dec6ed9a5caba463a6a81a0c",
+        None,
+    ),
 }
 
 
@@ -875,6 +892,7 @@ def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
     gadget = ["--k", "12", "--eps", "0.82", "--p", "0.25", "--gamma", "0.01"]
+    learn = ["learn", "--epochs", "12", "--seed", "4"]
     unique_inst = "unique.lc"
     proj_inst = "proj.lc"
     runs = {
@@ -905,6 +923,22 @@ def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch):
             "reduce", "--instance", proj_inst, "--k", "5", "--eps", "0.5",
             "--p", "0.25", "--gamma", "0.01", "--completeness-only",
             "--count", "96", "--seed", "11", "--out", out,
+        ],
+        # learn and decode read the first (tag "a") outputs of the runs above
+        "learn-projection": lambda out, lab: learn + [
+            "--stream", "reduce-projection-a.out", "--out", out,
+        ],
+        "learn-sample": lambda out, lab: learn + [
+            "--stream", "sample-a.out", "--out", out,
+        ],
+        "learn-projection-inverse": lambda out, lab: learn + [
+            "--stream", "reduce-projection-a.out", "--rate", "0.3",
+            "--schedule", "inverse", "--out", out,
+        ],
+        "decode": lambda out, lab: [
+            "decode", "--halfspace", "learn-projection-a.out", "--instance",
+            proj_inst, "--t", "2", "--tau", "0.25", "--trials", "64",
+            "--seed", "6", "--out", out,
         ],
     }
 

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from glhs.cli import main
-from glhs.core import StreamReader
+from glhs.core import AtomicFile, StreamReader
 from glhs.halfspace import Halfspace, read_halfspace, write_halfspace
 from glhs.harness import make_record, parse_record, read_records, write_records
-from glhs.labelcover import read_instance, read_labeling
+from glhs.labelcover import (
+    Labeling,
+    read_instance,
+    read_labeling,
+    write_instance,
+    write_labeling,
+)
 from glhs.reduction import planted_disjunction
 
 GADGET = ["--k", "12", "--eps", "0.82", "--p", "0.25"]
@@ -474,3 +480,42 @@ class TestHostileInput:
         )
         assert code == 2
         assert err == f"error: missing file: {out}\n"
+
+    @pytest.mark.parametrize("kind", ["hs", "lc", "lab", "records", "cli-records"])
+    def test_failed_write_keeps_the_previous_file(self, capsys, tmp_path, monkeypatch,
+                                                  instance, kind):
+        inst = read_instance(str(instance))
+        path = tmp_path / f"out.{kind}"
+        path.write_text("previous\n")
+        write = {
+            "hs": lambda p: write_halfspace(Halfspace.from_grid(np.ones((2, 3)), 1.0), p),
+            "lc": lambda p: write_instance(inst, p),
+            "lab": lambda p: write_labeling(Labeling(np.array([0, 1, 0]), 4), p),
+            "records": lambda p: write_records(
+                [make_record("a", {}, 1.0, "t", True)] * 3, p
+            ),
+            "cli-records": lambda p: main(
+                ["verify", "moments", *GADGET, "--records", p]
+            ),
+        }[kind]
+
+        class DiskFull:
+            """Writes half of the first text it gets, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        enter = AtomicFile.__enter__
+        monkeypatch.setattr(AtomicFile, "__enter__", lambda self: DiskFull(enter(self)))
+        if kind == "cli-records":
+            assert write(str(path)) == 2
+            assert "No space left" in capsys.readouterr().err
+        else:
+            with pytest.raises(OSError, match="No space left"):
+                write(str(path))
+        assert path.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out." + kind, "p.lc"]

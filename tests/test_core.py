@@ -14,6 +14,7 @@ from glhs.core import (
     PURPOSE_NOISE,
     PURPOSE_X,
     STREAM_FORMAT_VERSION,
+    AtomicFile,
     CorruptionError,
     CursorRng,
     FormatError,
@@ -289,6 +290,25 @@ class TestStreamFormat:
                 raise KeyboardInterrupt
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_atomic_file_replaces_whole_or_not_at_all(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with AtomicFile(str(path)) as fh:
+            fh.write("first\n")
+        with pytest.raises(RuntimeError):
+            with AtomicFile(str(path)) as fh:
+                fh.write("second, half written")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "first\n"
+        # a failed move deletes the temporary file too
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        with pytest.raises(OSError):
+            with AtomicFile(str(target)) as fh:
+                fh.write("x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "out.txt"]
+        with pytest.raises(FileNotFoundError, match="nodir"):
+            AtomicFile(str(tmp_path / "nodir" / "out.txt"))
 
     def test_empty_stream_reads_back(self, tmp_path):
         path = tmp_path / "s.glhs"

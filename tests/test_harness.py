@@ -1,5 +1,6 @@
 """Agreement counting, learner probe, closed forms, records, experiment plans."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glhs.core import StreamReader
+from glhs.core import PURPOSE_LEARN, CursorRng, StreamReader, purpose_stream
 from glhs.halfspace import Disjunction, Halfspace
 from glhs.labelcover import gen_planted_projection, gen_planted_unique
 from glhs.moments import AllZero, ColumnMixture, build_pair, column_sum_pmf
@@ -18,6 +19,7 @@ from glhs.harness import (
     CheckRecord,
     ExperimentPlan,
     LearnerConfig,
+    _active_indices,
     agreement,
     centered_threshold,
     exact_majority_gap,
@@ -225,6 +227,16 @@ class TestPerceptron:
         with pytest.raises(ValueError, match="no training examples"):
             perceptron_train((np.zeros((0, 3), dtype=np.uint8), np.zeros(0, dtype=np.uint8)))
 
+    def test_rejects_non_binary_input(self):
+        bits, labels = self._separable()
+        bits[3, 2] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            perceptron_train((bits, labels))
+        bits, labels = self._separable()
+        labels[5] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            perceptron_train((bits, labels))
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="epochs"):
             LearnerConfig(epochs=0)
@@ -232,6 +244,107 @@ class TestPerceptron:
             LearnerConfig(rate=0.0)
         with pytest.raises(ValueError, match="schedule"):
             LearnerConfig(schedule="bogus")
+
+
+def _dense_reference(bits, labels, cfg):
+    """The per-example loop perceptron_train replaced, kept as its oracle."""
+    n, dim = bits.shape
+    x = bits.astype(np.float64)
+    t = labels.astype(np.float64) * 2.0 - 1.0
+
+    w = np.zeros(dim)
+    bias = 0.0
+    u = np.zeros(dim)
+    u_bias = 0.0
+    rng = CursorRng(cfg.shuffle_seed, purpose_stream(0, PURPOSE_LEARN))
+    step = 0
+    total = n * cfg.epochs
+    for epoch in range(cfg.epochs):
+        order = rng.shuffle(list(range(n)))
+        eta = cfg.rate if cfg.schedule == "constant" else cfg.rate / (epoch + 1)
+        for i in order:
+            step += 1
+            margin = x[i] @ w + bias
+            pred = 1.0 if margin >= 0.0 else -1.0
+            if pred != t[i]:
+                delta = eta * t[i]
+                w += delta * x[i]
+                bias += delta
+                u += (step * delta) * x[i]
+                u_bias += step * delta
+    if cfg.averaged:
+        w = w * ((total + 1) / total) - u / total
+        bias = bias * ((total + 1) / total) - u_bias / total
+    return Halfspace.from_grid(w.reshape(1, dim), -bias)
+
+
+def _wide_sparse_stream(zero_rows=0.0, n=1999, dim=803, seed=5):
+    """Rows with at most 48 set bits under a dictator label on column 0; a
+    `zero_rows` share of the rows is all zero (label 0, margin = bias)."""
+    rnd = np.random.RandomState(seed)
+    bits = np.zeros((n, dim), dtype=np.uint8)
+    for i, c in enumerate(rnd.randint(0, 48, size=n)):
+        bits[i, 1 + rnd.choice(dim - 1, c, replace=False)] = 1
+    bits[:, 0] = rnd.randint(0, 2, size=n)
+    bits[rnd.random_sample(n) < zero_rows] = 0
+    return bits, bits[:, 0].copy()
+
+
+def _dense_noisy_stream(n=1000, dim=96, seed=6):
+    """Half the bits set and labels independent of them: about half the
+    steps are mistakes."""
+    rnd = np.random.RandomState(seed)
+    bits = rnd.randint(0, 2, size=(n, dim)).astype(np.uint8)
+    return bits, rnd.randint(0, 2, size=n).astype(np.uint8)
+
+
+_ORACLE_STREAMS = {
+    "wide-sparse": _wide_sparse_stream,
+    "dense-noisy": _dense_noisy_stream,
+    "zero-rows": lambda: _wide_sparse_stream(zero_rows=0.3, seed=7),
+}
+
+
+class TestPerceptronOracle:
+    """perceptron_train against the plain dense loop, bit for bit."""
+
+    @pytest.mark.parametrize("averaged", [True, False])
+    @pytest.mark.parametrize(
+        "rate,schedule", [(1.0, "constant"), (0.3, "inverse"), (0.1, "constant")]
+    )
+    @pytest.mark.parametrize("stream", sorted(_ORACLE_STREAMS))
+    def test_matches_dense_loop(self, stream, rate, schedule, averaged):
+        bits, labels = _ORACLE_STREAMS[stream]()
+        cfg = LearnerConfig(
+            epochs=4, rate=rate, schedule=schedule, shuffle_seed=2, averaged=averaged
+        )
+        got = perceptron_train((bits, labels), cfg)
+        want = _dense_reference(bits, labels, cfg)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert np.float64(got.theta).tobytes() == np.float64(want.theta).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 8), (5, 3), (37, 803), (64, 96)])
+    def test_active_indices_match_nonzero(self, shape):
+        rnd = np.random.RandomState(shape[0])
+        bits = (rnd.random_sample(shape) < 0.1).astype(np.uint8)
+        if shape[0]:
+            bits[-1] = 0
+        active = _active_indices(bits)
+        assert active.shape[1] == max(1, bits.sum(axis=1).max(initial=0))
+        for i in range(shape[0]):
+            got = active[i][active[i] < shape[1]]
+            assert np.array_equal(got, np.flatnonzero(bits[i]))
+            assert (active[i][got.size:] == shape[1]).all()
+
+    def test_peak_memory_stays_below_a_float_copy(self):
+        bits, labels = _wide_sparse_stream(n=4000, dim=3200)
+        tracemalloc.start()
+        try:
+            perceptron_train((bits, labels), LearnerConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * bits.nbytes
 
 
 class TestMatrixSumPmf:

@@ -383,6 +383,16 @@ class TestNoiseChannel:
         w = rng_words(5, 1, idx)
         assert np.array_equal(whole, np.where(words_to_uniforms(w) < 0.1, w & np.uint64(1), bits))
 
+    @pytest.mark.parametrize("gamma", [0.02, 0.1, 0.0])
+    def test_in_place_noise_matches_the_copy(self, gamma):
+        rng = np.random.default_rng(2)
+        bits = rng.integers(0, 2, size=(50, 40), dtype=np.uint8)
+        want = apply_noise(bits, gamma, 5, 1, 7)
+        owned = bits.copy()
+        got = apply_noise(owned, gamma, 5, 1, 7, copy=False)
+        assert got is owned
+        assert np.array_equal(got, want)
+
     def test_zero_noise_is_identity(self):
         bits = np.ones((4, 9), dtype=np.uint8)
         assert np.array_equal(apply_noise(bits, 0.0, 1, 1, 0), bits)
