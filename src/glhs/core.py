@@ -299,17 +299,22 @@ def _decode_header(blob: bytes) -> tuple[StreamHeader, int]:
 class AtomicFile:
     """An output file that appears at `path` only on `commit`.
 
-    Writes go to `<path>.<pid>.tmp` next to the target; `commit` closes it
-    and moves it into place with `os.replace`, so an existing file is
-    replaced whole or not at all, and `abort` closes and deletes it.  Used as
-    a context manager it yields the open file and commits on a clean exit,
-    aborts on an exception, so an interrupted run leaves no half-written
-    output and no temporary file.
+    Writes go to `<target>.<pid>.tmp` next to the target, the file `path`
+    resolves to through any symlinks; `commit` closes it and moves it into
+    place with `os.replace`, so an existing file is replaced whole or not at
+    all, and `abort` closes and deletes it.  A target that exists and is not
+    a regular file (a device such as /dev/stdout, a pipe) is written
+    directly, as a plain `open` would.  Used as a context manager it yields
+    the open file and commits on a clean exit, aborts on an exception, so an
+    interrupted run leaves no half-written output and no temporary file.
     """
 
     def __init__(self, path: str, mode: str = "w"):
         self.path = path
-        self._tmp = f"{path}.{os.getpid()}.tmp"
+        target = os.path.realpath(path)
+        special = os.path.exists(target) and not os.path.isfile(target)
+        self._target = None if special else target
+        self._tmp = target if special else f"{target}.{os.getpid()}.tmp"
         try:
             self.fh = open(self._tmp, mode, encoding=None if "b" in mode else "utf-8")
         except FileNotFoundError as exc:  # name the target, not the temporary
@@ -318,14 +323,16 @@ class AtomicFile:
     def commit(self) -> None:
         try:
             self.fh.close()
-            os.replace(self._tmp, self.path)
+            if self._target is not None:
+                os.replace(self._tmp, self._target)
         except OSError:
             self.abort()
             raise
 
     def abort(self) -> None:
         self.fh.close()
-        os.unlink(self._tmp)
+        if self._target is not None:
+            os.unlink(self._tmp)
 
     def __enter__(self):
         return self.fh

@@ -264,31 +264,43 @@ def _load_examples(
     return bits, labels, rows, cols
 
 
-# Scan-ahead walk of `perceptron_train`.  A scan of the next rows costs about
-# as much as _SCAN_MIN_RUN per-example steps, so stretches where mistakes come
-# closer together than that run one example at a time, _STEP_WINDOW rows per
-# window.  A scan covers at most _SCAN_MAX rows.
+# Scan-ahead walk of `perceptron_train`.  Stretches where mistakes come
+# closer together than _SCAN_MIN_RUN steps run one example at a time,
+# _STEP_WINDOW rows per window.  A scan covers at most _SCAN_MAX rows, and at
+# most _BLOCK_CELLS index cells.  Measured on a 2-core Xeon: a scan of 2L rows
+# costs as much as L steps at L ~ 4 on 3200-bit rows with up to 41 bits set,
+# and at L ~ 30 on 96-bit rows with up to 90 set; a scan's fixed cost is ~3%
+# of a 2048-row scan.  Training time is flat (within noise) over
+# _SCAN_MIN_RUN 4-16, _STEP_WINDOW 32-128 and _SCAN_MAX 512-8192 on both.
 _SCAN_MIN_RUN = 8
 _SCAN_MAX = 2048
 _STEP_WINDOW = 64
+_BLOCK_CELLS = 1 << 18
 
 
 def _active_indices(bits: np.ndarray) -> np.ndarray:
     """(n, width) columns of each row's set bits, ascending, padded with dim.
 
-    width is the largest row count of set bits (at least 1).  The scan skips
-    the zero bytes eight at a time through a uint64 view of the matrix.
+    width is the largest row count of set bits (at least 1), and the index
+    type is the narrowest unsigned one that holds dim, so the matrix never
+    outweighs the float copy it replaces.  Rows are indexed _BLOCK_CELLS
+    cells at a time, which keeps the temporaries that size; within a block
+    the zero bytes are skipped eight at a time through a uint64 view.
     """
     n, dim = bits.shape
-    flat = np.ascontiguousarray(bits).reshape(-1).view(bool)
-    head = flat.size - flat.size % 8
-    words = np.flatnonzero(flat[:head].view(np.uint64))
-    word, byte = np.nonzero(flat[:head].reshape(-1, 8)[words])
-    pos = np.concatenate([words[word] * 8 + byte, head + np.flatnonzero(flat[head:])])
-    row, col = np.divmod(pos, dim)
-    counts = np.bincount(row, minlength=n)
-    active = np.full((n, max(int(counts.max(initial=0)), 1)), dim, dtype=np.intp)
-    active[row, np.arange(pos.size) - (np.cumsum(counts) - counts)[row]] = col
+    counts = np.bitwise_count(np.packbits(bits, axis=1)).sum(axis=1, dtype=np.intp)
+    width = max(int(counts.max(initial=0)), 1)
+    active = np.full((n, width), dim, dtype=np.min_scalar_type(dim))
+    step = max(1, _BLOCK_CELLS // max(dim, 1))
+    for lo in range(0, n, step):
+        flat = np.ascontiguousarray(bits[lo : lo + step]).reshape(-1).view(bool)
+        head = flat.size - flat.size % 8
+        words = np.flatnonzero(flat[:head].view(np.uint64))
+        word, byte = np.nonzero(flat[:head].reshape(-1, 8)[words])
+        pos = np.concatenate([words[word] * 8 + byte, head + np.flatnonzero(flat[head:])])
+        row, col = np.divmod(pos, dim)
+        c = counts[lo : lo + step]
+        active[lo + row, np.arange(pos.size) - (np.cumsum(c) - c)[row]] = col
     return active
 
 
@@ -385,7 +397,8 @@ def perceptron_train(
 
             if active is None:
                 active = _active_indices(bits)
-            window = order[p : p + min(2 * run, _SCAN_MAX)]
+                scan_rows = max(1, _BLOCK_CELLS // active.shape[1])
+            window = order[p : p + min(2 * run, _SCAN_MAX, scan_rows)]
             margins = w_pad[active[window]].sum(axis=1)
             margins += bias
             suspect = (margins >= 0.0) != positive[window]

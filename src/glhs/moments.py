@@ -809,9 +809,8 @@ def apply_noise(
     master_seed: int,
     stream_id: int,
     start: int,
-    copy: bool = True,
 ) -> np.ndarray:
-    """Per-bit replacement noise over rows of a (count, L) bit array.
+    """Per-bit replacement noise, in place, over rows of a (count, L) bit array.
 
     Row r (absolute example index start + r) owns the counter block
     [(start+r)*(L+2), ...).  For sparse noise the replaced positions are
@@ -821,8 +820,9 @@ def apply_noise(
     Dense rates use one word per bit.  The path depends only on gamma, so
     equal parameters give identical output regardless of batching.
 
-    Returns a noisy copy; with ``copy=False`` a uint8 `bits` is noised in
-    place and returned, for callers that own their array.
+    A uint8 `bits` is noised in place and returned; other input is first
+    converted to a new uint8 array.  Callers that still need the clean bits
+    pass a copy.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
@@ -830,9 +830,8 @@ def apply_noise(
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"noise rate must be in [0, 1], got {gamma}")
     count, length = bits.shape
-    out = bits.copy() if copy else bits
     if gamma == 0.0 or length == 0 or count == 0:
-        return out
+        return bits
 
     block = np.uint64(noise_block_size(length))
     base = (np.arange(start, start + count, dtype=np.uint64)) * block
@@ -844,8 +843,8 @@ def apply_noise(
         for lo in range(0, count, step):
             rows = slice(lo, lo + step)
             w = rng_words(master_seed, stream_id, base[rows, None] + lanes)
-            _replace_bits(out[rows], w, threshold)
-        return out
+            _replace_bits(bits[rows], w, threshold)
+        return bits
 
     inv_log = 1.0 / math.log1p(-gamma)
     pos = np.full(count, -1, dtype=np.int64)
@@ -860,6 +859,6 @@ def apply_noise(
         vals = (w & np.uint64(1)).astype(np.uint8)
         alive = pos[active] < length
         rows = active[alive]
-        out[rows, pos[rows]] = vals[alive]
+        bits[rows, pos[rows]] = vals[alive]
         active = rows
-    return out
+    return bits

@@ -237,7 +237,6 @@ def dict_test_batch(
         master_seed,
         purpose_stream(stream_id, PURPOSE_NOISE),
         start,
-        copy=False,
     )
     return noisy, labels
 
@@ -278,7 +277,6 @@ def ug_reduce_batch(
         master_seed,
         purpose_stream(stream_id, PURPOSE_NOISE),
         start,
-        copy=False,
     ).reshape(count, spec.k, r)
 
     out = np.zeros((count, inst.num_vertices, r), dtype=np.uint8)
@@ -330,7 +328,6 @@ def lc_reduce_batch(
         master_seed,
         purpose_stream(stream_id, PURPOSE_NOISE),
         start,
-        copy=False,
     ).reshape(count, inst.k, inst.m)
 
     out = np.zeros((count, inst.num_vertices, inst.m), dtype=np.uint8)

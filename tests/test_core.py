@@ -1,6 +1,8 @@
 """Counter-addressed words and the example stream format."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -309,6 +311,30 @@ class TestStreamFormat:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "out.txt"]
         with pytest.raises(FileNotFoundError, match="nodir"):
             AtomicFile(str(tmp_path / "nodir" / "out.txt"))
+
+    def test_atomic_file_writes_through_a_symlink(self, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        with AtomicFile(str(link)) as fh:
+            fh.write("new\n")
+        assert link.is_symlink()
+        assert real.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    def test_atomic_file_writes_a_special_target_directly(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with AtomicFile(str(fifo)) as fh:
+                fh.write("through\n")
+            assert os.read(reader, 64) == b"through\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     def test_empty_stream_reads_back(self, tmp_path):
         path = tmp_path / "s.glhs"

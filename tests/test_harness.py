@@ -323,7 +323,8 @@ class TestPerceptronOracle:
         assert got.weights.tobytes() == want.weights.tobytes()
         assert np.float64(got.theta).tobytes() == np.float64(want.theta).tobytes()
 
-    @pytest.mark.parametrize("shape", [(0, 8), (5, 3), (37, 803), (64, 96)])
+    # 700 x 803 spans three index blocks
+    @pytest.mark.parametrize("shape", [(0, 8), (5, 3), (37, 803), (64, 96), (700, 803)])
     def test_active_indices_match_nonzero(self, shape):
         rnd = np.random.RandomState(shape[0])
         bits = (rnd.random_sample(shape) < 0.1).astype(np.uint8)
@@ -336,11 +337,19 @@ class TestPerceptronOracle:
             assert np.array_equal(got, np.flatnonzero(bits[i]))
             assert (active[i][got.size:] == shape[1]).all()
 
-    def test_peak_memory_stays_below_a_float_copy(self):
-        bits, labels = _wide_sparse_stream(n=4000, dim=3200)
+    @pytest.mark.parametrize("density", [None, 0.5])
+    def test_peak_memory_stays_below_a_float_copy(self, density):
+        # None: rows with at most 48 of 3200 bits set; 0.5: half the bits
+        # set, whose training reaches the scan within 3 epochs
+        if density is None:
+            bits, labels = _wide_sparse_stream(n=4000, dim=3200)
+        else:
+            rnd = np.random.RandomState(3)
+            bits = (rnd.random_sample((4000, 3200)) < density).astype(np.uint8)
+            labels = bits[:, 0].copy()
         tracemalloc.start()
         try:
-            perceptron_train((bits, labels), LearnerConfig(epochs=1))
+            perceptron_train((bits, labels), LearnerConfig(epochs=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -354,7 +354,7 @@ class TestNoiseChannel:
         n, length = 3000, 64
         zeros = np.zeros((n, length), dtype=np.uint8)
         for gamma in (0.5, 0.01):
-            out = apply_noise(zeros, gamma, 11, 0, 0)
+            out = apply_noise(zeros.copy(), gamma, 11, 0, 0)
             rate = out.mean()
             sigma = math.sqrt(gamma / 2 * (1 - gamma / 2) / (n * length))
             assert abs(rate - gamma / 2) <= 5 * sigma
@@ -362,9 +362,9 @@ class TestNoiseChannel:
     def test_noise_is_per_row_addressed(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, size=(10, 40), dtype=np.uint8)
-        whole = apply_noise(bits, 0.02, 5, 1, 0)
+        whole = apply_noise(bits.copy(), 0.02, 5, 1, 0)
         parts = np.concatenate(
-            [apply_noise(bits[:4], 0.02, 5, 1, 0), apply_noise(bits[4:], 0.02, 5, 1, 4)]
+            [apply_noise(bits[:4].copy(), 0.02, 5, 1, 0), apply_noise(bits[4:], 0.02, 5, 1, 4)]
         )
         assert np.array_equal(whole, parts)
 
@@ -372,9 +372,11 @@ class TestNoiseChannel:
         # 300-bit rows give 436 rows per block; split points fall inside blocks
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=(1000, 300), dtype=np.uint8)
-        whole = apply_noise(bits, 0.1, 5, 1, 3)
+        whole = apply_noise(bits.copy(), 0.1, 5, 1, 3)
         cuts = [0, 5, 437, 900, 1000]
-        parts = [apply_noise(bits[a:b], 0.1, 5, 1, 3 + a) for a, b in zip(cuts, cuts[1:])]
+        parts = [
+            apply_noise(bits[a:b].copy(), 0.1, 5, 1, 3 + a) for a, b in zip(cuts, cuts[1:])
+        ]
         assert np.array_equal(whole, np.concatenate(parts))
         # the float-domain channel: word per bit, uniform < gamma, low bit in
         idx = (np.arange(1000, dtype=np.uint64)[:, None] + np.uint64(3)) * np.uint64(
@@ -384,13 +386,12 @@ class TestNoiseChannel:
         assert np.array_equal(whole, np.where(words_to_uniforms(w) < 0.1, w & np.uint64(1), bits))
 
     @pytest.mark.parametrize("gamma", [0.02, 0.1, 0.0])
-    def test_in_place_noise_matches_the_copy(self, gamma):
+    def test_noise_is_in_place_for_uint8_input(self, gamma):
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, size=(50, 40), dtype=np.uint8)
-        want = apply_noise(bits, gamma, 5, 1, 7)
-        owned = bits.copy()
-        got = apply_noise(owned, gamma, 5, 1, 7, copy=False)
-        assert got is owned
+        want = apply_noise(bits.astype(np.int64), gamma, 5, 1, 7)
+        got = apply_noise(bits, gamma, 5, 1, 7)
+        assert got is bits
         assert np.array_equal(got, want)
 
     def test_zero_noise_is_identity(self):
@@ -401,8 +402,8 @@ class TestNoiseChannel:
         # the same (seed, stream, row) positions are replaced regardless of input
         ones = np.ones((200, 50), dtype=np.uint8)
         zeros = np.zeros((200, 50), dtype=np.uint8)
-        a = apply_noise(ones, 0.03, 9, 2, 0)
-        b = apply_noise(zeros, 0.03, 9, 2, 0)
+        a = apply_noise(ones.copy(), 0.03, 9, 2, 0)
+        b = apply_noise(zeros.copy(), 0.03, 9, 2, 0)
         hit_a = a != ones
         hit_b = b != zeros
         # a replacement writes a uniform bit: flip shows only half the hits,
