@@ -5,6 +5,13 @@ Coordinates are laid out as a (rows, cols) grid flattened row-major: entry
 convention is global: sgn(t) = 1 iff t >= 0, so a zero weight vector with a
 nonpositive threshold evaluates to the constant 1.
 
+`Halfspace.evaluate` is the exact sign of <w, x> - theta under that
+convention, not the sign of some float rounding of it: rows are multiplied
+in float64 a block of _BLOCK_CELLS cells at a time, and a row whose float
+margin lies within the rounding bound of zero is summed exactly (see
+`Halfspace.margin`).  Beyond a few (n,) arrays, evaluation allocates only
+that block (one row, when a row is wider than the block), whatever n is.
+
 The tail-structure tools operate on the multiset of weight magnitudes sorted
 in decreasing order (ties broken by ascending original index so every
 ordering decision is deterministic):
@@ -27,6 +34,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import AtomicFile, FormatError
+
+
+# Rows of a batch are converted to float64 and multiplied this many cells at
+# a time, so `Halfspace.margin` never holds a float copy of a whole batch.
+_BLOCK_CELLS = 1 << 18
 
 
 def sgn(t: float) -> int:
@@ -88,14 +100,44 @@ class Halfspace:
         return self.weights[row * self.cols : (row + 1) * self.cols]
 
     def margin(self, bits: np.ndarray) -> np.ndarray:
-        """<w, x> - theta for one flat bit vector or a batch (n, dim)."""
-        x = np.asarray(bits, dtype=np.float64)
-        if x.shape[-1] != self.dim:
+        """<w, x> - theta for one flat bit vector or a batch (n, dim); exact sign.
+
+        The bits keep their dtype; rows are converted to float64 _BLOCK_CELLS
+        cells at a time into one scratch block and multiplied there.  A block
+        product minus theta is within gamma_(dim+1) (|w|_1 + |theta|) of the
+        exact margin, gamma_m = m u / (1 - m u) < (dim+2) u with u = 2^-53, in
+        whatever order BLAS adds.  A row whose |margin| is at most twice that,
+        2 (dim+2) u (|w|_1 + |theta|), is replaced by the correctly rounded
+        exact margin, `math.fsum` over w on its set bits and -theta.  Every
+        other row has the exact sign, which is also the sign of any other
+        float evaluation within that bound (one gemv over the whole batch, for
+        one).  When w is integral and |w|_1 < 2^53, every partial sum of
+        <w, x> is an exact integer and the one rounded subtraction of theta
+        keeps its sign, so no row is recomputed.
+        """
+        x = np.asarray(bits)
+        if x.ndim == 0 or x.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} bits, got shape {x.shape}")
-        return x @ self.weights - self.theta
+        n = math.prod(x.shape[:-1])
+        flat = x.reshape(n, self.dim)
+        w = self.weights
+        out = np.empty(n)
+        step = max(1, _BLOCK_CELLS // max(self.dim, 1))
+        block = np.empty((min(step, n), self.dim))
+        for lo in range(0, n, step):
+            rows = block[: min(step, n - lo)]
+            np.copyto(rows, flat[lo : lo + step])
+            np.matmul(rows, w, out=out[lo : lo + rows.shape[0]])
+        out -= self.theta
+        norm = float(np.abs(w).sum())
+        if not (norm < 2.0**53 and np.array_equal(w, np.trunc(w))):
+            bound = 2 * (self.dim + 2) * 2.0**-53 * (norm + abs(self.theta))
+            for i in np.flatnonzero(np.abs(out) <= bound).tolist():
+                out[i] = math.fsum(w[np.flatnonzero(flat[i])].tolist() + [-self.theta])
+        return out.reshape(x.shape[:-1])[()]
 
     def evaluate(self, bits: np.ndarray) -> np.ndarray:
-        """0/1 prediction(s): 1 iff <w, x> >= theta."""
+        """0/1 prediction(s): 1 iff <w, x> >= theta, decided exactly."""
         m = self.margin(bits)
         return (m >= 0).astype(np.uint8)
 

@@ -6,11 +6,13 @@ E[h | b] whose balanced combination obeys the half-plus-half-gap identity.
 `perceptron_train` is a deterministic averaged-perceptron probe: the
 hardness construction predicts that no efficient learner beats the trivial
 rate by much on sound instances, so its results are reported comparatively
-rather than asserted against theory constants.  It trains on the uint8 bit
-matrix directly: while mistakes are rare it scans ahead, summing the weights
-over each row's set bits to find the next mistake, and it updates only the
-coordinates a row sets.  Every decision and every weight is bit-identical
-to the plain per-example loop over float rows (see its docstring).
+rather than asserted against theory constants.  It reads a stream in one
+batch, one unpackbits of the body (`agreement` reads DEFAULT_CHUNK rows at
+a time), and trains on that uint8 bit matrix directly: while mistakes are
+rare it scans ahead, summing the weights over each row's set bits to find
+the next mistake, and it updates only the coordinates a row sets.  Every
+decision and every weight is bit-identical to the plain per-example loop
+over float rows (see its docstring).
 
 `run_experiment` executes named plans (completeness, soundness,
 decode-planted) and emits one CheckRecord per check; records serialize to
@@ -240,14 +242,20 @@ class LearnerConfig:
 
 
 def _load_examples(
-    examples: ExampleSource, chunk: int
+    examples: ExampleSource,
 ) -> tuple[np.ndarray, np.ndarray, int | None, int | None]:
-    """Materialize (bits, labels); grid shape comes along when known."""
+    """Materialize (bits, labels); grid shape comes along when known.
+
+    A stream is read as one batch, one unpackbits of its body, so the
+    unpacked examples are held once.
+    """
     rows = cols = None
+    chunk = DEFAULT_CHUNK
     if isinstance(examples, (str, os.PathLike)):
         examples = StreamReader(os.fspath(examples))
     if isinstance(examples, StreamReader):
         rows, cols = examples.header.rows, examples.header.cols
+        chunk = max(len(examples), 1)
     batches, _ = _normalize_batches(examples, chunk)
     parts = list(batches)
     if not parts or sum(b.shape[0] for b, _ in parts) == 0:
@@ -309,7 +317,6 @@ def perceptron_train(
     cfg: LearnerConfig = LearnerConfig(),
     rows: int | None = None,
     cols: int | None = None,
-    chunk: int = DEFAULT_CHUNK,
 ) -> Halfspace:
     """Train a halfspace on {0,1} features with a bias folded into theta.
 
@@ -345,7 +352,7 @@ def perceptron_train(
     elsewhere, which changes no entry because w and u never hold -0.0, so the
     weights are the same floats either way and so is the averaging identity.
     """
-    bits, labels, hdr_rows, hdr_cols = _load_examples(examples, chunk)
+    bits, labels, hdr_rows, hdr_cols = _load_examples(examples)
     if rows is None or cols is None:
         if hdr_rows is not None:
             rows, cols = hdr_rows, hdr_cols

@@ -390,18 +390,39 @@ def decode_labeling(
     Each trial consumes exactly one draw per vertex, so trial n starts at
     cursor n * rows.
     """
+    cands = _candidate_table(h, spec.t)
+    return _draw_labeling(cands, h.cols, master_seed, stream_id, trial)
+
+
+def _candidate_table(h: Halfspace, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate labels of every vertex, padded into one table, and their counts."""
+    cands = [_candidate_labels(h, t, v) for v in range(h.rows)]
+    sizes = np.array([c.size for c in cands], dtype=np.int64)
+    table = np.zeros((h.rows, int(sizes.max())), dtype=np.int64)
+    for v, c in enumerate(cands):
+        table[v, : c.size] = c
+    return table, sizes
+
+
+def _draw_labeling(
+    cands: tuple[np.ndarray, np.ndarray],
+    m: int,
+    master_seed: int,
+    stream_id: int,
+    trial: int,
+) -> Labeling:
+    """Vertex v takes entry randint(sizes[v]) of its table row.
+
+    Its draw is word trial * rows + v, with `CursorRng.randint`'s float
+    arithmetic, done for all vertices at once (as in `CursorRng.shuffle`).
+    """
+    table, sizes = cands
     rng = CursorRng(
-        master_seed, purpose_stream(stream_id, PURPOSE_DECODE), index=trial * h.rows
+        master_seed, purpose_stream(stream_id, PURPOSE_DECODE), index=trial * sizes.size
     )
-    labels = np.empty(h.rows, dtype=np.int32)
-    for v in range(h.rows):
-        block = h.block(v)
-        if not np.any(block):
-            labels[v] = rng.randint(h.cols)
-        else:
-            tops = top_indices(block, min(spec.t, h.cols))
-            labels[v] = tops[rng.randint(tops.size)]
-    return Labeling(assignment=labels, m=h.cols)
+    picks = np.minimum((rng.uniforms(sizes.size) * sizes).astype(np.int64), sizes - 1)
+    labels = table[np.arange(sizes.size), picks].astype(np.int32)
+    return Labeling(assignment=labels, m=m)
 
 
 @dataclass(frozen=True)
@@ -425,9 +446,10 @@ def weak_sat_rate_of_decoder(
             f"halfspace grid {h.rows}x{h.cols} does not match instance "
             f"{inst.num_vertices}x{inst.m}"
         )
+    cands = _candidate_table(h, spec.t)
     total = 0
     for trial in range(spec.trials):
-        lab = decode_labeling(h, spec, master_seed, stream_id, trial=trial)
+        lab = _draw_labeling(cands, h.cols, master_seed, stream_id, trial)
         total += int(weak_mask(inst, lab).sum())
     n = spec.trials * inst.num_edges
     return DecodeReport(

@@ -884,7 +884,21 @@ _GOLDEN_DIGESTS = {
 }
 
 
-def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch):
+# SHA-256 of the stdout `check` lines of the first (tag "a") run; dict-test
+# writes no file, so it is checked by its stdout alone.
+_STDOUT_DIGESTS = {
+    "learn-projection": "e6ce8a3281c2f60e8d2cf4e61a752c3fd50c4dac01521730c8dc856c6dfb17aa",
+    "decode": "878d6635b34cb43344145006407175dfd3fd373284e693bf47efa2cd1154f973",
+    "dict-test": "1d7424396d9cd3be8d618f89d449469f86aba7477695537e69a601ddd9351a9c",
+}
+
+
+def _check_lines_digest(stdout: str) -> str:
+    lines = [ln for ln in stdout.splitlines() if ln.startswith("check\t")]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch, capsys):
     from glhs.cli import main
 
     t0 = time.perf_counter()
@@ -946,14 +960,22 @@ def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch):
     assert main(runs["gen-lc-unique"](unique_inst, "unique.lab")) == 0
     assert main(runs["gen-lc-projection"](proj_inst, "proj.lab")) == 0
 
+    def check_stdout(name: str) -> None:
+        got = _check_lines_digest(capsys.readouterr().out)
+        if got != _STDOUT_DIGESTS[name]:
+            failures.append(f"{name}: stdout check lines digest {got} is not the golden one")
+
     for name, build in runs.items():
         digests = []
         for tag in ("a", "b"):
             out = tmp_path / f"{name}-{tag}.out"
             lab = tmp_path / f"{name}-{tag}.lab"
+            capsys.readouterr()
             code = main(build(out.name, lab.name))
             if code != 0:
                 failures.append(f"{name} ({tag}) exited {code}")
+            if tag == "a" and name in _STDOUT_DIGESTS:
+                check_stdout(name)
             digests.append((
                 hashlib.sha256(out.read_bytes()).hexdigest(),
                 hashlib.sha256(lab.read_bytes()).hexdigest() if lab.exists() else None,
@@ -962,6 +984,12 @@ def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch):
             failures.append(f"{name}: rerun output differs byte-for-byte")
         if digests[0] != _GOLDEN_DIGESTS[name]:
             failures.append(f"{name}: output digests {digests[0]} are not the golden ones")
+
+    capsys.readouterr()
+    code = main(["dict-test"] + gadget + ["--r", "6", "--samples", "600", "--seed", "2"])
+    if code != 0:
+        failures.append(f"dict-test exited {code}")
+    check_stdout("dict-test")
 
     elapsed = _budget(failures, t0, 60.0)
     _verdict(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from glhs.halfspace import (
+    _BLOCK_CELLS,
     CriticalIndexReport,
     Disjunction,
     Halfspace,
@@ -76,6 +77,71 @@ class TestHalfspace:
         h = Halfspace.from_grid(np.array([[1.0, -1.0]]), theta=0.0)
         assert int(h.evaluate(np.array([1, 0], dtype=np.uint8))) == 1
         assert int(h.evaluate(np.array([0, 1], dtype=np.uint8))) == 0
+
+
+def _gemv_reference(h, bits):
+    """The former evaluation: one float64 copy of the batch and one gemv."""
+    m = np.asarray(bits, dtype=np.float64) @ h.weights - h.theta
+    return (m >= 0).astype(np.uint8)
+
+
+def _sparse_rows(n, dim, seed):
+    """Rows with at most 48 set bits."""
+    rnd = np.random.RandomState(seed)
+    bits = np.zeros((n, dim), dtype=np.uint8)
+    for i, c in enumerate(rnd.randint(0, min(48, dim) + 1, size=n)):
+        bits[i, rnd.choice(dim, c, replace=False)] = 1
+    return bits
+
+
+class TestBlockedEvaluation:
+    """Blocked evaluation against the whole-batch gemv it replaced."""
+
+    # one row, one block plus one row, and 3.5 blocks (64 rows each)
+    @pytest.mark.parametrize("n", [1, _BLOCK_CELLS // 4096 + 1, 224])
+    def test_all_ones_weights_with_ties(self, n):
+        # 64x64 majority at an integer threshold: many margins are exactly 0
+        h = Halfspace.from_grid(np.ones((64, 64)), 2048.0)
+        rnd = np.random.RandomState(n)
+        bits = rnd.randint(0, 2, size=(n, h.dim)).astype(np.uint8)
+        bits[::2, :2048] = 1
+        bits[::2, 2048:] = 0
+        got = h.evaluate(bits)
+        assert np.array_equal(got, _gemv_reference(h, bits))
+        assert got[::2].all()
+
+    # dim 3200: 81 rows per block
+    @pytest.mark.parametrize("n", [1, _BLOCK_CELLS // 3200 + 1, 1000])
+    def test_normal_weights_on_sparse_rows(self, n):
+        rnd = np.random.RandomState(11)
+        h = Halfspace.from_grid(rnd.standard_normal((200, 16)), 0.37)
+        bits = _sparse_rows(n, h.dim, seed=n)
+        assert np.array_equal(h.evaluate(bits), _gemv_reference(h, bits))
+        assert np.allclose(h.margin(bits), bits @ h.weights - h.theta)
+
+    def test_row_wider_than_the_block(self):
+        dim = _BLOCK_CELLS + 5
+        rnd = np.random.RandomState(12)
+        h = Halfspace.from_grid(rnd.standard_normal((1, dim)), 0.0)
+        bits = (rnd.random_sample((3, dim)) < 0.3).astype(np.uint8)
+        assert np.array_equal(h.evaluate(bits), _gemv_reference(h, bits))
+
+    def test_single_row(self):
+        rnd = np.random.RandomState(13)
+        h = Halfspace.from_grid(rnd.standard_normal((8, 4)), -0.2)
+        bits = _sparse_rows(20, h.dim, seed=13)
+        for row, want in zip(bits, _gemv_reference(h, bits).tolist()):
+            got = h.evaluate(row)
+            assert got.shape == () and int(got) == want
+
+    def test_cancellation_is_decided_exactly(self):
+        # exact margin 2^53 + 1 - 2^53 - 1/2 = 1/2; adding left to right in
+        # float64 loses the 1 and reads -1/2
+        h = Halfspace.from_grid(np.array([[2.0**53, 1.0, -(2.0**53)]]), 0.5)
+        ones = np.ones(3, dtype=np.uint8)
+        assert int(h.evaluate(ones)) == 1
+        assert h.evaluate(np.tile(ones, (5, 1))).tolist() == [1] * 5
+        assert h.margin(ones) == 0.5
 
 
 class TestDisjunction:

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glhs.core import PURPOSE_LEARN, CursorRng, StreamReader, purpose_stream
+from glhs.core import PURPOSE_LEARN, CursorRng, StreamReader, StreamWriter, purpose_stream
 from glhs.halfspace import Disjunction, Halfspace
 from glhs.labelcover import gen_planted_projection, gen_planted_unique
 from glhs.moments import AllZero, ColumnMixture, build_pair, column_sum_pmf
 from glhs.reduction import DecoderSpec, dict_test_batch, or_acceptance_closed_form
 from glhs.reduction import TestSpec as Spec  # plain import trips pytest collection
 from glhs.harness import (
+    DEFAULT_CHUNK,
     AgreementReport,
     CheckRecord,
     ExperimentPlan,
@@ -163,6 +164,21 @@ class TestAgreement:
         wide = Halfspace.from_grid(np.ones((1, 4)), 1.0)
         with pytest.raises(ValueError, match="reads 4 bits"):
             agreement(wide, iter(batches))
+
+    def test_peak_memory_stays_below_twice_the_batch(self):
+        # a float64 copy of the batch would be 8 * bits.nbytes
+        rnd = np.random.RandomState(8)
+        bits = (rnd.randint(0, 100, size=(8192, 3200), dtype=np.uint8) == 0).astype(np.uint8)
+        labels = bits[:, 0].copy()
+        h = Halfspace.from_grid(rnd.standard_normal((200, 16)), 0.1)
+        tracemalloc.start()
+        try:
+            rep = agreement(h, (bits, labels))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.count == 8192
+        assert peak < 2 * bits.nbytes
 
     def test_dim_mismatch_and_empty(self):
         bits, labels, h = _hand_case()
@@ -354,6 +370,21 @@ class TestPerceptronOracle:
         finally:
             tracemalloc.stop()
         assert peak < 8 * bits.nbytes
+
+    def test_stream_is_unpacked_once(self, tmp_path):
+        # more rows than one read chunk (DEFAULT_CHUNK); a list of chunks plus
+        # their concatenation would hold the unpacked stream twice
+        bits, labels = _wide_sparse_stream(n=DEFAULT_CHUNK + 500, dim=3200)
+        path = tmp_path / "wide.stream"
+        with StreamWriter(str(path), 1, 3200) as out:
+            out.append_batch(bits, labels)
+        tracemalloc.start()
+        try:
+            perceptron_train(str(path), LearnerConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * bits.nbytes
 
 
 class TestMatrixSumPmf:

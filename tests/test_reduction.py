@@ -6,9 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from glhs.core import GuardError
-from glhs.halfspace import Disjunction, Halfspace, regularizing_prefix, truncate
-from glhs.labelcover import LabelCoverInstance, gen_planted_projection, gen_planted_unique
+from glhs.core import PURPOSE_DECODE, CursorRng, GuardError, purpose_stream
+from glhs.halfspace import Disjunction, Halfspace, regularizing_prefix, top_indices, truncate
+from glhs.labelcover import (
+    LabelCoverInstance,
+    gen_planted_projection,
+    gen_planted_unique,
+    weak_mask,
+)
 from glhs.moments import build_pair, completeness_pair, exact_moment, marginal_pmf
 from glhs.reduction import (
     DecoderSpec,
@@ -323,7 +328,42 @@ class TestPlantedDisjunction:
         )
 
 
+def _randint_decoder(h, spec, master_seed, stream_id, trial=0):
+    """The per-vertex decoder loop, one `randint` per vertex, as a reference."""
+    rng = CursorRng(
+        master_seed, purpose_stream(stream_id, PURPOSE_DECODE), index=trial * h.rows
+    )
+    labels = np.empty(h.rows, dtype=np.int32)
+    for v in range(h.rows):
+        block = h.block(v)
+        if not np.any(block):
+            labels[v] = rng.randint(h.cols)
+        else:
+            tops = top_indices(block, min(spec.t, h.cols))
+            labels[v] = tops[rng.randint(tops.size)]
+    return labels
+
+
 class TestDecoder:
+    @pytest.mark.parametrize("t", [1, 2, 3, 9])
+    def test_draws_match_the_randint_loop(self, t):
+        # zero blocks, ties, and t at, below and above the alphabet size 7
+        inst, _ = gen_planted_projection(12, 30, 3, 7, 4, 2, seed=2)
+        grid = np.random.RandomState(t).standard_normal((12, 7))
+        grid[[1, 5]] = 0.0
+        grid[3] = np.round(grid[3])
+        h = Halfspace.from_grid(grid, 0.0)
+        spec = DecoderSpec(t=t, tau=0.5, trials=40)
+        weak = 0
+        for trial in range(spec.trials):
+            want = _randint_decoder(h, spec, SEED, 4, trial)
+            got = decode_labeling(h, spec, SEED, 4, trial=trial)
+            assert got.assignment.dtype == np.int32
+            assert np.array_equal(got.assignment, want)
+            weak += int(weak_mask(inst, got).sum())
+        report = weak_sat_rate_of_decoder(h, spec, inst, SEED, stream_id=4)
+        assert report.weak_rate == weak / (spec.trials * inst.num_edges)
+
     def _hand_halfspace(self):
         grid = np.array(
             [
