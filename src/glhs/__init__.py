@@ -11,7 +11,6 @@ from .core import (
     CursorRng,
     FormatError,
     GuardError,
-    SeedSpec,
     StreamHeader,
     StreamReader,
     StreamWriter,
@@ -31,13 +30,11 @@ from .moments import (
     boundary_eps,
     build_pair,
     completeness_pair,
-    conditional_moment,
     default_noise_rate,
     exact_moment,
     marginal_pmf,
     moment_gap,
     prob_all_zero,
-    sample_columns,
     solve_d0_weights,
 )
 from .halfspace import (
@@ -54,11 +51,6 @@ from .halfspace import (
     write_halfspace,
 )
 from .concentration import (
-    berry_esseen_gap,
-    chebyshev_tail,
-    geometric_subsequence,
-    hoeffding_tail,
-    mc_cdf_gap,
     noise_mass_estimate,
     noisy_small_ball,
     spread_bound,
@@ -73,7 +65,6 @@ from .invariance import (
     EnsembleFamily,
     PolyPsi,
     SmoothSign,
-    conditioned_marginal_ensemble,
     ensemble_from_pmf,
     family,
     hybrid_steps,
@@ -82,7 +73,6 @@ from .invariance import (
     mixture_marginal_ensemble,
     sgn_gap_bound,
     smooth_sign,
-    spread_function,
     window_mass,
 )
 from .labelcover import (
@@ -99,8 +89,6 @@ from .labelcover import (
     read_labeling,
     satisfaction_fractions,
     smooth_from_bipartite,
-    strongly_satisfied,
-    weakly_satisfied,
     write_instance,
     write_labeling,
 )
@@ -109,10 +97,7 @@ from .reduction import (
     TestSpec,
     decode_labeling,
     dict_test_batch,
-    disjoint_tops,
     edge_niceness_audit,
-    edge_weak_probability,
-    is_beta_nice,
     lc_reduce_batch,
     niceness_value,
     or_acceptance_closed_form,

@@ -1,6 +1,6 @@
-"""Anti-concentration estimators and classical tail-bound calculators.
+"""Anti-concentration estimators for the small-ball and spread lemmas.
 
-Three families of checks live here:
+Two families of checks live here:
 
 1. Exact subset-sum counting for geometric weight vectors: a vector whose
    sorted magnitudes shrink by a factor of 3 per step separates its 2^T
@@ -12,14 +12,12 @@ Three families of checks live here:
 2. Spread estimation for regular unit vectors: the probability that the
    noisy linear form lands in any fixed interval [a, b] is bounded by
    4(b-a)/sqrt(gamma) + 4 tau/sqrt(gamma) + 2 exp(-gamma^2 / (2 tau^2)).
-3. Classical bound calculators (Hoeffding, Chebyshev) plus an exhaustive
-   Berry-Esseen sup-CDF gap for Rademacher sums with up to 20 terms.
 
 Monte Carlo estimators are deterministic given (master_seed, stream_id) and
 chunk their work without changing the stream (absolute row indices address
 the counter blocks).  Base distributions come from a small adversarial
 catalog: the bounds quantify over every distribution, so tests probe point
-masses, products, and the gadget mixtures themselves.
+masses and biased or uniform product laws.
 """
 
 from __future__ import annotations
@@ -40,11 +38,10 @@ from .core import (
     uniform_threshold,
 )
 from .halfspace import critical_index
-from .moments import ColumnMixture, NoisySource, apply_noise, sample_columns
-from .stats import Interval, gaussian_cdf, wilson_interval
+from .moments import apply_noise
+from .stats import Interval, wilson_interval
 
 SUBSET_GUARD_T = 24
-ENUM_GUARD_N = 20
 
 # target words per sampled chunk; keeps peak memory near 32 MB
 _CHUNK_WORDS = 1 << 22
@@ -93,16 +90,6 @@ def subset_sums(w: Sequence[float] | np.ndarray) -> np.ndarray:
     return sums
 
 
-def count_in_intervals(
-    sums: np.ndarray, lows: np.ndarray, highs: np.ndarray
-) -> np.ndarray:
-    """Number of precomputed sums inside each closed interval [low, high]."""
-    s = np.sort(np.asarray(sums, dtype=np.float64))
-    lo = np.searchsorted(s, np.asarray(lows, dtype=np.float64), side="left")
-    hi = np.searchsorted(s, np.asarray(highs, dtype=np.float64), side="right")
-    return hi - lo
-
-
 def unique_point_in_interval(
     w: Sequence[float] | np.ndarray, a: float, b: float
 ) -> int:
@@ -125,14 +112,6 @@ def unique_point_in_interval(
         )
     sums = subset_sums(arr)
     return int(np.count_nonzero((sums >= a) & (sums <= b)))
-
-
-def uniform_interval_probability(
-    w: Sequence[float] | np.ndarray, a: float, b: float
-) -> float:
-    """Exact Pr[<w, x> in [a, b]] for x uniform on the cube."""
-    sums = subset_sums(w)
-    return float(np.count_nonzero((sums >= a) & (sums <= b)) / sums.size)
 
 
 # ---------------------------------------------------------------------------
@@ -200,42 +179,6 @@ class ProductBits:
 
 def uniform_bits(dim: int) -> ProductBits:
     return ProductBits(rates=(0.5,) * dim)
-
-
-@dataclass(frozen=True)
-class ColumnProduct:
-    """`columns` independent draws from a column mixture, concatenated.
-
-    Coordinate layout: column c occupies the contiguous bits
-    [c*k, (c+1)*k).
-    """
-
-    mixture: ColumnMixture | NoisySource
-    columns: int
-
-    def __post_init__(self):
-        if self.columns < 1:
-            raise ValueError(f"columns must be positive, got {self.columns}")
-
-    @property
-    def k(self) -> int:
-        return self.mixture.k
-
-    @property
-    def dim(self) -> int:
-        return self.k * self.columns
-
-    def sample_bits(
-        self, count: int, master_seed: int, stream_id: int, start: int = 0
-    ) -> np.ndarray:
-        cols = sample_columns(
-            self.mixture,
-            master_seed,
-            stream_id,
-            start=start * self.columns,
-            count=count * self.columns,
-        )
-        return cols.reshape(count, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -451,164 +394,3 @@ def noise_mass_estimate(
         interval=wilson_interval(hits, trials),
         slack=_mc_slack(est, trials),
     )
-
-
-# ---------------------------------------------------------------------------
-# classical bounds
-
-
-def hoeffding_tail(n: int, ranges, t: float) -> float:
-    """2 exp(-2 n^2 t^2 / sum of squared range widths), for the mean of n terms.
-
-    `ranges` is a scalar width shared by every term, a sequence of widths,
-    or a sequence of (lo, hi) pairs.  The value is the raw formula and may
-    exceed 1.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if np.isscalar(ranges):
-        widths = np.full(n, float(ranges))
-    else:
-        arr = np.asarray(ranges, dtype=np.float64)
-        if arr.ndim == 2 and arr.shape[1] == 2:
-            widths = arr[:, 1] - arr[:, 0]
-        elif arr.ndim == 1:
-            widths = arr
-        else:
-            raise ValueError("ranges must be a scalar, widths, or (lo, hi) pairs")
-        if widths.size != n:
-            raise ValueError(f"expected {n} ranges, got {widths.size}")
-    if (widths < 0).any():
-        raise ValueError("range widths must be nonnegative")
-    denom = float(np.sum(widths * widths))
-    if denom == 0.0:
-        return 0.0 if t > 0 else 2.0
-    return 2.0 * math.exp(-2.0 * n * n * t * t / denom)
-
-
-def chebyshev_tail(sigma: float, t: float) -> float:
-    """sigma^2 / t^2: the deviation bound at distance t for spread sigma."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return (sigma / t) ** 2
-
-
-def _sign_sums(c: np.ndarray) -> np.ndarray:
-    sums = np.zeros(1)
-    for v in c:
-        sums = np.concatenate([sums - v, sums + v])
-    return sums
-
-
-def _sup_cdf_gap(samples: np.ndarray) -> float:
-    """sup over s of |F(s) - Phi(s)| for the empirical CDF F of `samples`.
-
-    The sup is attained at an atom, approaching from one side or the other;
-    both one-sided limits are checked at every distinct value.
-    """
-    s = np.sort(samples)
-    n = s.size
-    atoms, counts = np.unique(s, return_counts=True)
-    cum = np.cumsum(counts)
-    right = cum / n
-    left = (cum - counts) / n
-    phi = np.asarray([gaussian_cdf(x) for x in atoms])
-    return float(np.max(np.maximum(np.abs(right - phi), np.abs(phi - left))))
-
-
-def berry_esseen_gap(c: Sequence[float] | np.ndarray) -> float:
-    """Exhaustive sup-CDF distance between a Rademacher sum and a Gaussian.
-
-    c must be a unit vector with at most 20 coordinates; the distance is
-    computed over all 2^n sign patterns and is classically at most max|c_i|
-    (up to the Berry-Esseen constant, which this bound absorbs).
-    """
-    arr = np.asarray(c, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("c must be a nonempty vector")
-    if arr.size > ENUM_GUARD_N:
-        raise GuardError(
-            f"exhaustive CDF needs 2^{arr.size} points; guard is 2^{ENUM_GUARD_N}"
-        )
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"c must be a unit vector, got norm {norm!r}")
-    return _sup_cdf_gap(_sign_sums(arr))
-
-
-def mc_cdf_gap(
-    c: Sequence[float] | np.ndarray,
-    trials: int,
-    master_seed: int,
-    stream_id: int = 0,
-) -> float:
-    """Monte Carlo sup-CDF gap for dimensions beyond the exhaustive guard.
-
-    The estimate carries Dvoretzky-Kiefer-Wolfowitz sampling error
-    sqrt(ln(2/delta)/(2 trials)); callers fold that into their slack.
-    """
-    arr = np.asarray(c, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"c must be a unit vector, got norm {norm!r}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    n = arr.size
-    stream = purpose_stream(stream_id, PURPOSE_MC)
-    chunk = max(1, _CHUNK_WORDS // max(1, n))
-    parts = []
-    done = 0
-    while done < trials:
-        rows = min(chunk, trials - done)
-        idx = (
-            np.arange(done, done + rows, dtype=np.uint64)[:, None] * np.uint64(n)
-            + np.arange(n, dtype=np.uint64)[None, :]
-        )
-        w = rng_words(master_seed, stream, idx.reshape(-1)).reshape(rows, n)
-        signs = ((w & np.uint64(1)).astype(np.float64) * 2.0) - 1.0
-        parts.append(signs @ arr)
-        done += rows
-    return _sup_cdf_gap(np.concatenate(parts))
-
-
-# ---------------------------------------------------------------------------
-# geometric subsequence selection
-
-
-def geometric_stride(tau: float) -> int:
-    """ceil((4/tau^2) ln(1/tau)) positions between selected ranks."""
-    if not 0.0 < tau <= 1.0 / 3.0:
-        raise ValueError(f"tau must be in (0, 1/3], got {tau}")
-    return math.ceil((4.0 / (tau * tau)) * math.log(1.0 / tau))
-
-
-def geometric_subsequence(
-    w: Sequence[float] | np.ndarray, tau: float, count: int
-) -> np.ndarray:
-    """1-based sorted positions {1 + i*stride : 0 <= i <= count}.
-
-    Requires tau <= 1/3 and a critical index beyond the last position: under
-    those, consecutive selected magnitudes shrink by a factor of at least 3
-    (each stride multiplies the tail norm by at most tau^2 and the head
-    magnitude dominates tau times the tail norm below the critical index).
-    """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    arr = np.asarray(w, dtype=np.float64)
-    stride = geometric_stride(tau)
-    positions = 1 + stride * np.arange(count + 1, dtype=np.int64)
-    if positions[-1] > arr.size:
-        raise ValueError(
-            f"vector has {arr.size} coordinates, positions reach {positions[-1]}"
-        )
-    report = critical_index(arr, tau)
-    if not report.c_tau > positions[-1]:
-        raise ValueError(
-            f"critical index {report.c_tau} must exceed the last position "
-            f"{positions[-1]}"
-        )
-    return positions

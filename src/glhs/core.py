@@ -1,7 +1,7 @@
 """Counter-based randomness and the example-stream file format.
 
-Everything downstream samples through `rng_word`: a pure function from a
-(master_seed, stream_id, index) triple to a 64-bit word.  Samplers address
+Everything downstream samples through `rng_words`: a pure function from
+(master_seed, stream_id, index) triples to 64-bit words.  Samplers address
 disjoint index ranges instead of sharing mutable generator state, so the same
 triple always produces the same word, chunked and parallel runs produce
 byte-identical output, and any example can be regenerated in isolation.
@@ -103,32 +103,17 @@ def _words_from(base: int, indices) -> np.ndarray:
     return _mix64_inplace(x)
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Address of one random word: (master_seed, stream_id, index)."""
-
-    master_seed: int
-    stream_id: int
-    index: int
-
-
 def _stream_base(master_seed: int, stream_id: int) -> int:
     w = mix64((master_seed + _C_SEED) & MASK64)
     return mix64(((w ^ (stream_id & MASK64)) + _C_STREAM) & MASK64)
 
 
-def rng_word(spec: SeedSpec) -> int:
-    """Pure 64-bit word for the given seed triple.
+def rng_words(master_seed: int, stream_id: int, indices: np.ndarray) -> np.ndarray:
+    """Pure 64-bit words for an array of indices (returns uint64).
 
     Integer-only arithmetic, so identical triples yield identical words on
     every platform and in every process.
     """
-    base = _stream_base(spec.master_seed, spec.stream_id)
-    return mix64(((base ^ (spec.index & MASK64)) + _C_INDEX) & MASK64)
-
-
-def rng_words(master_seed: int, stream_id: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized `rng_word` over an array of indices (returns uint64)."""
     return _words_from(_stream_base(master_seed, stream_id), indices)
 
 

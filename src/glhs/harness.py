@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .core import (
-    AtomicFile,
     CursorRng,
     PURPOSE_LEARN,
     PURPOSE_MC,
@@ -663,12 +662,6 @@ def parse_record(line: str) -> CheckRecord:
         target=target,
         status=status,
     )
-
-
-def write_records(records: Iterable[CheckRecord], path: str) -> None:
-    with AtomicFile(path) as fh:
-        for rec in records:
-            fh.write(rec.line() + "\n")
 
 
 def read_records(path: str) -> list[CheckRecord]:

@@ -19,7 +19,8 @@ tests assert literal equality (a cubic Psi gap is zero, not small), needs
 only the raw moments E[l^j] for j <= deg Psi: it computes each block's
 moments from its support rows in Fractions and combines independent blocks
 by the binomial sum rule, so its cost grows with the number of blocks, not
-with the number of atoms of l.
+with the number of atoms of l.  Gadget-column marginals always enter as
+exact ensembles (Fraction rows), so either path can read them.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GuardError
-from .moments import (
-    ColumnMixture,
-    NoisySource,
-    marginal_pmf,
-    marginal_pmf_rational,
-)
+from .moments import ColumnMixture, marginal_pmf_rational
 
 ENUM_GUARD_POINTS = 10_000_000
 
@@ -126,10 +122,6 @@ def first_moment_mismatch(
     return None
 
 
-def matching_moments(a: Ensemble, b: Ensemble, degree: int, tol: float = 1e-12) -> bool:
-    return first_moment_mismatch(a, b, degree, tol) is None
-
-
 @dataclass(frozen=True)
 class EnsembleFamily:
     """Independent ensembles; the product of support sizes is guarded."""
@@ -175,41 +167,12 @@ def ensemble_from_pmf(pmf: Sequence[Number], m: int) -> Ensemble:
     return Ensemble(vars_count=m, support=tuple(rows))
 
 
-def mixture_marginal_ensemble(
-    dist: ColumnMixture | NoisySource, m: int, exact: bool = False
-) -> Ensemble:
-    """First-m-coordinates marginal of a gadget column as an ensemble."""
-    if exact:
-        pmf = marginal_pmf_rational(dist, m)
-        if pmf is None:
-            raise ValueError("distribution carries no exact weights")
-        return ensemble_from_pmf(pmf, m)
-    return ensemble_from_pmf([float(v) for v in marginal_pmf(dist, m)], m)
-
-
-def conditioned_marginal_ensemble(
-    dist: ColumnMixture | NoisySource, m: int, exact: bool = False
-) -> Ensemble:
-    """Marginal of coordinates 1..m conditioned on coordinate 0 being 1.
-
-    Conditioning spends one moment degree: a degree-4 matched pair yields
-    degree-3 matched conditioned ensembles (the conditioning masses agree
-    by the degree-1 match).
-    """
-    if exact:
-        pmf = marginal_pmf_rational(dist, m + 1)
-        if pmf is None:
-            raise ValueError("distribution carries no exact weights")
-    else:
-        pmf = [float(v) for v in marginal_pmf(dist, m + 1)]
-    mass = sum(p for pattern, p in enumerate(pmf) if pattern & 1)
-    if float(mass) <= 0.0:
-        raise ValueError("conditioning event has zero probability")
-    cond = [Fraction(0) if _is_exact(mass) else 0.0] * (1 << m)
-    for pattern, p in enumerate(pmf):
-        if pattern & 1:
-            cond[pattern >> 1] = cond[pattern >> 1] + p / mass
-    return ensemble_from_pmf(cond, m)
+def mixture_marginal_ensemble(dist: ColumnMixture, m: int) -> Ensemble:
+    """First-m-coordinates marginal of a gadget column as an exact ensemble."""
+    pmf = marginal_pmf_rational(dist, m)
+    if pmf is None:
+        raise ValueError("distribution carries no exact weights")
+    return ensemble_from_pmf(pmf, m)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +534,6 @@ def window_mass(
         mass = cum[hi] - cum[lo]
         best = max(best, float(mass.max()))
     return best
-
-
-def spread_function(
-    fam: EnsembleFamily, blocks: Sequence[Sequence[Number]], alpha: float
-) -> float:
-    atoms, probs = linear_form_distribution(fam, blocks)
-    return window_mass(atoms, probs, alpha)
 
 
 @dataclass(frozen=True)

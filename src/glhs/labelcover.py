@@ -187,18 +187,6 @@ def weak_mask(inst: LabelCoverInstance, lab: Labeling) -> np.ndarray:
     return out
 
 
-def strongly_satisfied(inst: LabelCoverInstance, lab: Labeling, edge: int) -> bool:
-    if not 0 <= edge < inst.num_edges:
-        raise IndexError(f"edge {edge} out of range [0, {inst.num_edges})")
-    return bool(strong_mask(inst, lab)[edge])
-
-
-def weakly_satisfied(inst: LabelCoverInstance, lab: Labeling, edge: int) -> bool:
-    if not 0 <= edge < inst.num_edges:
-        raise IndexError(f"edge {edge} out of range [0, {inst.num_edges})")
-    return bool(weak_mask(inst, lab)[edge])
-
-
 def satisfaction_fractions(
     inst: LabelCoverInstance, lab: Labeling
 ) -> tuple[float, float]:

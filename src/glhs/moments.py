@@ -12,9 +12,9 @@ reweighting solves a 4x4 linear system whose closed form is
 All weights are solved in exact rational arithmetic (floats are read as the
 decimal literal they print as), so boundary-feasible parameter sets come out
 exactly on the boundary instead of within float noise of it.  Closed-form
-moments, the all-zeros probabilities, conditional moments, and a brute-force
-enumeration oracle live here, along with deterministic column samplers and
-the per-bit replacement-noise channel.
+moments, the all-zeros probabilities, and a brute-force enumeration oracle
+live here, along with deterministic column samplers and the per-bit
+replacement-noise channel.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ _DENSE_NOISE_THRESHOLD = 1.0 / 32.0
 KIND_ALL_ZERO = 0
 KIND_EXACTLY_ONE = 1
 KIND_BERNOULLI = 2
-
-_KIND_NAMES = {
-    KIND_ALL_ZERO: "all-zero",
-    KIND_EXACTLY_ONE: "exactly-one",
-    KIND_BERNOULLI: "bernoulli",
-}
 
 
 class FeasibilityError(ValueError):
@@ -489,11 +483,6 @@ def exact_moment(dist: ColumnSource, coords: Iterable[int]) -> float:
     return dist.moment_of_size(len(_distinct_coords(dist, coords)))
 
 
-def exact_moment_rational(dist: ColumnSource, coords: Iterable[int]) -> Fraction | None:
-    """Exact-rational moment when the source carries exact weights."""
-    return dist.moment_of_size_exact(len(_distinct_coords(dist, coords)))
-
-
 def moment_gap(d0: ColumnSource, d1: ColumnSource, degree: int) -> float:
     """max_{1<=s<=degree} |E_D0 - E_D1| over s distinct coordinates."""
     if d0.k != d1.k:
@@ -506,32 +495,6 @@ def moment_gap(d0: ColumnSource, d1: ColumnSource, degree: int) -> float:
         abs(d0.moment_of_size(s) - d1.moment_of_size(s))
         for s in range(1, degree + 1)
     )
-
-
-def conditional_moment(
-    dist: ColumnSource, coords: Iterable[int], j: int, c: int
-) -> float:
-    """E[prod_{i in coords} x_i | x_j = c] in closed form.
-
-    c=1 reduces to a ratio of plain moments; c=0 goes through the complement
-    identity E[f * (1-x_j)] = E[f] - E[f * x_j].
-    """
-    if c not in (0, 1):
-        raise ValueError(f"conditioned value must be 0 or 1, got {c}")
-    s = _distinct_coords(dist, coords)
-    su = s | _distinct_coords(dist, [j])
-    m1 = dist.moment_of_size(1)
-    if c == 1:
-        denom = m1
-        num = dist.moment_of_size(len(su))
-    else:
-        denom = 1.0 - m1
-        num = dist.moment_of_size(len(s)) - dist.moment_of_size(len(su))
-    if denom <= 0.0:
-        raise ValueError(
-            f"conditioning event x_{j}={c} has probability {denom!r}, cannot condition"
-        )
-    return num / denom
 
 
 def prob_all_zero(dist: ColumnSource) -> float:
@@ -604,31 +567,12 @@ def marginal_pmf(dist: ColumnSource, m: int) -> np.ndarray:
     return pmf
 
 
-def marginal_pmf_rational(dist: ColumnSource, m: int) -> list[Fraction] | None:
+def marginal_pmf_rational(dist: ColumnMixture, m: int) -> list[Fraction] | None:
     """Exact-rational marginal pmf; None when exact weights are unavailable."""
     if not 1 <= m <= dist.k:
         raise ValueError(f"marginal size must be in [1, {dist.k}], got {m}")
     if m > 16:
         raise GuardError("exact marginal limited to m <= 16")
-    if isinstance(dist, NoisySource):
-        base = marginal_pmf_rational(dist.base, m)
-        if base is None:
-            return None
-        g = dist.gamma_exact
-        stay, flip = 1 - g / 2, g / 2
-        pmf = base
-        # symmetric channel: each bit keeps its value w.p. 1 - g/2
-        for bit in range(m):
-            nxt = [Fraction(0)] * len(pmf)
-            step = 1 << bit
-            for idx, mass in enumerate(pmf):
-                if not mass:
-                    continue
-                nxt[idx] += mass * stay
-                nxt[idx ^ step] += mass * flip
-            pmf = nxt
-        return pmf
-
     if dist.weights_exact is None:
         return None
     k = dist.k
@@ -719,37 +663,18 @@ def column_block_size(k: int, noisy: bool) -> int:
     return _COLUMN_BLOCK_EXTRA + k + (k if noisy else 0)
 
 
-def sample_columns(
-    dist: ColumnSource,
-    master_seed: int,
-    stream_id: int,
-    start: int,
-    count: int,
-) -> np.ndarray:
-    """Batch of columns (count, k) addressed by absolute column index.
-
-    Column n owns the counter block [n*B, (n+1)*B) with B = column_block_size;
-    the result is independent of batch boundaries.
-    """
-    return sample_columns_at(
-        dist,
-        master_seed,
-        stream_id,
-        np.arange(start, start + count, dtype=np.uint64),
-    )
-
-
 def sample_columns_at(
     dist: ColumnSource,
     master_seed: int,
     stream_id: int,
     columns: np.ndarray,
 ) -> np.ndarray:
-    """Columns for an explicit array of absolute column indices.
+    """Columns (len(columns), k) for an array of absolute column indices.
 
-    Each index owns its fixed counter block, so interleaving calls for
-    disjoint index sets (different mixtures per example row, say) still
-    reproduces the same bits per index.
+    Column n owns the counter block [n*B, (n+1)*B) with B =
+    column_block_size, so the result is independent of batch boundaries and
+    interleaving calls for disjoint index sets (different mixtures per
+    example row, say) still reproduces the same bits per index.
     """
     noisy = isinstance(dist, NoisySource)
     base_mix = dist.base if noisy else dist

@@ -24,23 +24,20 @@ bytes.  Edge slots scatter in order: when a hyperedge repeats a vertex the
 later slot wins.
 
 The decoding direction turns halfspace weights back into vertex labels
-(uniform over each block's top-t magnitudes) and audits the structural
-quantities the soundness argument consumes: per-edge weak-satisfaction
-probability, disjointness of projected top sets, and the quartic collision
-("niceness") statistic of regular parts under projections.
+(uniform over each block's top-t magnitudes) and audits the quantities the
+soundness argument consumes: the weak-satisfaction rate of decoded
+labelings and the quartic collision ("niceness") statistic of regular
+parts under projections.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product as _iter_product
 
 import numpy as np
 
 from .core import (
     CursorRng,
-    GuardError,
     PURPOSE_DECODE,
     PURPOSE_EDGE,
     PURPOSE_LABEL,
@@ -61,9 +58,6 @@ from .moments import (
     apply_noise,
 )
 from .stats import Interval, wilson_interval
-
-DECODE_ENUM_GUARD = 1_000_000
-
 
 @dataclass(frozen=True)
 class TestSpec:
@@ -121,45 +115,6 @@ class DecoderSpec:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-
-
-# ---------------------------------------------------------------------------
-# theoretical parameter presets (magnitudes are impractical; audits accept
-# free values, these record the couplings)
-
-
-def grid_test_tau(k: int) -> float:
-    return float(k) ** -7
-
-
-def grid_test_t(k: int, r: int, tau: float | None = None) -> int:
-    """List size paired with the grid-test soundness analysis."""
-    if tau is None:
-        tau = grid_test_tau(k)
-    inv2 = 1.0 / (tau * tau)
-    return math.ceil(
-        inv2 * (3.0 * math.log(1.0 / tau) + math.log(r))
-        + math.ceil(4.0 * inv2 * math.log(1.0 / tau)) * math.ceil(4.0 * k * k * math.log(k))
-    )
-
-
-def smooth_reduction_tau(k: int) -> float:
-    return float(k) ** -13
-
-
-def smooth_reduction_t(k: int, d: int, tau: float | None = None) -> int:
-    """List size paired with the projection-instance soundness analysis."""
-    if tau is None:
-        tau = smooth_reduction_tau(k)
-    inv2 = 1.0 / (tau * tau)
-    return math.ceil(
-        inv2
-        * (
-            math.ceil(4.0 * k * k * math.log(2.0 * k)) * math.ceil(4.0 * math.log(1.0 / tau))
-            + math.log(1.0 / tau)
-            + 10.0 * math.log(d)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +312,6 @@ def or_acceptance_closed_form(spec: TestSpec) -> float:
     return 0.5 * p0 + 0.5 * (1.0 - p1)
 
 
-def copy_disagreement_bound(gamma: float) -> float:
-    """Upper bound on Pr[two noisy copies of one source bit differ]."""
-    return 2.0 * gamma * (1.0 - gamma / 2.0)
-
-
 def planted_disjunction(lab: Labeling) -> Disjunction:
     """OR of y_v at each vertex's planted label."""
     return Disjunction(
@@ -467,60 +417,6 @@ def _candidate_labels(h: Halfspace, spec_t: int, v: int) -> np.ndarray:
     return top_indices(block, min(spec_t, h.cols))
 
 
-def edge_weak_probability(
-    inst: LabelCoverInstance, h: Halfspace, t: int, edge: int
-) -> float:
-    """Exact weak-satisfaction probability of one edge under the decoder.
-
-    Enumerates the product of candidate sets over the edge's DISTINCT
-    vertices (one draw per vertex, shared across its slots).
-    """
-    if not 0 <= edge < inst.num_edges:
-        raise IndexError(f"edge {edge} out of range [0, {inst.num_edges})")
-    verts = [int(v) for v in inst.edges[edge]]
-    distinct = sorted(set(verts))
-    cands = {v: _candidate_labels(h, t, v) for v in distinct}
-    total_points = math.prod(c.size for c in cands.values())
-    if total_points > DECODE_ENUM_GUARD:
-        raise GuardError(
-            f"candidate product has {total_points} points; guard is {DECODE_ENUM_GUARD}"
-        )
-    proj = inst.projections[edge]
-    hits = 0
-    for combo in _iter_product(*(cands[v] for v in distinct)):
-        label_of = dict(zip(distinct, combo))
-        projected = [proj[s, label_of[verts[s]]] for s in range(inst.k)]
-        ok = any(
-            projected[s] == projected[u] and verts[s] != verts[u]
-            for s in range(inst.k)
-            for u in range(s + 1, inst.k)
-        )
-        hits += ok
-    return hits / total_points
-
-
-def disjoint_tops(
-    inst: LabelCoverInstance, h: Halfspace, edge: int, t: int
-) -> bool:
-    """Are the projected top-t label sets pairwise disjoint across the edge?
-
-    Only pairs of slots holding distinct vertices count, mirroring weak
-    satisfaction.
-    """
-    if not 0 <= edge < inst.num_edges:
-        raise IndexError(f"edge {edge} out of range [0, {inst.num_edges})")
-    verts = [int(v) for v in inst.edges[edge]]
-    projected = []
-    for s in range(inst.k):
-        tops = _candidate_labels(h, t, verts[s])
-        projected.append(set(int(x) for x in inst.projections[edge, s][tops]))
-    for s in range(inst.k):
-        for u in range(s + 1, inst.k):
-            if verts[s] != verts[u] and projected[s] & projected[u]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # niceness
 
@@ -544,12 +440,6 @@ def niceness_value(w_v: np.ndarray, tau: float, proj_row: np.ndarray, n: int) ->
         return 0.0
     sums = np.bincount(proj_row, weights=np.abs(l), minlength=n)
     return float(np.sum(sums**4)) / (norm2 * norm2)
-
-
-def is_beta_nice(
-    w_v: np.ndarray, tau: float, proj_row: np.ndarray, n: int, beta: float
-) -> bool:
-    return niceness_value(w_v, tau, proj_row, n) <= beta
 
 
 def edge_niceness_audit(

@@ -44,8 +44,3 @@ def binomial_sigma(rate: float, trials: int) -> float:
         raise ValueError(f"trials must be positive, got {trials}")
     rate = min(max(rate, 0.0), 1.0)
     return math.sqrt(rate * (1.0 - rate) / trials)
-
-
-def gaussian_cdf(x: float) -> float:
-    """Standard normal CDF via the error function."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))

@@ -588,8 +588,8 @@ def test_invariance_bounds_on_exhaustive_micro_families():
         d0, d1 = pairs[gadgets[idx % len(gadgets)]]
         m = 2 + (idx % 2)
         rr = 2 + idx % 5  # block counts 2..6, exhaustive support <= 8^6
-        ens_a = mixture_marginal_ensemble(d1, m, exact=True)
-        ens_b = mixture_marginal_ensemble(d0, m, exact=True)
+        ens_a = mixture_marginal_ensemble(d1, m)
+        ens_b = mixture_marginal_ensemble(d0, m)
         fam_a = family(*(ens_a for _ in range(rr)))
         fam_b = family(*(ens_b for _ in range(rr)))
         blocks = [
@@ -890,6 +890,8 @@ _STDOUT_DIGESTS = {
     "learn-projection": "e6ce8a3281c2f60e8d2cf4e61a752c3fd50c4dac01521730c8dc856c6dfb17aa",
     "decode": "878d6635b34cb43344145006407175dfd3fd373284e693bf47efa2cd1154f973",
     "dict-test": "1d7424396d9cd3be8d618f89d449469f86aba7477695537e69a601ddd9351a9c",
+    "verify-moments": "9951b22b4248f199efa34d28c22aa575ec558393faf6dbf87438eef5fe857c69",
+    "verify-invariance": "d9fbf262e753e3efb4abfcca428f5ad41aed3d39f5e812565e9896ce2364b496",
 }
 
 
@@ -985,11 +987,19 @@ def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch, capsys)
         if digests[0] != _GOLDEN_DIGESTS[name]:
             failures.append(f"{name}: output digests {digests[0]} are not the golden ones")
 
-    capsys.readouterr()
-    code = main(["dict-test"] + gadget + ["--r", "6", "--samples", "600", "--seed", "2"])
-    if code != 0:
-        failures.append(f"dict-test exited {code}")
-    check_stdout("dict-test")
+    checked_runs = {
+        "dict-test": ["dict-test"] + gadget + ["--r", "6", "--samples", "600", "--seed", "2"],
+        "verify-moments": ["verify", "moments", "--k", "16", "--eps", "0.78", "--p", "0.25"],
+        "verify-invariance": [
+            "verify", "invariance", "--families", "6", "--r", "5", "--seed", "0",
+        ],
+    }
+    for name, argv in checked_runs.items():
+        capsys.readouterr()
+        code = main(argv)
+        if code != 0:
+            failures.append(f"{name} exited {code}")
+        check_stdout(name)
 
     elapsed = _budget(failures, t0, 60.0)
     _verdict(

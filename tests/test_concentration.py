@@ -9,18 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glhs.core import GuardError
-from glhs.moments import build_pair, sample_columns
 from glhs.concentration import (
-    ColumnProduct,
     PointMass,
     ProductBits,
-    berry_esseen_gap,
-    chebyshev_tail,
-    count_in_intervals,
-    geometric_stride,
-    geometric_subsequence,
-    hoeffding_tail,
-    mc_cdf_gap,
     noise_mass_estimate,
     noisy_small_ball,
     require_geometric,
@@ -29,10 +20,8 @@ from glhs.concentration import (
     spread_estimate,
     subset_sums,
     uniform_bits,
-    uniform_interval_probability,
     unique_point_in_interval,
 )
-from glhs.stats import gaussian_cdf
 
 
 def _geometric_vector(rng, t, ratio=3.2):
@@ -40,6 +29,12 @@ def _geometric_vector(rng, t, ratio=3.2):
     mags = rng.uniform(1.0, 2.0) * ratio ** -np.arange(t)
     signs = rng.choice([-1.0, 1.0], size=t)
     return mags * signs
+
+
+def uniform_interval_probability(w, a, b):
+    """Exact Pr[<w, x> in [a, b]] for x uniform on the cube."""
+    sums = subset_sums(w)
+    return float(np.count_nonzero((sums >= a) & (sums <= b)) / sums.size)
 
 
 def _exact_ball_probability(w, rates, a, b):
@@ -72,17 +67,6 @@ class TestSubsetSums:
         with pytest.raises(GuardError):
             subset_sums(np.ones(25))
 
-    def test_count_in_intervals_oracle(self):
-        rng = np.random.default_rng(3)
-        sums = rng.standard_normal(200)
-        lows = rng.standard_normal(20) - 0.5
-        highs = lows + rng.uniform(0, 1, size=20)
-        got = count_in_intervals(sums, lows, highs)
-        want = [
-            int(((sums >= lo) & (sums <= hi)).sum()) for lo, hi in zip(lows, highs)
-        ]
-        assert got.tolist() == want
-
     def test_uniform_interval_probability(self):
         w = [1.0, 0.25]
         # sums: 0, 0.25, 1, 1.25 each with mass 1/4
@@ -104,22 +88,6 @@ class TestGeometricVectors:
 
     def test_sorted_magnitudes(self):
         assert sorted_magnitudes([-2.0, 5.0, 1.0]).tolist() == [5.0, 2.0, 1.0]
-
-    def test_stride_value(self):
-        tau = 1.0 / 3.0
-        assert geometric_stride(tau) == math.ceil(36.0 * math.log(3.0))
-        with pytest.raises(ValueError):
-            geometric_stride(0.5)
-
-    def test_subsequence_magnitudes_decay_by_three(self):
-        # tau-regular-tailed long geometric-ish vector: ratio 0.9 per rank
-        w = 0.9 ** np.arange(4000)
-        tau = 1.0 / 3.0
-        pos = geometric_subsequence(w, tau, count=3)
-        stride = geometric_stride(tau)
-        assert pos.tolist() == [1 + i * stride for i in range(4)]
-        mags = sorted_magnitudes(w)[pos - 1]
-        assert (mags[1:] <= mags[:-1] / 3.0).all()
 
 
 class TestUniquePoint:
@@ -167,22 +135,11 @@ class TestSources:
         whole = src.sample_bits(12, 9, 2, start=0)
         assert np.array_equal(whole[5:], src.sample_bits(7, 9, 2, start=5))
 
-    def test_column_product_layout(self):
-        d0, _ = build_pair(12, "0.82", "0.25")
-        src = ColumnProduct(mixture=d0, columns=3)
-        assert src.dim == 36
-        out = src.sample_bits(5, 4, 1, start=2)
-        ref = sample_columns(d0, 4, 1, start=6, count=15).reshape(5, 36)
-        assert np.array_equal(out, ref)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PointMass(bits=(0, 2))
         with pytest.raises(ValueError):
             ProductBits(rates=(1.2,))
-        d0, _ = build_pair(12, "0.82", "0.25")
-        with pytest.raises(ValueError):
-            ColumnProduct(mixture=d0, columns=0)
 
 
 class TestNoisySmallBall:
@@ -298,47 +255,3 @@ class TestNoiseMass:
         with pytest.raises(ValueError):
             noise_mass_estimate(w, 1.5, 0.3, 10, 0)
 
-
-class TestClassicalBounds:
-    def test_hoeffding_forms_agree(self):
-        t = 0.1
-        a = hoeffding_tail(10, 1.0, t)
-        b = hoeffding_tail(10, [1.0] * 10, t)
-        c = hoeffding_tail(10, [(0.0, 1.0)] * 10, t)
-        assert a == b == c == pytest.approx(2 * math.exp(-2 * 100 * t * t / 10))
-
-    def test_hoeffding_edge_cases(self):
-        assert hoeffding_tail(4, 0.0, 0.5) == 0.0
-        assert hoeffding_tail(4, 0.0, 0.0) == 2.0
-        with pytest.raises(ValueError):
-            hoeffding_tail(0, 1.0, 0.1)
-
-    def test_chebyshev(self):
-        assert chebyshev_tail(2.0, 4.0) == 0.25
-        with pytest.raises(ValueError):
-            chebyshev_tail(1.0, 0.0)
-
-    def test_berry_esseen_single_coordinate(self):
-        # Rademacher on one coordinate: F jumps 0 -> 1/2 at -1; the sup gap
-        # is 1/2 - Phi(-1)
-        got = berry_esseen_gap([1.0])
-        assert got == pytest.approx(0.5 - gaussian_cdf(-1.0))
-
-    def test_berry_esseen_shrinks_with_dimension(self):
-        g4 = berry_esseen_gap(np.ones(4) / 2.0)
-        g16 = berry_esseen_gap(np.ones(16) / 4.0)
-        assert g16 < g4
-        assert g16 <= 0.25  # classical bound at max |c_i|
-
-    def test_berry_esseen_guard_and_validation(self):
-        with pytest.raises(GuardError):
-            berry_esseen_gap(np.ones(21) / math.sqrt(21))
-        with pytest.raises(ValueError):
-            berry_esseen_gap([0.5, 0.5])
-
-    def test_mc_gap_matches_exhaustive(self):
-        c = np.ones(12) / math.sqrt(12)
-        exact = berry_esseen_gap(c)
-        est = mc_cdf_gap(c, trials=40000, master_seed=5)
-        dkw = math.sqrt(math.log(2 / 0.001) / (2 * 40000))
-        assert abs(est - exact) <= dkw + 1e-3

@@ -16,16 +16,17 @@ from glhs.core import (
     PURPOSE_NOISE,
     PURPOSE_X,
     STREAM_FORMAT_VERSION,
+    _C_INDEX,
+    _C_SEED,
+    _C_STREAM,
     AtomicFile,
     CorruptionError,
     CursorRng,
     FormatError,
-    SeedSpec,
     StreamReader,
     StreamWriter,
     mix64,
     purpose_stream,
-    rng_word,
     rng_words,
     uniform_threshold,
     words_to_open_uniforms,
@@ -33,15 +34,26 @@ from glhs.core import (
 )
 
 
+def rng_word(master_seed: int, stream_id: int, index: int) -> int:
+    """Scalar reference for `rng_words`: the word of one seed triple.
+
+    Integer-only arithmetic through the scalar `mix64`, independent of the
+    in-place block mixing the vectorized path uses.
+    """
+    w = mix64((master_seed + _C_SEED) & MASK64)
+    base = mix64(((w ^ (stream_id & MASK64)) + _C_STREAM) & MASK64)
+    return mix64(((base ^ (index & MASK64)) + _C_INDEX) & MASK64)
+
+
 class TestWords:
     def test_rng_word_is_a_pure_function(self):
-        spec = SeedSpec(master_seed=12345, stream_id=7, index=99)
-        assert rng_word(spec) == rng_word(spec)
+        words = rng_words(12345, 7, np.array([99, 99], dtype=np.uint64))
+        assert words.tolist() == [rng_word(12345, 7, 99)] * 2
 
     def test_rng_words_matches_scalar_path(self):
         idx = np.arange(0, 64, dtype=np.uint64)
         vec = rng_words(42, 3, idx)
-        scalar = [rng_word(SeedSpec(42, 3, int(i))) for i in idx]
+        scalar = [rng_word(42, 3, int(i)) for i in idx]
         assert vec.tolist() == scalar
 
     def test_distinct_coordinates_give_distinct_words(self):
@@ -50,13 +62,13 @@ class TestWords:
         for seed in (0, 1, 2**63):
             for stream in (0, 1, 2):
                 for index in range(32):
-                    words.add(rng_word(SeedSpec(seed, stream, index)))
+                    words.add(rng_word(seed, stream, index))
         assert len(words) == 3 * 3 * 32
 
     def test_mix64_stays_in_range_and_hits_known_fixture(self):
         # the finalizer fixes 0; word derivation always adds a nonzero constant first
         assert mix64(0) == 0
-        assert rng_word(SeedSpec(0, 0, 0)) != 0
+        assert rng_word(0, 0, 0) != 0
         assert 0 < mix64(1) <= MASK64
         assert mix64(2**64 + 1) == mix64(1)
 
@@ -75,7 +87,7 @@ class TestWords:
         vec = rng_words(2**64 - 1, 2**60 + 3, idx)
         picks = [0, 1, 2, 3, (1 << 15) - 1, 1 << 15, n - 2, n - 1]
         for i in picks:
-            assert int(vec[i]) == rng_word(SeedSpec(2**64 - 1, 2**60 + 3, int(idx[i])))
+            assert int(vec[i]) == rng_word(2**64 - 1, 2**60 + 3, int(idx[i]))
         # the caller's index array is left untouched, and shape is kept
         assert int(idx[-1]) == MASK64
         grid = rng_words(5, 1, idx[:12].reshape(3, 4))
@@ -144,7 +156,7 @@ class TestCursorRng:
 
     def test_explicit_index_resume(self):
         rng = CursorRng(777, 9, index=13)
-        assert rng.word() == rng_word(SeedSpec(777, 9, 13))
+        assert rng.word() == rng_word(777, 9, 13)
 
     def test_randint_bounds(self):
         rng = CursorRng(3, 0)

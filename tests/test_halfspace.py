@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -204,14 +204,25 @@ class TestCriticalIndex:
         hnp.arrays(
             np.float64,
             st.integers(1, 16),
-            elements=st.floats(min_value=-100, max_value=100, allow_nan=False),
+            elements=st.floats(
+                min_value=-100, max_value=100, allow_nan=False, allow_subnormal=False
+            ),
         ),
         st.floats(min_value=0.05, max_value=1.0),
         st.floats(min_value=0.01, max_value=1000),
     )
+    @example(np.array([1e-170, -1e-170, 1e-170]), 0.9, 0.5)
+    @example(np.array([9e200, 3e200, 1e200]), 0.3, 0.5)
     @settings(max_examples=60, deadline=None)
     def test_scale_invariance(self, w, tau, scale):
-        assert critical_index(w, tau).c_tau == critical_index(w * scale, tau).c_tau
+        # scaling must keep every nonzero entry a normal float: a subnormal
+        # that underflows to zero changes the vector, not just its scale
+        scaled = w * scale
+        tiny = np.finfo(np.float64).tiny
+        for v in (w, scaled):
+            assume(np.all((v == 0) | (np.abs(v) >= tiny)))
+        assume(np.array_equal(w == 0, scaled == 0))
+        assert critical_index(w, tau).c_tau == critical_index(scaled, tau).c_tau
 
     def test_zero_vector_is_regular(self):
         assert critical_index(np.zeros(5), tau=0.3).c_tau == 1

@@ -39,7 +39,6 @@ from glhs.harness import (
     run_experiment,
     summarize_records,
     write_dict_test_stream,
-    write_records,
     write_reduction_stream,
 )
 from glhs.stats import binomial_sigma
@@ -529,8 +528,8 @@ class TestCheckRecords:
         ]
         recs_b = [make_record("three", {"x": "y"}, 9.0, "<= 2", False)]
         pa, pb = tmp_path / "a.report", tmp_path / "b.report"
-        write_records(recs_a, str(pa))
-        write_records(recs_b, str(pb))
+        pa.write_text("".join(rec.line() + "\n" for rec in recs_a))
+        pb.write_text("".join(rec.line() + "\n" for rec in recs_b))
         pa.write_text("# config echo line\n\n" + pa.read_text())
         assert read_records(str(pa)) == recs_a
         folded, summary = fold_record_files([str(pa), str(pb)])

@@ -7,13 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from glhs.moments import build_pair, marginal_pmf, solve_d0_weights
+from glhs.moments import build_pair, marginal_pmf, marginal_pmf_rational, solve_d0_weights
 from glhs.invariance import (
     C_PHI,
     QUARTIC,
     Ensemble,
     PolyPsi,
-    conditioned_marginal_ensemble,
     ensemble_from_pmf,
     expect_psi,
     expect_psi_exact,
@@ -23,11 +22,9 @@ from glhs.invariance import (
     invariance_gap,
     invariance_gap_exact,
     linear_form_distribution,
-    matching_moments,
     mixture_marginal_ensemble,
     sgn_gap_bound,
     smooth_sign,
-    spread_function,
     sum_l1_fourth,
     window_mass,
 )
@@ -35,11 +32,27 @@ from glhs.invariance import (
 K, EPS, P = 12, "0.82", "0.25"
 
 
-def _matched_families(m, r, exact=False):
+def _matched_families(m, r):
     d0, d1 = build_pair(K, EPS, P)
-    e0 = mixture_marginal_ensemble(d0, m, exact=exact)
-    e1 = mixture_marginal_ensemble(d1, m, exact=exact)
+    e0 = mixture_marginal_ensemble(d0, m)
+    e1 = mixture_marginal_ensemble(d1, m)
     return family(*([e0] * r)), family(*([e1] * r))
+
+
+def conditioned_marginal_ensemble(dist, m):
+    """Exact marginal of coordinates 1..m conditioned on coordinate 0 being 1.
+
+    Conditioning spends one moment degree: a degree-4 matched pair yields
+    degree-3 matched conditioned ensembles (the conditioning masses agree
+    by the degree-1 match).
+    """
+    pmf = marginal_pmf_rational(dist, m + 1)
+    mass = sum(p for pattern, p in enumerate(pmf) if pattern & 1)
+    cond = [Fraction(0)] * (1 << m)
+    for pattern, p in enumerate(pmf):
+        if pattern & 1:
+            cond[pattern >> 1] += p / mass
+    return ensemble_from_pmf(cond, m)
 
 
 class TestEnsemble:
@@ -84,8 +97,7 @@ class TestEnsemble:
         )
         # E = 0 both; E^2: 1 vs 1/4 -> degree 2 mismatch
         assert first_moment_mismatch(a, b, 3) == (0, 0)
-        assert matching_moments(a, b, 1)
-        assert not matching_moments(a, b, 2)
+        assert first_moment_mismatch(a, b, 1) is None
 
 
 class TestMarginalEnsembles:
@@ -97,25 +109,23 @@ class TestMarginalEnsembles:
         assert ens.moment((1,)) == 1
 
     def test_marginal_matches_distinct_coordinate_moments(self):
-        from glhs.moments import exact_moment_rational
-
         d0, d1 = build_pair(K, EPS, P)
         for dist in (d0, d1):
-            ens = mixture_marginal_ensemble(dist, 4, exact=True)
+            ens = mixture_marginal_ensemble(dist, 4)
             for size in (1, 2, 3, 4):
                 coords = tuple(range(size))
-                assert ens.moment(coords) == exact_moment_rational(dist, coords)
+                assert ens.moment(coords) == dist.moment_of_size_exact(size)
 
     def test_matched_pair_gives_degree_four_matched_ensembles(self):
         d0, d1 = build_pair(K, EPS, P)
-        e0 = mixture_marginal_ensemble(d0, 4, exact=True)
-        e1 = mixture_marginal_ensemble(d1, 4, exact=True)
+        e0 = mixture_marginal_ensemble(d0, 4)
+        e1 = mixture_marginal_ensemble(d1, 4)
         assert first_moment_mismatch(e0, e1, 4) is None
 
     def test_conditioning_spends_exactly_one_degree(self):
         d0, d1 = build_pair(K, EPS, P)
-        c0 = conditioned_marginal_ensemble(d0, 4, exact=True)
-        c1 = conditioned_marginal_ensemble(d1, 4, exact=True)
+        c0 = conditioned_marginal_ensemble(d0, 4)
+        c1 = conditioned_marginal_ensemble(d1, 4)
         assert first_moment_mismatch(c0, c1, 3) is None
         # degree 4 must now break: the gap is the unmatched fifth moment
         # of the pair divided by the (shared) first moment
@@ -127,7 +137,7 @@ class TestMarginalEnsembles:
 
     def test_conditioned_oracle_via_enumeration(self):
         _, d1 = build_pair(K, EPS, P)
-        cond = conditioned_marginal_ensemble(d1, 2, exact=False)
+        cond = conditioned_marginal_ensemble(d1, 2)
         pmf = marginal_pmf(d1, K)
         patt = np.arange(pmf.size)
         on0 = (patt & 1) == 1
@@ -220,7 +230,7 @@ class TestInvarianceGap:
         assert res.bound == pytest.approx(24.0 * sum_l1_fourth(blocks))
 
     def test_cubic_gap_is_exactly_zero(self):
-        fam_a, fam_b = _matched_families(2, 3, exact=True)
+        fam_a, fam_b = _matched_families(2, 3)
         blocks = [
             [Fraction(1, 5), Fraction(-3, 10)],
             [Fraction(1, 10), Fraction(1, 4)],
@@ -234,8 +244,8 @@ class TestInvarianceGap:
         # marginals kill every quartic; the conditioned pair matches only to
         # degree 3 and the quartic picks up the degree-4 term l0*l1*l2*l3
         d0, d1 = build_pair(K, EPS, P)
-        fam_a = family(conditioned_marginal_ensemble(d0, 4, exact=True))
-        fam_b = family(conditioned_marginal_ensemble(d1, 4, exact=True))
+        fam_a = family(conditioned_marginal_ensemble(d0, 4))
+        fam_b = family(conditioned_marginal_ensemble(d1, 4))
         blocks = [[Fraction(1, 3), Fraction(1, 7), Fraction(2, 5), Fraction(1, 2)]]
         quartic = PolyPsi(coeffs=(0, 0, 0, 0, Fraction(1)))
         assert invariance_gap_exact(fam_a, fam_b, blocks, Fraction(0), quartic) != 0
@@ -263,8 +273,8 @@ class TestInvarianceGap:
         # 0/1 variables gives a nonzero quartic gap; mixed block sizes
         # exercise the binomial sum rule
         sizes = (4, 2, 3)
-        fam_a = family(*(conditioned_marginal_ensemble(d0, m, exact=True) for m in sizes))
-        fam_b = family(*(conditioned_marginal_ensemble(d1, m, exact=True) for m in sizes))
+        fam_a = family(*(conditioned_marginal_ensemble(d0, m) for m in sizes))
+        fam_b = family(*(conditioned_marginal_ensemble(d1, m) for m in sizes))
         blocks = [
             [Fraction(1, 3), Fraction(-2, 7), Fraction(2, 5), Fraction(1, 2)],
             [Fraction(1, 5), Fraction(-1, 4)],
@@ -320,14 +330,6 @@ class TestSignStatistic:
         assert window_mass(atoms, probs, 0.5) == pytest.approx(0.8)
         assert window_mass(atoms, probs, 0.1) == pytest.approx(0.5)
         assert window_mass(atoms, probs, 2.0) == pytest.approx(1.0)
-
-    def test_spread_function_is_window_mass_of_the_form(self):
-        fam_a, _ = _matched_families(2, 2)
-        blocks = [[0.3, 0.1], [0.2, 0.4]]
-        atoms, probs = linear_form_distribution(fam_a, blocks)
-        assert spread_function(fam_a, blocks, 0.05) == pytest.approx(
-            window_mass(atoms, probs, 0.05)
-        )
 
     def test_sgn_gap_components(self):
         fam_a, fam_b = _matched_families(2, 3)

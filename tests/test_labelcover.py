@@ -23,9 +23,7 @@ from glhs.labelcover import (
     satisfaction_fractions,
     smooth_from_bipartite,
     strong_mask,
-    strongly_satisfied,
     weak_mask,
-    weakly_satisfied,
     write_instance,
     write_labeling,
 )
@@ -96,8 +94,6 @@ class TestSatisfaction:
         lab = Labeling(assignment=np.array([1, 1, 1], dtype=np.int32), m=2)
         assert strong_mask(inst, lab).tolist() == [True, False]
         assert weak_mask(inst, lab).tolist() == [True, False]
-        assert strongly_satisfied(inst, lab, 0)
-        assert not weakly_satisfied(inst, lab, 1)
         frac = satisfaction_fractions(inst, lab)
         assert frac == (0.5, 0.5)
 
@@ -110,23 +106,15 @@ class TestSatisfaction:
         )
         lab = Labeling(assignment=np.array([0, 1], dtype=np.int32), m=3)
         # slots 0,1 agree (same vertex), slot 2 differs -> not weak
-        assert not weakly_satisfied(inst, lab, 0)
+        assert weak_mask(inst, lab).tolist() == [False]
         lab2 = Labeling(assignment=np.array([1, 1], dtype=np.int32), m=3)
-        assert weakly_satisfied(inst, lab2, 0)
+        assert weak_mask(inst, lab2).tolist() == [True]
 
     def test_strong_implies_weak_on_distinct_edges(self):
         inst, lab = gen_planted_unique(12, 30, 3, 4, seed=5)
         s = strong_mask(inst, lab)
         w = weak_mask(inst, lab)
         assert (w[s]).all()
-
-    def test_edge_index_bounds(self):
-        inst = _tiny_instance()
-        lab = Labeling(assignment=np.zeros(3, dtype=np.int32), m=2)
-        with pytest.raises(IndexError):
-            strongly_satisfied(inst, lab, 2)
-        with pytest.raises(IndexError):
-            weakly_satisfied(inst, lab, -1)
 
     def test_mismatched_labeling_rejected(self):
         inst = _tiny_instance()

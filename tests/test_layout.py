@@ -1,0 +1,51 @@
+"""Dead-code guard: every top-level library name has a user.
+
+A name defined at the top level of a `glhs` module other than `__init__`
+must be referenced, outside its own definition, by a library module other
+than `__init__` or by the acceptance tests.  A helper that only unit tests
+call belongs in those tests.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "glhs").glob("*.py") if p.name != "__init__.py")
+USERS = MODULES + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: functions, classes, assignments."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names read and attribute names accessed anywhere under node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def test_every_library_name_has_a_user():
+    bodies = {path: ast.parse(path.read_text(encoding="utf-8")).body for path in USERS}
+    refs = {path: [_references(stmt) for stmt in body] for path, body in bodies.items()}
+    unused = []
+    for path in MODULES:
+        elsewhere = set().union(*(r for user, rs in refs.items() if user != path for r in rs))
+        for i, stmt in enumerate(bodies[path]):
+            own = set().union(*(r for j, r in enumerate(refs[path]) if j != i))
+            unused += [
+                f"{path.stem}.{name}"
+                for name in _defined_names(stmt)
+                if name not in elsewhere and name not in own
+            ]
+    assert not unused, f"library names with no user outside unit tests: {unused}"

@@ -1,12 +1,11 @@
 """Example samplers, acceptance closed forms, decoding, soundness audits."""
 
-import math
 from itertools import product
 
 import numpy as np
 import pytest
 
-from glhs.core import PURPOSE_DECODE, CursorRng, GuardError, purpose_stream
+from glhs.core import PURPOSE_DECODE, CursorRng, purpose_stream
 from glhs.halfspace import Disjunction, Halfspace, regularizing_prefix, top_indices, truncate
 from glhs.labelcover import (
     LabelCoverInstance,
@@ -17,23 +16,15 @@ from glhs.labelcover import (
 from glhs.moments import build_pair, completeness_pair, exact_moment, marginal_pmf
 from glhs.reduction import (
     DecoderSpec,
-    copy_disagreement_bound,
     decode_labeling,
     dict_test_batch,
-    disjoint_tops,
     edge_incidence_fraction,
     edge_niceness_audit,
-    edge_weak_probability,
-    grid_test_t,
-    grid_test_tau,
-    is_beta_nice,
     lc_reduce_batch,
     niceness_value,
     non_nice_bound,
     or_acceptance_closed_form,
     planted_disjunction,
-    smooth_reduction_t,
-    smooth_reduction_tau,
     truncation_shift,
     ug_reduce_batch,
     weak_sat_rate_of_decoder,
@@ -99,22 +90,6 @@ class TestSpecValidation:
             DecoderSpec(t=1, tau=1.5)
         with pytest.raises(ValueError, match="trials"):
             DecoderSpec(t=1, tau=0.5, trials=0)
-
-
-class TestParameterCouplings:
-    def test_tau_presets(self):
-        assert grid_test_tau(16) == 16.0**-7
-        assert smooth_reduction_tau(16) == 16.0**-13
-
-    def test_list_sizes_grow_as_tau_shrinks(self):
-        loose = grid_test_t(8, 4, tau=0.25)
-        tight = grid_test_t(8, 4, tau=0.125)
-        assert 1.0 / 0.25**2 <= loose < tight
-        assert smooth_reduction_t(8, 2, tau=0.25) < smooth_reduction_t(8, 2, tau=0.125)
-        assert smooth_reduction_t(8, 2, tau=0.25) < smooth_reduction_t(8, 4, tau=0.25)
-
-    def test_default_tau_is_applied(self):
-        assert grid_test_t(4, 2) == grid_test_t(4, 2, tau=grid_test_tau(4))
 
 
 class TestDictTestStream:
@@ -283,8 +258,6 @@ class TestProjectionInstanceSampler:
         rate = float((grid[:, 0, 0] != grid[:, 0, 1]).mean())
         exact = gamma * (1.0 - gamma / 2.0)  # one replacement flips a copy
         assert abs(rate - exact) <= 4.0 * binomial_sigma(exact, n)
-        assert rate <= copy_disagreement_bound(gamma)
-        assert copy_disagreement_bound(gamma) == pytest.approx(2.0 * exact)
 
     def test_chunking_and_determinism(self):
         spec = _onesided_spec(r=2, gamma=0.25)
@@ -451,14 +424,23 @@ def _weak_probability_oracle(inst, h, t, edge):
 
 class TestEdgeWeakProbability:
     def test_against_enumeration_oracle(self):
+        # the decoder's per-edge weak-satisfaction rate tracks the exact
+        # probability over its candidate sets
         inst, _ = gen_planted_unique(6, 5, 3, 3, seed=2)
         rnd = np.random.RandomState(0)
         h = Halfspace.from_grid(rnd.standard_normal((6, 3)), 0.0)
-        for edge in range(inst.num_edges):
-            for t in (1, 2, 3):
+        trials = 1000
+        for t in (1, 2, 3):
+            spec = DecoderSpec(t=t, tau=0.5, trials=trials)
+            hits = sum(
+                weak_mask(inst, decode_labeling(h, spec, SEED, 4, trial=n)).astype(np.int64)
+                for n in range(trials)
+            )
+            for edge in range(inst.num_edges):
                 want = _weak_probability_oracle(inst, h, t, edge)
-                got = edge_weak_probability(inst, h, t, edge)
-                assert got == pytest.approx(want)
+                assert abs(hits[edge] / trials - want) <= 4.0 * binomial_sigma(want, trials)
+            report = weak_sat_rate_of_decoder(h, spec, inst, SEED, stream_id=4)
+            assert report.weak_rate == hits.sum() / (trials * inst.num_edges)
 
     def test_repeated_vertex_pairs_do_not_count(self):
         proj = np.tile(np.arange(3, dtype=np.int32), (1, 3, 1))
@@ -467,72 +449,17 @@ class TestEdgeWeakProbability:
             edges=np.array([[0, 0, 1]], dtype=np.int32),
             projections=proj,
         )
+        spec = DecoderSpec(t=1, tau=0.5, trials=4)
         grid = np.zeros((2, 3))
         grid[0, 1] = 1.0
         grid[1, 1] = 1.0  # same top label, distinct vertices: always weak
         h = Halfspace.from_grid(grid, 0.5)
-        assert edge_weak_probability(inst, h, 1, 0) == 1.0
+        assert weak_sat_rate_of_decoder(h, spec, inst, SEED).weak_rate == 1.0
         grid2 = np.zeros((2, 3))
         grid2[0, 1] = 1.0
         grid2[1, 2] = 1.0  # tops disagree: never weak
-        assert edge_weak_probability(inst, Halfspace.from_grid(grid2, 0.5), 1, 0) == 0.0
-
-    def test_enumeration_guard(self):
-        cols = 101
-        proj = np.tile(np.arange(cols, dtype=np.int32), (1, 3, 1))
-        inst = LabelCoverInstance(
-            k=3, num_vertices=3, m=cols, n=cols,
-            edges=np.array([[0, 1, 2]], dtype=np.int32),
-            projections=proj,
-        )
-        h = Halfspace.from_grid(np.zeros((3, cols)), 0.0)
-        with pytest.raises(GuardError, match="guard"):
-            edge_weak_probability(inst, h, 1, 0)
-
-    def test_edge_bounds(self):
-        inst, _ = gen_planted_unique(6, 5, 3, 3, seed=2)
-        h = Halfspace.from_grid(np.zeros((6, 3)), 0.0)
-        with pytest.raises(IndexError):
-            edge_weak_probability(inst, h, 1, 5)
-
-
-class TestDisjointTops:
-    def _inst_with_projs(self, rows):
-        proj = np.asarray(rows, dtype=np.int32)[None, :, :]
-        return LabelCoverInstance(
-            k=2, num_vertices=2, m=4, n=4,
-            edges=np.array([[0, 1]], dtype=np.int32),
-            projections=proj,
-        )
-
-    def test_identity_projections(self):
-        inst = self._inst_with_projs([[0, 1, 2, 3], [0, 1, 2, 3]])
-        apart = Halfspace.from_grid(
-            np.array([[9.0, 8.0, 0.0, 0.0], [0.0, 0.0, 7.0, 6.0]]), 0.0
-        )
-        assert disjoint_tops(inst, apart, 0, t=2)
-        overlap = Halfspace.from_grid(
-            np.array([[9.0, 8.0, 0.0, 0.0], [8.0, 0.0, 7.0, 0.0]]), 0.0
-        )
-        assert not disjoint_tops(inst, overlap, 0, t=2)
-
-    def test_projected_overlap(self):
-        # tops {0,1} and {2,3} collide only after slot 1's relabeling
-        inst = self._inst_with_projs([[0, 1, 2, 3], [2, 3, 0, 1]])
-        h = Halfspace.from_grid(
-            np.array([[9.0, 8.0, 0.0, 0.0], [0.0, 0.0, 7.0, 6.0]]), 0.0
-        )
-        assert not disjoint_tops(inst, h, 0, t=2)
-
-    def test_repeated_vertex_edge_is_disjoint(self):
-        proj = np.tile(np.arange(4, dtype=np.int32), (1, 2, 1))
-        inst = LabelCoverInstance(
-            k=2, num_vertices=1, m=4, n=4,
-            edges=np.array([[0, 0]], dtype=np.int32),
-            projections=proj,
-        )
-        h = Halfspace.from_grid(np.array([[9.0, 8.0, 0.0, 0.0]]), 0.0)
-        assert disjoint_tops(inst, h, 0, t=2)
+        h2 = Halfspace.from_grid(grid2, 0.5)
+        assert weak_sat_rate_of_decoder(h2, spec, inst, SEED).weak_rate == 0.0
 
 
 class TestNiceness:
@@ -542,8 +469,6 @@ class TestNiceness:
         proj = np.array([0, 0, 1])
         val = niceness_value(w, 0.8, proj, 2)
         assert val == pytest.approx((2.0**4 + 1.0) / 9.0)
-        assert is_beta_nice(w, 0.8, proj, 2, beta=17.0 / 9.0 + 1e-12)
-        assert not is_beta_nice(w, 0.8, proj, 2, beta=17.0 / 9.0 - 1e-6)
 
     def test_bijective_projection_of_regular_part_is_tau_squared_nice(self):
         rnd = np.random.RandomState(3)
