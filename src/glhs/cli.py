@@ -59,6 +59,7 @@ from .harness import (
     LearnerConfig,
     agreement,
     fold_record_files,
+    load_examples,
     make_record,
     negated_rate,
     perceptron_train,
@@ -238,7 +239,6 @@ def _cmd_gen_lc(args: argparse.Namespace) -> int:
     seed = _seed(args)
     out = _require(args, "out")
     k = int(_require(args, "k"))
-    records = []
     if kind == "unique":
         nv = int(_require(args, "vertices"))
         ne = int(_require(args, "edges"))
@@ -256,15 +256,6 @@ def _cmd_gen_lc(args: argparse.Namespace) -> int:
             "kind": kind, "vertices": nv, "edges": ne, "k": k,
             "m": m, "n": n, "d": d, "seed": seed,
         }
-        records.append(
-            make_record(
-                "gen-lc.preimage",
-                echo,
-                audit_preimage(inst),
-                f"<= {d}",
-                audit_preimage(inst) <= d,
-            )
-        )
     elif kind == "smooth":
         nw = int(_require(args, "w_vertices"))
         nv = int(_require(args, "vertices"))
@@ -278,23 +269,16 @@ def _cmd_gen_lc(args: argparse.Namespace) -> int:
             "kind": kind, "w_vertices": nw, "vertices": nv, "degree": deg,
             "k": k, "m": m, "n": n, "d": d, "seed": seed,
         }
-        records.append(
-            make_record(
-                "gen-lc.preimage",
-                echo,
-                audit_preimage(inst),
-                f"<= {d}",
-                audit_preimage(inst) <= d,
-            )
-        )
     else:
         raise CliError(f"unknown instance kind {kind!r}; use unique|projection|smooth")
 
-    strong, weak = satisfaction_fractions(inst, lab)
-    records.insert(
-        0,
-        make_record("gen-lc.planted-strong", echo, strong, "== 1.0", strong == 1.0),
-    )
+    strong = satisfaction_fractions(inst, lab)[0]
+    records = [
+        make_record("gen-lc.planted-strong", echo, strong, "== 1.0", strong == 1.0)
+    ]
+    if kind != "unique":
+        worst = audit_preimage(inst)
+        records.append(make_record("gen-lc.preimage", echo, worst, f"<= {d}", worst <= d))
     records.append(
         make_record(
             "gen-lc.connected",
@@ -307,7 +291,6 @@ def _cmd_gen_lc(args: argparse.Namespace) -> int:
     write_instance(inst, out)
     if getattr(args, "labeling", None):
         write_labeling(lab, args.labeling)
-    del weak
     return _emit(args, records, echo)
 
 
@@ -653,6 +636,8 @@ def _cmd_verify_smoothness(args: argparse.Namespace) -> int:
         report = audit_smoothness(inst, v)
         worst = max(worst, report.value)
     echo = {"instance": args.instance, "vertices": len(vertices)}
+    d = getattr(args, "d", None)
+    worst_preimage = audit_preimage(inst)
     records = [
         make_record(
             "smoothness.max-collision",
@@ -662,9 +647,9 @@ def _cmd_verify_smoothness(args: argparse.Namespace) -> int:
             worst <= 1.0 / float(j) if j is not None else None,
         ),
         make_record(
-            "smoothness.preimage", echo, audit_preimage(inst),
-            f"<= {args.d}" if getattr(args, "d", None) is not None else "reported",
-            audit_preimage(inst) <= int(args.d) if getattr(args, "d", None) is not None else None,
+            "smoothness.preimage", echo, worst_preimage,
+            f"<= {d}" if d is not None else "reported",
+            worst_preimage <= int(d) if d is not None else None,
         ),
     ]
     return _emit(args, records, echo)
@@ -706,10 +691,11 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         shuffle_seed=_seed(args, default=0),
         averaged=not getattr(args, "no_average", False),
     )
-    h = perceptron_train(stream, cfg)
+    bits, labels, rows, cols = load_examples(stream)
+    h = perceptron_train((bits, labels), cfg, rows, cols)
     if getattr(args, "out", None):
         write_halfspace(h, args.out)
-    rep = agreement(h, stream)
+    rep = agreement(h, (bits, labels))
     trivial = max(rep.n1, rep.n0) / rep.count
     echo = {
         "stream": stream, "epochs": cfg.epochs, "rate": cfg.rate,

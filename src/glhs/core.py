@@ -208,20 +208,6 @@ class CursorRng:
                 items[i], items[j] = items[j], items[i]
         return items
 
-    def sample_without_replacement(self, n: int, m: int) -> list[int]:
-        """m distinct values from range(n), order random."""
-        if m > n:
-            raise ValueError(f"cannot draw {m} distinct values from range({n})")
-        picked: dict[int, int] = {}
-        out = []
-        for i in range(m):
-            j = i + self.randint(n - i)
-            vi = picked.get(i, i)
-            vj = picked.get(j, j)
-            out.append(vj)
-            picked[j] = vi
-        return out
-
 
 STREAM_MAGIC = b"GLHS"
 ORDER_ROW_MAJOR = 0

@@ -240,7 +240,7 @@ class LearnerConfig:
             )
 
 
-def _load_examples(
+def load_examples(
     examples: ExampleSource,
 ) -> tuple[np.ndarray, np.ndarray, int | None, int | None]:
     """Materialize (bits, labels); grid shape comes along when known.
@@ -351,7 +351,7 @@ def perceptron_train(
     elsewhere, which changes no entry because w and u never hold -0.0, so the
     weights are the same floats either way and so is the averaging identity.
     """
-    bits, labels, hdr_rows, hdr_cols = _load_examples(examples)
+    bits, labels, hdr_rows, hdr_cols = load_examples(examples)
     if rows is None or cols is None:
         if hdr_rows is not None:
             rows, cols = hdr_rows, hdr_cols

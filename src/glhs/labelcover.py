@@ -16,6 +16,27 @@ the largest projection preimage.
 
 Everything is deterministic given the generator seed, and instances
 round-trip losslessly through a line-oriented text format.
+
+The generators' output bytes are fixed by the words they read from stream 0
+of the seed, in this order, each word w used as randint(n) = min(int(u * n),
+n - 1) with u = uniform(w):
+
+- one word per vertex: its planted label;
+- then per edge: k words for a partial Fisher-Yates draw of its k distinct
+  vertices (step i takes i + randint(V - i)), 1 word for the common target,
+  and per slot the swaps i = L-1, ..., 1 of a Fisher-Yates shuffle of its
+  L-entry slot list, one word each (j = randint(i + 1)).  L is d n - 1 for
+  a projection slot (the target d - 1 times, each other value d times, in
+  ascending order) and r for a unique slot (0, ..., r - 1).
+
+`gen_planted_bipartite` reads as `gen_planted_projection` does, with
+W-vertices for edges and the degree for k.  The draws run for all edges at
+once as array code.
+
+`read_instance` parses the `e` and `p` blocks in one numeric pass each when
+every line is exactly in writer form, the `p` lines come in writer order
+and their values are in range.  Any other block goes through the
+line-by-line parser, so the fast path changes no result and no diagnostic.
 """
 
 from __future__ import annotations
@@ -201,21 +222,87 @@ def satisfaction_fractions(
 # generators
 
 
-def _planted_projection_row(
-    rng: CursorRng, m: int, n: int, d: int, source: int, target: int
+def _randint(u: np.ndarray, n) -> np.ndarray:
+    """`CursorRng.randint(n)` over uniforms u, elementwise: min(int(u * n), n - 1)."""
+    return np.minimum((u * n).astype(np.int64), np.asarray(n) - 1)
+
+
+def _planted_draws(
+    seed: int, num_vertices: int, num_edges: int, k: int,
+    labels: int, targets: int, slot_words: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Planted labels, edge vertices, common targets and slot-shuffle uniforms.
+
+    One `uniforms` call reads the cursor words in the layout of the module
+    docstring.  Returns planted (V,), verts (E, k), common (E,) and the
+    shuffle uniforms (E * k, slot_words), row e * k + s for slot s of edge e.
+    """
+    per_edge = k + 1 + k * slot_words
+    u = CursorRng(seed, 0).uniforms(num_vertices + num_edges * per_edge)
+    planted = _randint(u[:num_vertices], labels)
+    body = u[num_vertices:].reshape(num_edges, per_edge)
+    verts = _distinct_vertices(body[:, :k], num_vertices)
+    common = _randint(body[:, k], targets)
+    return planted, verts, common, body[:, k + 1 :].reshape(num_edges * k, slot_words)
+
+
+def _distinct_vertices(u: np.ndarray, n: int) -> np.ndarray:
+    """k distinct values from range(n) per row of u (E, k): a partial Fisher-Yates.
+
+    Step i swaps positions i and j = i + randint(n - i) of a virtual
+    arange(n) and emits the value now at i.  Only earlier steps wrote to the
+    array, at their j, so a read is the last of those writes that hit it.
+    """
+    rows, k = u.shape
+    out = np.empty((rows, k), dtype=np.int64)
+    wrote_at = np.empty((rows, k), dtype=np.int64)
+    wrote = np.empty((rows, k), dtype=np.int64)
+    for i in range(k):
+        j = i + _randint(u[:, i], n - i)
+        at_i = np.full(rows, i, dtype=np.int64)
+        at_j = j
+        for t in range(i):
+            at_i = np.where(wrote_at[:, t] == i, wrote[:, t], at_i)
+            at_j = np.where(wrote_at[:, t] == j, wrote[:, t], at_j)
+        out[:, i] = at_j
+        wrote_at[:, i], wrote[:, i] = j, at_i
+    return out
+
+
+def _shuffle_rows(items: np.ndarray, u: np.ndarray) -> None:
+    """`CursorRng.shuffle` of every row of items (R, L) at once, in place.
+
+    Swap i = L-1, ..., 1 of row r takes j = randint(i + 1) from u[r, L-1-i].
+    """
+    rows = np.arange(items.shape[0])
+    for w, i in enumerate(range(items.shape[1] - 1, 0, -1)):
+        j = _randint(u[:, w], i + 1)
+        held = items[:, i].copy()
+        items[:, i] = items[rows, j]
+        items[rows, j] = held
+
+
+def _projection_rows(
+    sources: np.ndarray, targets: np.ndarray, u: np.ndarray, m: int, n: int, d: int
 ) -> np.ndarray:
-    """A random total map [M]->[N] with all preimages <= d and source -> target."""
-    slots = [target] * (d - 1)
-    for t in range(n):
-        if t != target:
-            slots.extend([t] * d)
-    rng.shuffle(slots)
-    row = np.empty(m, dtype=np.int32)
-    row[source] = target
-    rest = [s for s in range(m) if s != source]
-    for s, t in zip(rest, slots):
-        row[s] = t
-    return row
+    """Random total maps [M] -> [N], all preimages <= d, row r sending sources[r]
+    to targets[r]: one map per row of the shuffle uniforms u.
+
+    Row r's slot list is d - 1 copies of its target, then each other value
+    d times in ascending order; it is shuffled, and fills the sources other
+    than sources[r] in ascending order.
+    """
+    c = targets[:, None]
+    others = np.arange((n - 1) * d) // d
+    slots = np.concatenate(
+        [np.repeat(c, d - 1, axis=1), others + (others >= c), c], axis=1
+    )
+    width = slots.shape[1] - 1  # the last column holds the target itself
+    _shuffle_rows(slots[:, :width], u)
+    p = np.arange(m)
+    src = sources[:, None]
+    pick = np.where(p == src, width, p - (p > src))
+    return np.take_along_axis(slots, pick, axis=1)
 
 
 def gen_planted_unique(
@@ -233,25 +320,45 @@ def gen_planted_unique(
         )
     if min(num_edges, r) < 1:
         raise ValueError("num_edges and r must be positive")
-    rng = CursorRng(seed, 0)
-    planted = np.asarray([rng.randint(r) for _ in range(num_vertices)], dtype=np.int32)
-    edges = np.empty((num_edges, k), dtype=np.int32)
-    proj = np.empty((num_edges, k, r), dtype=np.int32)
-    for e in range(num_edges):
-        verts = rng.sample_without_replacement(num_vertices, k)
-        edges[e] = verts
-        common = rng.randint(r)
-        for s in range(k):
-            perm = rng.shuffle(list(range(r)))
-            # force planted consistency: swap so planted label maps to common
-            src = int(planted[verts[s]])
-            at = perm.index(common)
-            perm[at], perm[src] = perm[src], perm[at]
-            proj[e, s] = perm
+    planted, verts, common, u = _planted_draws(
+        seed, num_vertices, num_edges, k, r, r, r - 1
+    )
+    perm = np.tile(np.arange(r), (num_edges * k, 1))
+    _shuffle_rows(perm, u)
+    # force planted consistency: swap so the planted label maps to common
+    rows = np.arange(perm.shape[0])
+    at = np.argmax(perm == np.repeat(common, k)[:, None], axis=1)
+    src = planted[verts].reshape(-1)
+    held = perm[rows, at]
+    perm[rows, at] = perm[rows, src]
+    perm[rows, src] = held
     inst = LabelCoverInstance(
-        k=k, num_vertices=num_vertices, m=r, n=r, edges=edges, projections=proj
+        k=k, num_vertices=num_vertices, m=r, n=r, edges=verts,
+        projections=perm.reshape(num_edges, k, r),
     )
     return inst, Labeling(assignment=planted, m=r)
+
+
+def _check_projection_sizes(m: int, n: int, d: int) -> None:
+    if m > d * n:
+        raise ValueError(
+            f"infeasible: M={m} sources cannot fit in N*d={n * d} preimage slots"
+        )
+    if m < n:
+        raise ValueError(f"label sizes must satisfy M >= N, got M={m}, N={n}")
+
+
+def _planted_projections(
+    seed: int, num_vertices: int, num_edges: int, k: int, m: int, n: int, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(planted, vertices (E, k), projections (E, k, M)) of a projection draw."""
+    planted, verts, common, u = _planted_draws(
+        seed, num_vertices, num_edges, k, m, n, max(d * n - 2, 0)
+    )
+    proj = _projection_rows(
+        planted[verts].reshape(-1), np.repeat(common, k), u, m, n, d
+    )
+    return planted, verts, proj.reshape(num_edges, k, m)
 
 
 def gen_planted_projection(
@@ -270,24 +377,8 @@ def gen_planted_projection(
         )
     if min(num_edges, n, d) < 1:
         raise ValueError("num_edges, n, and d must be positive")
-    if m > d * n:
-        raise ValueError(
-            f"infeasible: M={m} sources cannot fit in N*d={n * d} preimage slots"
-        )
-    if m < n:
-        raise ValueError(f"label sizes must satisfy M >= N, got M={m}, N={n}")
-    rng = CursorRng(seed, 0)
-    planted = np.asarray([rng.randint(m) for _ in range(num_vertices)], dtype=np.int32)
-    edges = np.empty((num_edges, k), dtype=np.int32)
-    proj = np.empty((num_edges, k, m), dtype=np.int32)
-    for e in range(num_edges):
-        verts = rng.sample_without_replacement(num_vertices, k)
-        edges[e] = verts
-        common = rng.randint(n)
-        for s in range(k):
-            proj[e, s] = _planted_projection_row(
-                rng, m, n, d, int(planted[verts[s]]), common
-            )
+    _check_projection_sizes(m, n, d)
+    planted, edges, proj = _planted_projections(seed, num_vertices, num_edges, k, m, n, d)
     inst = LabelCoverInstance(
         k=k, num_vertices=num_vertices, m=m, n=n, edges=edges, projections=proj
     )
@@ -304,31 +395,16 @@ def gen_planted_bipartite(
     seed: int,
 ) -> tuple[BipartiteInstance, Labeling]:
     """W-regular bipartite instance where the planted V-labeling recommends
-    one common value to every W-vertex."""
+    one common value to every W-vertex.  It draws exactly as
+    `gen_planted_projection` with W-vertices for edges and degree for k."""
     if num_v < degree:
         raise ValueError(
             f"need at least degree={degree} V-vertices for distinct neighbors"
         )
     if min(num_w, n, d) < 1:
         raise ValueError("num_w, n, and d must be positive")
-    if m > d * n:
-        raise ValueError(
-            f"infeasible: M={m} sources cannot fit in N*d={n * d} preimage slots"
-        )
-    if m < n:
-        raise ValueError(f"label sizes must satisfy M >= N, got M={m}, N={n}")
-    rng = CursorRng(seed, 0)
-    planted = np.asarray([rng.randint(m) for _ in range(num_v)], dtype=np.int32)
-    neighbors = np.empty((num_w, degree), dtype=np.int32)
-    proj = np.empty((num_w, degree, m), dtype=np.int32)
-    for w in range(num_w):
-        verts = rng.sample_without_replacement(num_v, degree)
-        neighbors[w] = verts
-        common = rng.randint(n)
-        for s in range(degree):
-            proj[w, s] = _planted_projection_row(
-                rng, m, n, d, int(planted[verts[s]]), common
-            )
+    _check_projection_sizes(m, n, d)
+    planted, neighbors, proj = _planted_projections(seed, num_v, num_w, degree, m, n, d)
     bip = BipartiteInstance(
         num_w=num_w, num_v=num_v, m=m, n=n, neighbors=neighbors, projections=proj
     )
@@ -488,6 +564,30 @@ class InstanceFormatError(ValueError):
     """Schema violation in an instance file, with a line diagnostic."""
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def _content_lines(path: str) -> list[str]:
+    """The file's lines without their newlines, blank lines dropped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [ln for ln in fh.read().split("\n") if ln.strip()]
+
+
+def _header_version(lines: list[str], magic: str) -> tuple[str, int]:
+    """The version token on line 1, as written and as an integer."""
+    if not lines or not lines[0].startswith(f"{magic} "):
+        raise InstanceFormatError(f"line 1: missing '{magic}' header")
+    parts = lines[0].split()
+    if len(parts) < 2:
+        raise InstanceFormatError(f"line 1: missing '{magic}' version")
+    try:
+        return parts[1], int(parts[1])
+    except ValueError:
+        raise InstanceFormatError(
+            f"line 1: non-integer version {parts[1]!r}"
+        ) from None
+
+
 def _parse_ints(line: str, lineno: int, prefix: str, count: int | None) -> list[int]:
     parts = line.split()
     if parts[0] != prefix:
@@ -505,50 +605,135 @@ def _parse_ints(line: str, lineno: int, prefix: str, count: int | None) -> list[
     return vals
 
 
+def _line_ints(lines: list[str], i: int, prefix: str, count: int) -> list[int]:
+    """`_parse_ints` of lines[i], which must exist."""
+    if i >= len(lines):
+        raise InstanceFormatError(
+            f"line {i + 1}: expected '{prefix} ...', got end of file"
+        )
+    return _parse_ints(lines[i], i + 1, prefix, count)
+
+
+def _fast_block(lines: list[str], prefix: str, width: int) -> np.ndarray | None:
+    """(len(lines), width) int64 values in one numeric parse, or None.
+
+    It parses only lines written exactly as `write_instance` writes them:
+    `prefix`, then `width` fields of 1-9 ASCII digits, each after one space.
+    On such lines `_parse_ints` gives the same values.  Any other line makes
+    it return None, and the caller parses line by line instead.
+    """
+    per_line = width + 2  # the prefix, one space per field, the newline
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    b = np.frombuffer(text, dtype=np.uint8)
+    marks = np.flatnonzero((b < 48) | (b > 57))  # every byte that is not a digit
+    if marks.size != len(lines) * per_line:
+        return None
+    # the non-digit bytes of each line, then the digit run before each of them
+    line_marks = np.frombuffer(f"{prefix}{' ' * width}\n".encode(), dtype=np.uint8)
+    runs = np.diff(marks, prepend=-1).reshape(-1, per_line) - 1
+    if (
+        (b[marks].reshape(-1, per_line) != line_marks).any()
+        or runs[:, :2].any()
+        or (runs[:, 2:] < 1).any()
+        or (runs[:, 2:] > 9).any()
+    ):
+        return None
+    vals = np.fromstring(text.replace(prefix.encode(), b" "), dtype=np.int64, sep=" ")
+    return vals.reshape(len(lines), width)
+
+
+def _read_edges(lines: list[str], k: int) -> np.ndarray:
+    """(E, k) vertex ids of the `e` lines; the first is file line 6."""
+    fast = _fast_block(lines, "e", k)
+    if fast is not None:
+        return fast.astype(np.int32)
+    edges = np.empty((len(lines), k), dtype=np.int32)
+    for e, line in enumerate(lines):
+        vals = _parse_ints(line, 6 + e, "e", k)
+        if any(not _INT32.min <= v <= _INT32.max for v in vals):
+            raise InstanceFormatError(f"line {6 + e}: edge vertex id out of range")
+        edges[e] = vals
+    return edges
+
+
+def _read_projections(
+    lines: list[str], first: int, ne: int, k: int, m: int, n: int
+) -> tuple[np.ndarray, str | None]:
+    """(E, k, M) projections of the `p` lines, which start at file line first.
+
+    Also returns a diagnostic for the first line that repeats an (e, s)
+    index, or None.  The fast path takes the lines only in writer order.
+    """
+    fast = _fast_block(lines, "p", m + 2)
+    if (
+        fast is not None
+        and np.array_equal(fast[:, 0], np.repeat(np.arange(ne), k))
+        and np.array_equal(fast[:, 1], np.tile(np.arange(k), ne))
+        and (fast[:, 2:] < n).all()
+    ):
+        return fast[:, 2:].astype(np.int32).reshape(ne, k, m), None
+    rows = {}
+    repeat = None
+    for i, line in enumerate(lines):
+        lineno = first + i
+        vals = _parse_ints(line, lineno, "p", 2 + m)
+        e, s = vals[0], vals[1]
+        if not (0 <= e < ne and 0 <= s < k):
+            raise InstanceFormatError(
+                f"line {lineno}: projection index ({e}, {s}) out of range"
+            )
+        row = vals[2:]
+        if any(not 0 <= t < n for t in row):
+            raise InstanceFormatError(
+                f"line {lineno}: projection value outside [0, {n})"
+            )
+        if any(t > _INT32.max for t in row):
+            raise InstanceFormatError(f"line {lineno}: projection value exceeds int32")
+        if (e, s) in rows and repeat is None:
+            repeat = f"line {lineno}: duplicate projection index ({e}, {s})"
+        rows[e, s] = row
+    proj = np.zeros((ne, k, m), dtype=np.int32)
+    for (e, s), row in rows.items():
+        proj[e, s] = row
+    return proj, repeat
+
+
 def read_instance(path: str) -> LabelCoverInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines or not lines[0].startswith(f"{_LC_MAGIC} "):
-        raise InstanceFormatError(f"line 1: missing '{_LC_MAGIC}' header")
-    version = lines[0].split()[1]
-    if int(version) != _LC_VERSION:
+    """Parse a `write_instance` file; InstanceFormatError names the bad line."""
+    lines = _content_lines(path)
+    version, number = _header_version(lines, _LC_MAGIC)
+    if number != _LC_VERSION:
         raise InstanceFormatError(f"line 1: unsupported version {version}")
-    k = _parse_ints(lines[1], 2, "k", 1)[0]
-    nv = _parse_ints(lines[2], 3, "vertices", 1)[0]
-    m, n = _parse_ints(lines[3], 4, "labels", 2)
+    k = _line_ints(lines, 1, "k", 1)[0]
+    nv = _line_ints(lines, 2, "vertices", 1)[0]
+    m, n = _line_ints(lines, 3, "labels", 2)
     if m < n:
         raise InstanceFormatError(f"line 4: M={m} must be at least N={n}")
-    ne = _parse_ints(lines[4], 5, "edges", 1)[0]
+    ne = _line_ints(lines, 4, "edges", 1)[0]
     expected = 5 + ne + ne * k
     if len(lines) != expected:
         raise InstanceFormatError(
             f"expected {expected} lines for {ne} edges of arity {k}, got {len(lines)}"
         )
-    edges = np.empty((ne, k), dtype=np.int32)
-    for e in range(ne):
-        edges[e] = _parse_ints(lines[5 + e], 6 + e, "e", k)
-    proj = np.empty((ne, k, m), dtype=np.int32)
-    for i in range(ne * k):
-        lineno = 5 + ne + i
-        vals = _parse_ints(lines[lineno], lineno + 1, "p", 2 + m)
-        e, s = vals[0], vals[1]
-        if not (0 <= e < ne and 0 <= s < k):
-            raise InstanceFormatError(
-                f"line {lineno + 1}: projection index ({e}, {s}) out of range"
-            )
-        row = vals[2:]
-        if any(not 0 <= t < n for t in row):
-            raise InstanceFormatError(
-                f"line {lineno + 1}: projection value outside [0, {n})"
-            )
-        proj[e, s] = row
+    if k < 0:
+        raise InstanceFormatError(f"line 2: edge arity must be at least 2, got {k}")
     try:
-        return LabelCoverInstance(
+        edges = _read_edges(lines[5 : 5 + ne], k)
+        if m < 0:
+            raise InstanceFormatError(
+                f"line 4: label sizes must satisfy M >= N >= 1, got M={m}, N={n}"
+            )
+        proj, repeat = _read_projections(lines[5 + ne :], 6 + ne, ne, k, m, n)
+        inst = LabelCoverInstance(
             k=k, num_vertices=nv, m=m, n=n, edges=edges, projections=proj
         )
-    except ValueError as exc:
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:  # sizes numpy cannot allocate, or a schema check
         raise InstanceFormatError(str(exc)) from exc
+    if repeat is not None:
+        raise InstanceFormatError(repeat)
+    return inst
 
 
 def write_labeling(lab: Labeling, path: str) -> None:
@@ -560,13 +745,13 @@ def write_labeling(lab: Labeling, path: str) -> None:
 
 
 def read_labeling(path: str) -> Labeling:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith(f"{_LAB_MAGIC} "):
-        raise InstanceFormatError(f"line 1: missing '{_LAB_MAGIC}' header")
-    if int(lines[0].split()[1]) != _LAB_VERSION:
+    lines = _content_lines(path)
+    if _header_version(lines, _LAB_MAGIC)[1] != _LAB_VERSION:
         raise InstanceFormatError("line 1: unsupported labeling version")
-    nv = _parse_ints(lines[1], 2, "vertices", 1)[0]
-    m = _parse_ints(lines[2], 3, "labels", 1)[0]
-    assignment = _parse_ints(lines[3], 4, "a", nv)
-    return Labeling(assignment=np.asarray(assignment, dtype=np.int32), m=m)
+    nv = _line_ints(lines, 1, "vertices", 1)[0]
+    m = _line_ints(lines, 2, "labels", 1)[0]
+    assignment = _line_ints(lines, 3, "a", nv)
+    try:
+        return Labeling(assignment=np.asarray(assignment, dtype=np.int32), m=m)
+    except (ValueError, OverflowError) as exc:
+        raise InstanceFormatError(str(exc)) from exc

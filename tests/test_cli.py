@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from glhs import harness
 from glhs.cli import main
 from glhs.core import AtomicFile, StreamReader
 from glhs.halfspace import Halfspace, read_halfspace, write_halfspace
@@ -302,13 +303,22 @@ class TestVerifyLemmas:
 
 
 class TestLearnAndDecode:
-    def test_learn_writes_a_grid_shaped_halfspace(self, capsys, tmp_path):
+    def test_learn_writes_a_grid_shaped_halfspace(self, capsys, tmp_path, monkeypatch):
         stream = tmp_path / "train.stream"
         assert main(
             ["sample", *GADGET, "--gamma", "0.03125", "--r", "2",
              "--count", "300", "--seed", "11", "--out", str(stream)]
         ) == 0
         capsys.readouterr()
+        opened = []
+
+        class CountingReader(StreamReader):
+            def __init__(self, path):
+                opened.append(path)
+                super().__init__(path)
+
+        # learn trains on its stream and reports agreement on the same batch
+        monkeypatch.setattr(harness, "StreamReader", CountingReader)
         h_path = tmp_path / "learned.hs"
         code, out, _ = _run(
             capsys,
@@ -319,6 +329,7 @@ class TestLearnAndDecode:
         recs = {r.check_id: r for r in _check_lines(out)}
         assert recs["learn.negation-identity"].status == "pass"
         assert recs["learn.train-agreement"].status == "exploratory"
+        assert opened == [str(stream)]
         h = read_halfspace(str(h_path))
         assert (h.rows, h.cols) == (12, 2)
 

@@ -166,20 +166,6 @@ class TestCursorRng:
         with pytest.raises(ValueError):
             rng.randint(0)
 
-    @given(st.integers(1, 40), st.integers(0, 2**32))
-    @settings(max_examples=50, deadline=None)
-    def test_sample_without_replacement_is_a_partial_permutation(self, n, seed):
-        rng = CursorRng(seed, 1)
-        m = rng.randint(n) + 1
-        picks = rng.sample_without_replacement(n, m)
-        assert len(picks) == m
-        assert len(set(picks)) == m
-        assert all(0 <= v < n for v in picks)
-
-    def test_sample_without_replacement_rejects_overdraw(self):
-        with pytest.raises(ValueError):
-            CursorRng(0, 0).sample_without_replacement(3, 4)
-
     def test_shuffle_is_a_permutation(self):
         rng = CursorRng(5, 2)
         out = rng.shuffle(list(range(50)))
