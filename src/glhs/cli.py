@@ -695,7 +695,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     h = perceptron_train((bits, labels), cfg, rows, cols)
     if getattr(args, "out", None):
         write_halfspace(h, args.out)
-    rep = agreement(h, (bits, labels))
+    rep = agreement(h, [(bits, labels)])
     trivial = max(rep.n1, rep.n0) / rep.count
     echo = {
         "stream": stream, "epochs": cfg.epochs, "rate": cfg.rate,
@@ -741,11 +741,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             report.weak_rate >= 1.0 if expect_full else None,
         )
     ]
+    if getattr(args, "out", None) or getattr(args, "labeling", None):
+        decoded = decode_labeling(h, spec, seed, 0, trial=0)
     if getattr(args, "out", None):
-        write_labeling(decode_labeling(h, spec, seed, 0, trial=0), args.out)
+        write_labeling(decoded, args.out)
     if getattr(args, "labeling", None):
         planted = read_labeling(args.labeling)
-        decoded = decode_labeling(h, spec, seed, 0, trial=0)
         match = bool(np.array_equal(decoded.assignment, planted.assignment))
         records.append(
             make_record(

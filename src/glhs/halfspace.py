@@ -250,9 +250,15 @@ def critical_index(w: Sequence[float] | np.ndarray, tau: float) -> CriticalIndex
     order = _magnitude_order(arr)
     mags = np.abs(arr[order])
     tails = _suffix_norms(mags)
+    # The running norm may be a few ulps off; within that bound of a tie the
+    # comparison is decided on math.hypot of the tail, which is correctly
+    # rounded in all but rare cases.
+    slack = 4.0 * (arr.size + 4) * np.finfo(np.float64).eps
+    fringe = tau * tails
+    near = np.abs(mags - fringe) <= slack * np.maximum(mags, fringe)
     c: float = math.inf
-    for t in range(arr.size):
-        if mags[t] <= tau * tails[t]:
+    for t in np.flatnonzero((mags <= fringe) | near).tolist():
+        if not near[t] or mags[t] <= tau * math.hypot(*mags[t:].tolist()):
             c = t + 1
             break
     if arr.size == 0:

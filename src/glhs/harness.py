@@ -1,62 +1,56 @@
-"""Hypothesis evaluation, a perceptron probe, and experiment orchestration.
+"""Hypothesis evaluation, a perceptron probe, and the grid-test experiment.
 
-`agreement` counts exact matches between a hypothesis and a labeled stream
-and reports the rate with a Wilson interval plus the conditional means
-E[h | b] whose balanced combination obeys the half-plus-half-gap identity.
-`perceptron_train` is a deterministic averaged-perceptron probe: the
-hardness construction predicts that no efficient learner beats the trivial
-rate by much on sound instances, so its results are reported comparatively
-rather than asserted against theory constants.  It reads a stream in one
-batch, one unpackbits of the body (`agreement` reads DEFAULT_CHUNK rows at
-a time), and trains on that uint8 bit matrix directly: while mistakes are
-rare it scans ahead, summing the weights over each row's set bits to find
-the next mistake, and it updates only the coordinates a row sets.  Every
+Examples are one batch form throughout: a uint8 bit matrix (n, rows*cols)
+and a uint8 label vector (n,).  `load_examples` is the only stream entry
+point; it reads a whole stream as one batch, one unpackbits of the body.
+
+`agreement` counts exact matches between a hypothesis and an iterable of
+such batches and reports the rate with a Wilson interval plus the
+conditional means E[h | b] whose balanced combination obeys the
+half-plus-half-gap identity.  `perceptron_train` is a deterministic
+averaged-perceptron probe: the hardness construction predicts that no
+efficient learner beats the trivial rate by much on sound instances, so its
+results are reported comparatively rather than asserted against theory
+constants.  It trains on the bit matrix directly: while mistakes are rare
+it scans ahead, summing the weights over each row's set bits to find the
+next mistake, and it updates only the coordinates a row sets.  Every
 decision and every weight is bit-identical to the plain per-example loop
 over float rows (see its docstring).
 
-`run_experiment` executes named plans (completeness, soundness,
-decode-planted) and emits one CheckRecord per check; records serialize to
-single tab-separated text lines so report files can be folded by
-concatenation.
+`run_experiment` executes the two plans of the dictatorship test on fresh
+grid samples, DEFAULT_CHUNK at a time: completeness (the dictator OR
+against its closed form) and soundness (the majority probe's gap).  It
+emits one CheckRecord per check; records serialize to single tab-separated
+text lines so report files can be folded by concatenation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    CursorRng,
-    PURPOSE_LEARN,
-    PURPOSE_MC,
-    StreamReader,
-    StreamWriter,
-    purpose_stream,
-)
+from .core import CursorRng, PURPOSE_LEARN, StreamReader, StreamWriter, purpose_stream
 from .halfspace import Disjunction, Halfspace
-from .labelcover import LabelCoverInstance, Labeling
+from .labelcover import LabelCoverInstance
 from .moments import ColumnSource, column_sum_pmf
 from .reduction import (
-    DecoderSpec,
     TestSpec,
-    decode_labeling,
     dict_test_batch,
     lc_reduce_batch,
     or_acceptance_closed_form,
-    planted_disjunction,
     ug_reduce_batch,
-    weak_sat_rate_of_decoder,
 )
 from .stats import Interval, binomial_sigma, wilson_interval
 
 Hypothesis = Union[Halfspace, Disjunction]
+Batch = tuple[np.ndarray, np.ndarray]  # bits (n, dim) uint8, labels (n,) uint8
 
 DEFAULT_CHUNK = 8192
+SIGMA_RULE = 4.0  # experiment tolerances are this many binomial sigmas
 
 
 def hypothesis_id(h: Hypothesis) -> str:
@@ -92,7 +86,6 @@ class AgreementReport:
     matches: int
     n1: int
     hits1: int
-    provenance: str
 
     def __post_init__(self):
         if not 0 <= self.matches <= self.count:
@@ -149,42 +142,8 @@ class AgreementReport:
         return abs(lhs - self.balanced_acceptance)
 
 
-BatchIter = Iterator[tuple[np.ndarray, np.ndarray]]
-
-# A stream path, an open reader, one (bits, labels) tuple, or any other
-# iterable of (bits, labels) batches.
-ExampleSource = Union[
-    str,
-    os.PathLike,
-    StreamReader,
-    tuple[np.ndarray, np.ndarray],
-    Iterable[tuple[np.ndarray, np.ndarray]],
-]
-
-
-def _normalize_batches(examples: ExampleSource, chunk: int) -> tuple[BatchIter, str]:
-    """(batch iterator, provenance string)."""
-    if isinstance(examples, (str, os.PathLike)):
-        examples = StreamReader(os.fspath(examples))
-    if isinstance(examples, StreamReader):
-        return examples.read_batches(chunk), f"file:{examples.path}"
-    if isinstance(examples, tuple) and len(examples) == 2:
-        bits, labels = examples
-        bits = np.asarray(bits, dtype=np.uint8)
-        labels = np.asarray(labels, dtype=np.uint8)
-        if bits.ndim != 2 or labels.shape != (bits.shape[0],):
-            raise ValueError("expected (bits (n, dim), labels (n,)) arrays")
-        return iter([(bits, labels)]), "arrays"
-    return iter(examples), "batches"
-
-
-def agreement(
-    hypothesis: Hypothesis,
-    examples: ExampleSource,
-    chunk: int = DEFAULT_CHUNK,
-) -> AgreementReport:
-    """Exact agreement of `hypothesis` over every provided example."""
-    batches, provenance = _normalize_batches(examples, chunk)
+def agreement(hypothesis: Hypothesis, batches: Iterable[Batch]) -> AgreementReport:
+    """Exact agreement of `hypothesis` over every example of every batch."""
     count = matches = n1 = hits1 = 0
     for bits, labels in batches:
         if bits.shape[1] != hypothesis.dim:
@@ -206,7 +165,6 @@ def agreement(
         matches=matches,
         n1=n1,
         hits1=hits1,
-        provenance=provenance,
     )
 
 
@@ -240,35 +198,16 @@ class LearnerConfig:
             )
 
 
-def load_examples(
-    examples: ExampleSource,
-) -> tuple[np.ndarray, np.ndarray, int | None, int | None]:
-    """Materialize (bits, labels); grid shape comes along when known.
+def load_examples(path: str) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(bits, labels, rows, cols) of a whole stream, read as one batch.
 
-    A stream is read as one batch, one unpackbits of its body, so the
-    unpacked examples are held once.
+    One unpackbits of the body, so the unpacked examples are held once.
     """
-    rows = cols = None
-    chunk = DEFAULT_CHUNK
-    if isinstance(examples, (str, os.PathLike)):
-        examples = StreamReader(os.fspath(examples))
-    if isinstance(examples, StreamReader):
-        rows, cols = examples.header.rows, examples.header.cols
-        chunk = max(len(examples), 1)
-    batches, _ = _normalize_batches(examples, chunk)
-    parts = list(batches)
-    if not parts or sum(b.shape[0] for b, _ in parts) == 0:
-        raise ValueError("no training examples")
-    if len(parts) == 1:
-        bits, labels = parts[0]
-    else:
-        bits = np.concatenate([b for b, _ in parts])
-        labels = np.concatenate([l for _, l in parts])
-    bits = np.asarray(bits, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    if bits.max(initial=0) > 1 or labels.max(initial=0) > 1:
-        raise ValueError("training bits and labels must be 0 or 1")
-    return bits, labels, rows, cols
+    reader = StreamReader(path)
+    hdr = reader.header
+    empty = (np.zeros((0, hdr.bits_per_example), np.uint8), np.zeros(0, np.uint8))
+    bits, labels = next(reader.read_batches(max(len(reader), 1)), empty)
+    return bits, labels, hdr.rows, hdr.cols
 
 
 # Scan-ahead walk of `perceptron_train`.  Stretches where mistakes come
@@ -312,12 +251,14 @@ def _active_indices(bits: np.ndarray) -> np.ndarray:
 
 
 def perceptron_train(
-    examples: ExampleSource,
+    examples: Batch,
     cfg: LearnerConfig = LearnerConfig(),
     rows: int | None = None,
     cols: int | None = None,
 ) -> Halfspace:
     """Train a halfspace on {0,1} features with a bias folded into theta.
+
+    The grid shape is rows x cols, or one row when it is not given.
 
     Mistake-driven updates on the +-1 margin, visiting examples in an order
     reshuffled each epoch from cfg.shuffle_seed.  With `averaged` the
@@ -351,12 +292,16 @@ def perceptron_train(
     elsewhere, which changes no entry because w and u never hold -0.0, so the
     weights are the same floats either way and so is the averaging identity.
     """
-    bits, labels, hdr_rows, hdr_cols = load_examples(examples)
+    bits = np.asarray(examples[0], dtype=np.uint8)
+    labels = np.asarray(examples[1], dtype=np.uint8)
+    if bits.ndim != 2 or labels.shape != (bits.shape[0],):
+        raise ValueError("expected (bits (n, dim), labels (n,)) arrays")
+    if bits.shape[0] == 0:
+        raise ValueError("no training examples")
+    if bits.max(initial=0) > 1 or labels.max() > 1:
+        raise ValueError("training bits and labels must be 0 or 1")
     if rows is None or cols is None:
-        if hdr_rows is not None:
-            rows, cols = hdr_rows, hdr_cols
-        else:
-            rows, cols = 1, bits.shape[1]
+        rows, cols = 1, bits.shape[1]
     if rows * cols != bits.shape[1]:
         raise ValueError(
             f"grid {rows}x{cols} does not match feature width {bits.shape[1]}"
@@ -518,25 +463,6 @@ def centered_threshold(spec: TestSpec, weights: np.ndarray) -> float:
     return float(np.sum(weights)) * base
 
 
-def random_regular_halfspace(
-    spec: TestSpec, master_seed: int, stream_id: int = 0, trial: int = 0
-) -> Halfspace:
-    """Centered probe with i.i.d. uniform(-1/2, 1/2) weights.
-
-    Bounded weights over a large grid keep every coordinate's share of the
-    norm small, and the centered threshold makes acceptance hover near 1/2
-    up to the conditional-mean gap under audit.
-    """
-    dim = spec.dim
-    rng = CursorRng(
-        master_seed, purpose_stream(stream_id, PURPOSE_MC), index=trial * dim
-    )
-    w = rng.uniforms(dim) - 0.5
-    return Halfspace.from_grid(
-        w.reshape(spec.k, spec.r), centered_threshold(spec, w)
-    )
-
-
 # ---------------------------------------------------------------------------
 # stream generation
 
@@ -559,15 +485,14 @@ def write_dict_test_stream(
     count: int,
     master_seed: int,
     stream_id: int = 0,
-    chunk: int = DEFAULT_CHUNK,
     extra_meta: str = "",
 ) -> None:
     meta = _spec_meta(spec, "dict-test", master_seed, stream_id)
     if extra_meta:
         meta += " " + extra_meta
     with StreamWriter(path, spec.k, spec.r, meta=meta) as out:
-        for start in range(0, count, chunk):
-            n = min(chunk, count - start)
+        for start in range(0, count, DEFAULT_CHUNK):
+            n = min(DEFAULT_CHUNK, count - start)
             bits, labels = dict_test_batch(spec, master_seed, stream_id, start, n)
             out.append_batch(bits, labels)
 
@@ -579,7 +504,6 @@ def write_reduction_stream(
     count: int,
     master_seed: int,
     stream_id: int = 0,
-    chunk: int = DEFAULT_CHUNK,
     extra_meta: str = "",
 ) -> None:
     """Unique instances use the permuted-grid sampler, general ones the
@@ -594,8 +518,8 @@ def write_reduction_stream(
     if extra_meta:
         meta += " " + extra_meta
     with StreamWriter(path, inst.num_vertices, cols, meta=meta) as out:
-        for start in range(0, count, chunk):
-            n = min(chunk, count - start)
+        for start in range(0, count, DEFAULT_CHUNK):
+            n = min(DEFAULT_CHUNK, count - start)
             bits, labels = sampler(inst, spec, master_seed, stream_id, start, n)
             out.append_batch(bits, labels)
 
@@ -719,45 +643,24 @@ def fold_record_files(paths: Sequence[str]) -> tuple[list[CheckRecord], ReportSu
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A named bundle of runs producing CheckRecords.
+    """One run of the dictatorship test on fresh grid samples.
 
-    kinds: 'completeness' (planted disjunction vs the closed form),
-    'soundness' (majority + optional random/learned probes, each decodable
-    when an instance and decoder are present), 'decode-planted' (the
-    end-to-end recovery check).
+    kinds: 'completeness' (the dictator OR against its closed form, plus a
+    floor on its agreement when `threshold` is set) and 'soundness' (the
+    majority probe's gap, asserted against `threshold` when it is set).
     """
 
     kind: str
     spec: TestSpec
     samples: int
     master_seed: int
-    stream_id: int = 0
-    chunk: int = DEFAULT_CHUNK
-    instance: LabelCoverInstance | None = None
-    labeling: Labeling | None = None
-    decoder: DecoderSpec | None = None
     threshold: float | None = None
-    random_probes: int = 0
-    learner: LearnerConfig | None = None
-    sigma_rule: float = 4.0
 
     def __post_init__(self):
-        if self.kind not in ("completeness", "soundness", "decode-planted"):
+        if self.kind not in ("completeness", "soundness"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.samples < 1 and self.kind != "decode-planted":
+        if self.samples < 1:
             raise ValueError("sample count must be positive")
-
-
-def _plan_sampler(plan: ExperimentPlan):
-    if plan.instance is None:
-        return lambda start, n: dict_test_batch(
-            plan.spec, plan.master_seed, plan.stream_id, start, n
-        )
-    inst = plan.instance
-    sampler = ug_reduce_batch if inst.unique else lc_reduce_batch
-    return lambda start, n: sampler(
-        inst, plan.spec, plan.master_seed, plan.stream_id, start, n
-    )
 
 
 def _plan_params(plan: ExperimentPlan, **extra) -> dict:
@@ -768,18 +671,15 @@ def _plan_params(plan: ExperimentPlan, **extra) -> dict:
         "n": plan.samples,
         "seed": plan.master_seed,
     }
-    if plan.instance is not None:
-        params["V"] = plan.instance.num_vertices
-        params["E"] = plan.instance.num_edges
     params.update(extra)
     return params
 
 
-def _plan_batches(plan: ExperimentPlan) -> BatchIter:
-    """The plan's examples, drawn plan.chunk at a time."""
-    sampler = _plan_sampler(plan)
-    for start in range(0, plan.samples, plan.chunk):
-        yield sampler(start, min(plan.chunk, plan.samples - start))
+def _plan_batches(plan: ExperimentPlan) -> Iterator[Batch]:
+    """The plan's examples, drawn DEFAULT_CHUNK at a time."""
+    for start in range(0, plan.samples, DEFAULT_CHUNK):
+        n = min(DEFAULT_CHUNK, plan.samples - start)
+        yield dict_test_batch(plan.spec, plan.master_seed, 0, start, n)
 
 
 def _identity_record(plan: ExperimentPlan, rep: AgreementReport, tag: str) -> CheckRecord:
@@ -793,67 +693,14 @@ def _identity_record(plan: ExperimentPlan, rep: AgreementReport, tag: str) -> Ch
     )
 
 
-def _probe_records(
-    plan: ExperimentPlan, name: str, hypothesis: Hypothesis
-) -> tuple[list[CheckRecord], AgreementReport]:
-    """Soundness probe: measured gap (asserted when a threshold is set),
-    plus decode-and-weak-satisfaction when an instance and decoder exist.
-    Also returns the probe's agreement report."""
-    rep = agreement(hypothesis, _plan_batches(plan))
-    # conditional means each carry ~ sqrt(1/4 / (n/2)) noise; their difference
-    # carries twice the pooled binomial sigma
-    gap_sigma = 2.0 * binomial_sigma(0.5, rep.count)
-    records = [
-        make_record(
-            f"soundness.{name}.gap",
-            _plan_params(plan, hyp=rep.hypothesis),
-            abs(rep.gap),
-            (
-                f"<= {plan.threshold!r} + {plan.sigma_rule}*sigma({gap_sigma:.2e})"
-                if plan.threshold is not None
-                else "reported"
-            ),
-            (
-                abs(rep.gap) <= plan.threshold + plan.sigma_rule * gap_sigma
-                if plan.threshold is not None
-                else None
-            ),
-        ),
-        _identity_record(plan, rep, f"soundness.{name}"),
-    ]
-    if plan.instance is not None and plan.decoder is not None:
-        h = hypothesis.as_halfspace() if isinstance(hypothesis, Disjunction) else hypothesis
-        decode = weak_sat_rate_of_decoder(
-            h, plan.decoder, plan.instance, plan.master_seed, plan.stream_id
-        )
-        records.append(
-            make_record(
-                f"soundness.{name}.decoded-weak-rate",
-                _plan_params(plan, t=plan.decoder.t, trials=plan.decoder.trials),
-                decode.weak_rate,
-                "reported",
-                None,
-            )
-        )
-    return records, rep
-
-
 def run_experiment(plan: ExperimentPlan) -> list[CheckRecord]:
     if plan.kind == "completeness":
-        if plan.instance is not None and plan.labeling is None:
-            raise ValueError("completeness on an instance needs the planted labeling")
-        if plan.instance is not None:
-            hyp: Hypothesis = planted_disjunction(plan.labeling)
-        else:
-            hyp = Disjunction(
-                literals=frozenset((i, 0) for i in range(plan.spec.k)),
-                rows=plan.spec.k,
-                cols=plan.spec.r,
-            )
+        k, r = plan.spec.k, plan.spec.r
+        dictator = Disjunction(literals=frozenset((i, 0) for i in range(k)), rows=k, cols=r)
         predicted = or_acceptance_closed_form(plan.spec)
-        rep = agreement(hyp, _plan_batches(plan))
+        rep = agreement(dictator, _plan_batches(plan))
         sigma = binomial_sigma(predicted, rep.count)
-        tol = plan.sigma_rule * sigma + plan.sigma_rule / rep.count
+        tol = SIGMA_RULE * sigma + SIGMA_RULE / rep.count
         records = [
             make_record(
                 "completeness.acceptance",
@@ -876,74 +723,22 @@ def run_experiment(plan: ExperimentPlan) -> list[CheckRecord]:
             )
         return records
 
-    if plan.kind == "soundness":
-        if plan.instance is None:
-            probe = majority_halfspace(plan.spec)
-        else:
-            # all-ones probe over the instance grid; off-edge blocks are zero
-            # so for unique instances the bit-sum law (and the optimal integer
-            # threshold) is exactly the grid test's
-            theta, _ = majority_threshold(plan.spec)
-            scale = 1.0 if plan.instance.unique else plan.instance.m / plan.instance.n
-            probe = Halfspace.from_grid(
-                np.ones((plan.instance.num_vertices, plan.instance.m)),
-                theta * scale,
-            )
-        records, _ = _probe_records(plan, "majority", probe)
-        for trial in range(plan.random_probes):
-            probe = random_regular_halfspace(
-                plan.spec, plan.master_seed, plan.stream_id, trial
-            )
-            sub = replace(plan, threshold=None)
-            records.extend(_probe_records(sub, f"random{trial}", probe)[0])
-        if plan.learner is not None:
-            sampler = _plan_sampler(plan)
-            bits, labels = sampler(0, min(plan.samples, 20000))
-            rows = plan.spec.k if plan.instance is None else plan.instance.num_vertices
-            learned = perceptron_train(
-                (bits, labels), plan.learner, rows=rows, cols=bits.shape[1] // rows
-            )
-            sub = replace(plan, threshold=None)
-            learned_records, rep = _probe_records(sub, "learned", learned)
-            trivial = max(rep.n1, rep.n0) / rep.count
-            learned_records.append(
-                make_record(
-                    "soundness.learned.vs-trivial",
-                    _plan_params(plan),
-                    rep.rate - trivial,
-                    "reported (learned minus best-constant agreement)",
-                    None,
-                )
-            )
-            records.extend(learned_records)
-        return records
-
-    # decode-planted
-    if plan.instance is None or plan.labeling is None or plan.decoder is None:
-        raise ValueError("decode-planted needs instance, labeling, and decoder")
-    h = planted_disjunction(plan.labeling).as_halfspace()
-    decode = weak_sat_rate_of_decoder(
-        h, plan.decoder, plan.instance, plan.master_seed, plan.stream_id
-    )
-    recovered = decode_labeling(
-        h, plan.decoder, plan.master_seed, plan.stream_id, trial=0
-    )
-    exact = bool(
-        np.array_equal(recovered.assignment, plan.labeling.assignment)
-    )
+    rep = agreement(majority_halfspace(plan.spec), _plan_batches(plan))
+    # conditional means each carry ~ sqrt(1/4 / (n/2)) noise; their
+    # difference carries twice the pooled binomial sigma
+    gap_sigma = 2.0 * binomial_sigma(0.5, rep.count)
+    asserted = plan.threshold is not None
     return [
         make_record(
-            "decode.weak-rate",
-            _plan_params(plan, t=plan.decoder.t, trials=plan.decoder.trials),
-            decode.weak_rate,
-            ">= 1.0" if plan.decoder.t == 1 else "reported",
-            decode.weak_rate >= 1.0 if plan.decoder.t == 1 else None,
+            "soundness.majority.gap",
+            _plan_params(plan, hyp=rep.hypothesis),
+            abs(rep.gap),
+            (
+                f"<= {plan.threshold!r} + {SIGMA_RULE}*sigma({gap_sigma:.2e})"
+                if asserted
+                else "reported"
+            ),
+            abs(rep.gap) <= plan.threshold + SIGMA_RULE * gap_sigma if asserted else None,
         ),
-        make_record(
-            "decode.recovers-planted",
-            _plan_params(plan, t=plan.decoder.t),
-            1.0 if exact else 0.0,
-            "== 1 (t=1 list decoding is exact)" if plan.decoder.t == 1 else "reported",
-            exact if plan.decoder.t == 1 else None,
-        ),
+        _identity_record(plan, rep, "soundness.majority"),
     ]

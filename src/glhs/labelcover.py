@@ -41,6 +41,7 @@ line-by-line parser, so the fast path changes no result and no diagnostic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,18 @@ _LAB_VERSION = 1
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _int32_below(values, bound: int, message: str) -> np.ndarray:
+    """values as a contiguous int32 array, each checked to lie in [0, bound).
+
+    The check runs before the cast, which would wrap larger values.
+    """
+    arr = np.asarray(values)
+    bound = min(bound, int(np.iinfo(np.int32).max) + 1)
+    if arr.size and not (arr.min() >= 0 and arr.max() < bound):
+        raise ValueError(message)
+    return np.ascontiguousarray(arr, dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -86,8 +99,8 @@ class LabelCoverInstance:
             raise ValueError(
                 f"label sizes must satisfy M >= N >= 1, got M={self.m}, N={self.n}"
             )
-        edges = np.ascontiguousarray(np.asarray(self.edges, dtype=np.int32))
-        proj = np.ascontiguousarray(np.asarray(self.projections, dtype=np.int32))
+        edges = _int32_below(self.edges, self.num_vertices, "edge vertex id out of range")
+        proj = _int32_below(self.projections, self.n, "projection value out of range [0, N)")
         if edges.ndim != 2 or edges.shape[1] != self.k:
             raise ValueError(f"edges must be (E, {self.k}), got {edges.shape}")
         if proj.shape != (edges.shape[0], self.k, self.m):
@@ -95,10 +108,6 @@ class LabelCoverInstance:
                 f"projections must be ({edges.shape[0]}, {self.k}, {self.m}), "
                 f"got {proj.shape}"
             )
-        if edges.size and (edges.min() < 0 or edges.max() >= self.num_vertices):
-            raise ValueError("edge vertex id out of range")
-        if proj.size and (proj.min() < 0 or proj.max() >= self.n):
-            raise ValueError("projection value out of range [0, N)")
         object.__setattr__(self, "edges", _readonly(edges))
         object.__setattr__(self, "projections", _readonly(proj))
 
@@ -123,11 +132,9 @@ class Labeling:
     m: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.assignment, dtype=np.int32))
+        arr = _int32_below(self.assignment, self.m, f"labels must lie in [0, {self.m})")
         if arr.ndim != 1:
             raise ValueError("assignment must be one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.m):
-            raise ValueError(f"labels must lie in [0, {self.m})")
         object.__setattr__(self, "assignment", _readonly(arr))
 
     @property
@@ -156,8 +163,8 @@ class BipartiteInstance:
             raise ValueError(
                 f"label sizes must satisfy M >= N >= 1, got M={self.m}, N={self.n}"
             )
-        nb = np.ascontiguousarray(np.asarray(self.neighbors, dtype=np.int32))
-        proj = np.ascontiguousarray(np.asarray(self.projections, dtype=np.int32))
+        nb = _int32_below(self.neighbors, self.num_v, "neighbor vertex id out of range")
+        proj = _int32_below(self.projections, self.n, "projection value out of range [0, N)")
         if nb.ndim != 2 or nb.shape[0] != self.num_w:
             raise ValueError(f"neighbors must be ({self.num_w}, degree)")
         if nb.shape[1] < 1:
@@ -166,10 +173,6 @@ class BipartiteInstance:
             raise ValueError(
                 f"projections must be {(*nb.shape, self.m)}, got {proj.shape}"
             )
-        if nb.size and (nb.min() < 0 or nb.max() >= self.num_v):
-            raise ValueError("neighbor vertex id out of range")
-        if proj.size and (proj.min() < 0 or proj.max() >= self.n):
-            raise ValueError("projection value out of range [0, N)")
         object.__setattr__(self, "neighbors", _readonly(nb))
         object.__setattr__(self, "projections", _readonly(proj))
 
@@ -567,24 +570,29 @@ class InstanceFormatError(ValueError):
 _INT32 = np.iinfo(np.int32)
 
 
-def _content_lines(path: str) -> list[str]:
-    """The file's lines without their newlines, blank lines dropped."""
+def _content_lines(path: str) -> tuple[list[str], list[int]]:
+    """The file's non-blank lines without their newlines, and the physical
+    (1-based) line number of each, plus one past the last: a diagnostic
+    names the line as an editor shows it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [ln for ln in fh.read().split("\n") if ln.strip()]
+        raw = fh.read().split("\n")
+    keep = list(map(str.strip, raw))  # an empty string drops its line
+    numbers = list(itertools.compress(range(1, len(raw) + 1), keep))
+    return list(itertools.compress(raw, keep)), numbers + [numbers[-1] + 1 if numbers else 1]
 
 
-def _header_version(lines: list[str], magic: str) -> tuple[str, int]:
-    """The version token on line 1, as written and as an integer."""
+def _header_version(lines: list[str], numbers: list[int], magic: str) -> tuple[str, int]:
+    """The version token of the first line, as written and as an integer."""
     if not lines or not lines[0].startswith(f"{magic} "):
-        raise InstanceFormatError(f"line 1: missing '{magic}' header")
+        raise InstanceFormatError(f"line {numbers[0]}: missing '{magic}' header")
     parts = lines[0].split()
     if len(parts) < 2:
-        raise InstanceFormatError(f"line 1: missing '{magic}' version")
+        raise InstanceFormatError(f"line {numbers[0]}: missing '{magic}' version")
     try:
         return parts[1], int(parts[1])
     except ValueError:
         raise InstanceFormatError(
-            f"line 1: non-integer version {parts[1]!r}"
+            f"line {numbers[0]}: non-integer version {parts[1]!r}"
         ) from None
 
 
@@ -605,13 +613,15 @@ def _parse_ints(line: str, lineno: int, prefix: str, count: int | None) -> list[
     return vals
 
 
-def _line_ints(lines: list[str], i: int, prefix: str, count: int) -> list[int]:
+def _line_ints(
+    lines: list[str], numbers: list[int], i: int, prefix: str, count: int
+) -> list[int]:
     """`_parse_ints` of lines[i], which must exist."""
     if i >= len(lines):
         raise InstanceFormatError(
-            f"line {i + 1}: expected '{prefix} ...', got end of file"
+            f"line {numbers[i]}: expected '{prefix} ...', got end of file"
         )
-    return _parse_ints(lines[i], i + 1, prefix, count)
+    return _parse_ints(lines[i], numbers[i], prefix, count)
 
 
 def _fast_block(lines: list[str], prefix: str, width: int) -> np.ndarray | None:
@@ -642,24 +652,24 @@ def _fast_block(lines: list[str], prefix: str, width: int) -> np.ndarray | None:
     return vals.reshape(len(lines), width)
 
 
-def _read_edges(lines: list[str], k: int) -> np.ndarray:
-    """(E, k) vertex ids of the `e` lines; the first is file line 6."""
+def _read_edges(lines: list[str], numbers: list[int], k: int) -> np.ndarray:
+    """(E, k) vertex ids of the `e` lines, at file lines `numbers`."""
     fast = _fast_block(lines, "e", k)
     if fast is not None:
         return fast.astype(np.int32)
     edges = np.empty((len(lines), k), dtype=np.int32)
-    for e, line in enumerate(lines):
-        vals = _parse_ints(line, 6 + e, "e", k)
+    for e, (line, lineno) in enumerate(zip(lines, numbers)):
+        vals = _parse_ints(line, lineno, "e", k)
         if any(not _INT32.min <= v <= _INT32.max for v in vals):
-            raise InstanceFormatError(f"line {6 + e}: edge vertex id out of range")
+            raise InstanceFormatError(f"line {lineno}: edge vertex id out of range")
         edges[e] = vals
     return edges
 
 
 def _read_projections(
-    lines: list[str], first: int, ne: int, k: int, m: int, n: int
+    lines: list[str], numbers: list[int], ne: int, k: int, m: int, n: int
 ) -> tuple[np.ndarray, str | None]:
-    """(E, k, M) projections of the `p` lines, which start at file line first.
+    """(E, k, M) projections of the `p` lines, at file lines `numbers`.
 
     Also returns a diagnostic for the first line that repeats an (e, s)
     index, or None.  The fast path takes the lines only in writer order.
@@ -674,8 +684,7 @@ def _read_projections(
         return fast[:, 2:].astype(np.int32).reshape(ne, k, m), None
     rows = {}
     repeat = None
-    for i, line in enumerate(lines):
-        lineno = first + i
+    for line, lineno in zip(lines, numbers):
         vals = _parse_ints(line, lineno, "p", 2 + m)
         e, s = vals[0], vals[1]
         if not (0 <= e < ne and 0 <= s < k):
@@ -700,30 +709,34 @@ def _read_projections(
 
 def read_instance(path: str) -> LabelCoverInstance:
     """Parse a `write_instance` file; InstanceFormatError names the bad line."""
-    lines = _content_lines(path)
-    version, number = _header_version(lines, _LC_MAGIC)
+    lines, numbers = _content_lines(path)
+    version, number = _header_version(lines, numbers, _LC_MAGIC)
     if number != _LC_VERSION:
-        raise InstanceFormatError(f"line 1: unsupported version {version}")
-    k = _line_ints(lines, 1, "k", 1)[0]
-    nv = _line_ints(lines, 2, "vertices", 1)[0]
-    m, n = _line_ints(lines, 3, "labels", 2)
+        raise InstanceFormatError(f"line {numbers[0]}: unsupported version {version}")
+    k = _line_ints(lines, numbers, 1, "k", 1)[0]
+    nv = _line_ints(lines, numbers, 2, "vertices", 1)[0]
+    m, n = _line_ints(lines, numbers, 3, "labels", 2)
     if m < n:
-        raise InstanceFormatError(f"line 4: M={m} must be at least N={n}")
-    ne = _line_ints(lines, 4, "edges", 1)[0]
+        raise InstanceFormatError(f"line {numbers[3]}: M={m} must be at least N={n}")
+    ne = _line_ints(lines, numbers, 4, "edges", 1)[0]
     expected = 5 + ne + ne * k
     if len(lines) != expected:
         raise InstanceFormatError(
             f"expected {expected} lines for {ne} edges of arity {k}, got {len(lines)}"
         )
     if k < 0:
-        raise InstanceFormatError(f"line 2: edge arity must be at least 2, got {k}")
+        raise InstanceFormatError(
+            f"line {numbers[1]}: edge arity must be at least 2, got {k}"
+        )
     try:
-        edges = _read_edges(lines[5 : 5 + ne], k)
+        edges = _read_edges(lines[5 : 5 + ne], numbers[5 : 5 + ne], k)
         if m < 0:
             raise InstanceFormatError(
-                f"line 4: label sizes must satisfy M >= N >= 1, got M={m}, N={n}"
+                f"line {numbers[3]}: label sizes must satisfy M >= N >= 1, got M={m}, N={n}"
             )
-        proj, repeat = _read_projections(lines[5 + ne :], 6 + ne, ne, k, m, n)
+        proj, repeat = _read_projections(
+            lines[5 + ne :], numbers[5 + ne :], ne, k, m, n
+        )
         inst = LabelCoverInstance(
             k=k, num_vertices=nv, m=m, n=n, edges=edges, projections=proj
         )
@@ -745,13 +758,13 @@ def write_labeling(lab: Labeling, path: str) -> None:
 
 
 def read_labeling(path: str) -> Labeling:
-    lines = _content_lines(path)
-    if _header_version(lines, _LAB_MAGIC)[1] != _LAB_VERSION:
-        raise InstanceFormatError("line 1: unsupported labeling version")
-    nv = _line_ints(lines, 1, "vertices", 1)[0]
-    m = _line_ints(lines, 2, "labels", 1)[0]
-    assignment = _line_ints(lines, 3, "a", nv)
+    lines, numbers = _content_lines(path)
+    if _header_version(lines, numbers, _LAB_MAGIC)[1] != _LAB_VERSION:
+        raise InstanceFormatError(f"line {numbers[0]}: unsupported labeling version")
+    nv = _line_ints(lines, numbers, 1, "vertices", 1)[0]
+    m = _line_ints(lines, numbers, 2, "labels", 1)[0]
+    assignment = _line_ints(lines, numbers, 3, "a", nv)
     try:
-        return Labeling(assignment=np.asarray(assignment, dtype=np.int32), m=m)
-    except (ValueError, OverflowError) as exc:
+        return Labeling(assignment=assignment, m=m)
+    except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc

@@ -41,9 +41,9 @@ from glhs.halfspace import (
 )
 from glhs.harness import (
     AgreementReport,
+    agreement,
     centered_threshold,
     exact_majority_gap,
-    hypothesis_id,
     linear_statistic_gap_exact,
     majority_halfspace,
     majority_threshold,
@@ -120,23 +120,8 @@ def _budget(failures: list[str], t0: float, limit: float) -> float:
 
 def _stream_agreement(hyp, sampler, total: int, chunk: int) -> AgreementReport:
     """Exact agreement over `total` examples drawn in chunks from `sampler`."""
-    count = matches = n1 = hits1 = 0
-    for start in range(0, total, chunk):
-        cnt = min(chunk, total - start)
-        bits, labels = sampler(start, cnt)
-        preds = hyp.evaluate(bits)
-        count += labels.size
-        matches += int((preds == labels).sum())
-        ones = labels == 1
-        n1 += int(ones.sum())
-        hits1 += int(preds[ones].sum())
-    return AgreementReport(
-        hypothesis=hypothesis_id(hyp),
-        count=count,
-        matches=matches,
-        n1=n1,
-        hits1=hits1,
-        provenance="inline-batches",
+    return agreement(
+        hyp, (sampler(start, min(chunk, total - start)) for start in range(0, total, chunk))
     )
 
 

@@ -196,6 +196,8 @@ class TestCriticalIndex:
         ),
         st.floats(min_value=0.05, max_value=1.0),
     )
+    # a near-tie: the running tail norm rounds up to 1.0, math.hypot does not
+    @example(np.array([0.0, 0.0] + [1 / 3] * 9), 1 / 3)
     @settings(max_examples=120, deadline=None)
     def test_matches_direct_restatement(self, w, tau):
         assert critical_index(w, tau).c_tau == _oracle_critical_index(w.tolist(), tau)

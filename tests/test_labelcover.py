@@ -82,6 +82,32 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             Labeling(assignment=np.array([0, 3], dtype=np.int32), m=2)
 
+    # an int32 cast would wrap 2**32 to 0 and 2**32 + 1 to 1, both in range
+    def test_instance_values_beyond_int32_are_rejected(self):
+        proj = np.array([[[0, 1], [0, 1]]])
+        with pytest.raises(ValueError, match="vertex id out of range"):
+            LabelCoverInstance(k=2, num_vertices=3, m=2, n=2,
+                               edges=np.array([[2**32, 1]]), projections=proj)
+        proj[0, 1, 0] = 2**32
+        with pytest.raises(ValueError, match="projection value out of range"):
+            LabelCoverInstance(k=2, num_vertices=3, m=2, n=2,
+                               edges=np.array([[0, 1]]), projections=proj)
+
+    def test_labeling_values_beyond_int32_are_rejected(self):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            Labeling(assignment=[2**32 + 1], m=3)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            Labeling(assignment=np.array([0, 2**32 + 1]), m=3)
+
+    def test_bipartite_values_beyond_int32_are_rejected(self):
+        proj = np.array([[[0, 1]]])
+        with pytest.raises(ValueError, match="neighbor vertex id out of range"):
+            BipartiteInstance(num_w=1, num_v=2, m=2, n=2,
+                              neighbors=np.array([[2**32]]), projections=proj)
+        with pytest.raises(ValueError, match="projection value out of range"):
+            BipartiteInstance(num_w=1, num_v=2, m=2, n=2,
+                              neighbors=np.array([[1]]), projections=proj + 2**32)
+
     def test_arrays_are_readonly(self):
         inst = _tiny_instance()
         with pytest.raises(ValueError):
@@ -505,27 +531,33 @@ def _reference_parse_ints(line, lineno, prefix, count):
     return vals
 
 
+def _reference_content_lines(path):
+    """Non-blank lines and their 1-based physical line numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        numbered = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+    return [ln for _, ln in numbered], [i for i, _ in numbered]
+
+
 def _reference_read_instance(path):
     """The per-line reader `read_instance` replaced.
 
     Two changes define what the old one left undefined: projection rows a
     file omits are zero instead of uninitialised, and once the instance
     validates, a repeated (e, s) index is rejected at its first repeat.
+    Diagnostics name physical file lines, counting the blank ones.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+    lines, nos = _reference_content_lines(path)
     if not lines or not lines[0].startswith("GLHS-LC "):
-        raise InstanceFormatError("line 1: missing 'GLHS-LC' header")
+        raise InstanceFormatError(f"line {nos[0] if nos else 1}: missing 'GLHS-LC' header")
     version = lines[0].split()[1]
     if int(version) != 1:
-        raise InstanceFormatError(f"line 1: unsupported version {version}")
-    k = _reference_parse_ints(lines[1], 2, "k", 1)[0]
-    nv = _reference_parse_ints(lines[2], 3, "vertices", 1)[0]
-    m, n = _reference_parse_ints(lines[3], 4, "labels", 2)
+        raise InstanceFormatError(f"line {nos[0]}: unsupported version {version}")
+    k = _reference_parse_ints(lines[1], nos[1], "k", 1)[0]
+    nv = _reference_parse_ints(lines[2], nos[2], "vertices", 1)[0]
+    m, n = _reference_parse_ints(lines[3], nos[3], "labels", 2)
     if m < n:
-        raise InstanceFormatError(f"line 4: M={m} must be at least N={n}")
-    ne = _reference_parse_ints(lines[4], 5, "edges", 1)[0]
+        raise InstanceFormatError(f"line {nos[3]}: M={m} must be at least N={n}")
+    ne = _reference_parse_ints(lines[4], nos[4], "edges", 1)[0]
     expected = 5 + ne + ne * k
     if len(lines) != expected:
         raise InstanceFormatError(
@@ -533,24 +565,23 @@ def _reference_read_instance(path):
         )
     edges = np.empty((ne, k), dtype=np.int32)
     for e in range(ne):
-        edges[e] = _reference_parse_ints(lines[5 + e], 6 + e, "e", k)
+        edges[e] = _reference_parse_ints(lines[5 + e], nos[5 + e], "e", k)
     proj = np.zeros((ne, k, m), dtype=np.int32)
     seen = {}
-    for i in range(ne * k):
-        lineno = 5 + ne + i
-        vals = _reference_parse_ints(lines[lineno], lineno + 1, "p", 2 + m)
+    for i in range(5 + ne, 5 + ne + ne * k):
+        vals = _reference_parse_ints(lines[i], nos[i], "p", 2 + m)
         e, s = vals[0], vals[1]
         if not (0 <= e < ne and 0 <= s < k):
             raise InstanceFormatError(
-                f"line {lineno + 1}: projection index ({e}, {s}) out of range"
+                f"line {nos[i]}: projection index ({e}, {s}) out of range"
             )
         row = vals[2:]
         if any(not 0 <= t < n for t in row):
             raise InstanceFormatError(
-                f"line {lineno + 1}: projection value outside [0, {n})"
+                f"line {nos[i]}: projection value outside [0, {n})"
             )
         proj[e, s] = row
-        seen.setdefault((e, s), []).append(lineno + 1)
+        seen.setdefault((e, s), []).append(nos[i])
     try:
         inst = LabelCoverInstance(
             k=k, num_vertices=nv, m=m, n=n, edges=edges, projections=proj
@@ -565,15 +596,14 @@ def _reference_read_instance(path):
 
 
 def _reference_read_labeling(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines, nos = _reference_content_lines(path)
     if not lines or not lines[0].startswith("GLHS-LAB "):
-        raise InstanceFormatError("line 1: missing 'GLHS-LAB' header")
+        raise InstanceFormatError(f"line {nos[0] if nos else 1}: missing 'GLHS-LAB' header")
     if int(lines[0].split()[1]) != 1:
-        raise InstanceFormatError("line 1: unsupported labeling version")
-    nv = _reference_parse_ints(lines[1], 2, "vertices", 1)[0]
-    m = _reference_parse_ints(lines[2], 3, "labels", 1)[0]
-    assignment = _reference_parse_ints(lines[3], 4, "a", nv)
+        raise InstanceFormatError(f"line {nos[0]}: unsupported labeling version")
+    nv = _reference_parse_ints(lines[1], nos[1], "vertices", 1)[0]
+    m = _reference_parse_ints(lines[2], nos[2], "labels", 1)[0]
+    assignment = _reference_parse_ints(lines[3], nos[3], "a", nv)
     return Labeling(assignment=np.asarray(assignment, dtype=np.int32), m=m)
 
 
@@ -706,6 +736,28 @@ class TestHostileFiles:
         assert str(got.value) == message
         assert main(["verify", "smoothness", "--instance", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_diagnostics_count_blank_lines(self, tmp_path):
+        # the bad `e` line is physical line 7, the 6th non-blank one
+        path = tmp_path / "blank.lc"
+        path.write_text(
+            "GLHS-LC 1\n\nk 2\nvertices 2\nlabels 2 2\nedges 1\ne 0 x\n"
+            "p 0 0 0 1\np 0 1 0 1\n"
+        )
+        with pytest.raises(InstanceFormatError) as got:
+            read_instance(str(path))
+        assert str(got.value) == "line 7: non-integer field: invalid literal for int() with base 10: 'x'"
+        _assert_reader_matches(read_instance, _reference_read_instance, str(path),
+                               _same_instance)
+        path = tmp_path / "blank.lab"
+        path.write_text("\nGLHS-LAB 1\nvertices 2\n\n\nlabels 2\na 0 x\n")
+        with pytest.raises(InstanceFormatError, match="^line 7: non-integer field"):
+            read_labeling(str(path))
+        _assert_reader_matches(read_labeling, _reference_read_labeling, str(path),
+                               _same_labeling)
+        path.write_text("GLHS-LAB 1\nvertices 2\nlabels 2\n\n\n")
+        with pytest.raises(InstanceFormatError, match="^line 4: expected 'a ...', got end"):
+            read_labeling(str(path))
 
     def test_short_labeling(self, tmp_path):
         path = tmp_path / "short.lab"

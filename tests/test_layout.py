@@ -1,12 +1,19 @@
-"""Dead-code guard: every top-level library name has a user.
+"""Layout guards: every top-level library name has a user, and every name
+the benchmark's tracer wraps exists.
 
 A name defined at the top level of a `glhs` module other than `__init__`
 must be referenced, outside its own definition, by a library module other
 than `__init__` or by the acceptance tests.  A helper that only unit tests
 call belongs in those tests.
+
+`perfbench/tracer.py` wraps glhs functions and methods by name, so renaming
+or deleting one of them breaks the benchmark; the second guard fails first.
 """
 
 import ast
+import importlib
+import inspect
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +56,21 @@ def test_every_library_name_has_a_user():
                 if name not in elsewhere and name not in own
             ]
     assert not unused, f"library names with no user outside unit tests: {unused}"
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    missing = []
+    for target in tracer.TARGETS:
+        obj = importlib.import_module(target.module)
+        for part in target.attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{target.module}.{target.attr}")
+    assert not missing, f"traced names that no longer exist: {missing}"
+    # the tracer reads the learner config as the second positional argument
+    from glhs.harness import perceptron_train
+
+    assert list(inspect.signature(perceptron_train).parameters)[1] == "cfg"
