@@ -43,6 +43,7 @@ from .halfspace import (
     Halfspace,
     check_geometric_decay,
     critical_index,
+    drop_top,
     read_halfspace,
     regularizing_prefix,
     sgn,
@@ -95,11 +96,11 @@ from .labelcover import (
 from .reduction import (
     DecoderSpec,
     TestSpec,
+    collision_mass,
     decode_labeling,
     dict_test_batch,
     edge_niceness_audit,
     lc_reduce_batch,
-    niceness_value,
     or_acceptance_closed_form,
     planted_disjunction,
     truncation_shift,

@@ -48,9 +48,8 @@ from .concentration import (
 from .halfspace import (
     check_geometric_decay,
     critical_index,
+    drop_top,
     read_halfspace,
-    regularizing_prefix,
-    truncate,
     write_halfspace,
 )
 from .harness import (
@@ -165,10 +164,30 @@ def _seed(args: argparse.Namespace, default: int | None = None) -> int:
     if default is None:
         seed = int(_require(args, "seed"))
     else:
-        seed = int(getattr(args, "seed", None) or default)
+        value = getattr(args, "seed", None)
+        seed = int(default if value is None else value)
     if not 0 <= seed <= MASK64:
         raise CliError(f"--seed must be in [0, 2^64), got {seed}")
     return seed
+
+
+def _opt(args: argparse.Namespace, name: str, default, cast, ok, need: str):
+    """An optional flag: `default` when unset (0 is a value, not unset), else
+    the cast value, which must satisfy `ok`."""
+    value = getattr(args, name, None)
+    value = default if value is None else cast(value)
+    if not ok(value):
+        raise CliError(f"--{name.replace('_', '-')} must be {need}, got {value}")
+    return value
+
+
+def _at_least(args: argparse.Namespace, name: str, default: int, low: int = 1) -> int:
+    return _opt(args, name, default, int, lambda v: v >= low, f">= {low}")
+
+
+def _unit(args: argparse.Namespace, name: str, default: float) -> float:
+    """A rate or a tau: a float in (0, 1]."""
+    return _opt(args, name, default, float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 def _count(args: argparse.Namespace, name: str) -> int:
@@ -196,7 +215,7 @@ def _resolve_gadget(args: argparse.Namespace) -> tuple[TestSpec, dict]:
         d0, d1 = completeness_pair(k, eps, p)
     else:
         d0, d1 = build_pair(k, eps, p)
-    r = int(getattr(args, "r", None) or 1)
+    r = _at_least(args, "r", 1)
     spec = TestSpec(
         d0=d0,
         d1=d1,
@@ -298,7 +317,7 @@ def _cmd_sample(args: argparse.Namespace, require_instance: bool) -> int:
     seed = _seed(args)
     out = _require(args, "out")
     count = _count(args, "count")
-    stream_id = int(getattr(args, "stream_id", None) or 0)
+    stream_id = _at_least(args, "stream_id", 0, low=0)
     inst_path = getattr(args, "instance", None)
     if require_instance and not inst_path:
         raise CliError("--instance is required for reduce")
@@ -422,40 +441,36 @@ def _random_decaying_vector(rng: CursorRng, dim: int, ratio: float) -> np.ndarra
     return np.asarray(mags) * signs
 
 
+# verify critical-index draws and checks its vectors this many cells at a time
+_VECTOR_BLOCK_CELLS = 1 << 18
+
+
 def _cmd_verify_critical_index(args: argparse.Namespace) -> int:
     seed = _seed(args, default=0)
-    count = int(getattr(args, "count", None) or 1000)
-    dim = int(getattr(args, "dim", None) or 32)
-    tau = float(getattr(args, "tau", None) or 0.25)
+    count = _at_least(args, "count", 1000)
+    dim = _at_least(args, "dim", 32)
+    tau = _unit(args, "tau", 0.25)
     echo = {"count": count, "dim": dim, "tau": tau, "seed": seed}
     rng = _aux_rng(seed)
     chain_fail = minimal_fail = 0
     minimality_checked = 0
-    for _ in range(count):
-        w = np.asarray(rng.uniforms(dim)) - 0.5
+    step = max(1, _VECTOR_BLOCK_CELLS // dim)
+    for lo in range(0, count, step):
+        # one cursor, so a block of rows reads the words of one vector after another
+        rows = min(step, count - lo)
+        w = np.asarray(rng.uniforms(rows * dim)).reshape(rows, dim) - 0.5
         report = critical_index(w, tau)
-        limit = (report.c_tau if report.c_tau != float("inf") else dim) - 1
-        limit = int(min(limit, dim - 1))
-        if limit >= 0:
-            if not check_geometric_decay(w, tau, limit):
-                chain_fail += 1
-        if not 2 <= report.c_tau < float("inf"):
-            continue
-        minimality_checked += 1
-        prefix = regularizing_prefix(w, tau)
-        rest = w - truncate(w, prefix)
-        keep = np.ones(dim, dtype=bool)
-        keep[prefix] = False
-        if critical_index(rest[keep], tau).c_tau != 1:
-            minimal_fail += 1
-            continue
-        if prefix.size >= 1:
-            shorter = prefix[:-1]
-            rest2 = w - truncate(w, shorter)
-            keep2 = np.ones(dim, dtype=bool)
-            keep2[shorter] = False
-            if critical_index(rest2[keep2], tau).c_tau == 1:
-                minimal_fail += 1
+        limit = np.minimum(report.prefix_size, dim - 1)
+        chain_fail += sum(not check for check in check_geometric_decay(w, tau, limit))
+        # prefix minimality, on the rows with 2 <= c_tau < inf: zeroing the
+        # c_tau - 1 largest magnitudes leaves a regular vector, and zeroing
+        # one fewer does not
+        sel = (report.c_tau >= 2) & np.isfinite(report.c_tau)
+        order, cut = report.order[sel], report.prefix_size[sel]
+        rest = critical_index(drop_top(w[sel], order, cut), tau)
+        longer = critical_index(drop_top(w[sel], order, cut - 1), tau)
+        minimality_checked += len(cut)
+        minimal_fail += int(np.count_nonzero(~rest.is_regular | longer.is_regular))
     records = [
         make_record(
             "critical-index.decay-chain", echo, chain_fail, "== 0 failures",
@@ -472,10 +487,10 @@ def _cmd_verify_critical_index(args: argparse.Namespace) -> int:
 
 def _cmd_verify_small_ball(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    cases = int(getattr(args, "cases", None) or 100)
-    t = int(getattr(args, "t", None) or 12)
-    gamma = float(getattr(args, "gamma", None) or 0.25)
-    trials = int(getattr(args, "trials", None) or 20000)
+    cases = _at_least(args, "cases", 100)
+    t = _at_least(args, "t", 12)
+    gamma = _unit(args, "gamma", 0.25)
+    trials = _at_least(args, "trials", 20000)
     echo = {"cases": cases, "t": t, "gamma": gamma, "trials": trials, "seed": seed}
     rng = _aux_rng(seed)
     unique_fail = ball_fail = 0
@@ -520,10 +535,10 @@ def _regular_unit_vector(rng: CursorRng, tau: float) -> np.ndarray:
 
 def _cmd_verify_spread(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    cases = int(getattr(args, "cases", None) or 20)
-    gamma = float(getattr(args, "gamma", None) or 0.2)
-    tau = float(getattr(args, "tau", None) or 0.2)
-    trials = int(getattr(args, "trials", None) or 20000)
+    cases = _at_least(args, "cases", 20)
+    gamma = _unit(args, "gamma", 0.2)
+    tau = _unit(args, "tau", 0.2)
+    trials = _at_least(args, "trials", 20000)
     echo = {"cases": cases, "gamma": gamma, "tau": tau, "trials": trials, "seed": seed}
     rng = _aux_rng(seed)
     spread_fail = mass_fail = 0
@@ -562,8 +577,8 @@ _MICRO_GADGETS = ((12, "0.82", "0.25"), (16, "0.78", "0.25"), (24, "0.7", "0.25"
 
 def _cmd_verify_invariance(args: argparse.Namespace) -> int:
     seed = _seed(args, default=0)
-    families = int(getattr(args, "families", None) or 50)
-    r = int(getattr(args, "r", None) or 4)
+    families = _at_least(args, "families", 50)
+    r = _at_least(args, "r", 4)
     if r > 6:
         raise CliError("verify invariance is exhaustive; r must stay <= 6")
     echo = {"families": families, "r": r, "seed": seed}
@@ -685,8 +700,8 @@ def _cmd_verify_niceness(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     stream = _require(args, "stream")
     cfg = LearnerConfig(
-        epochs=int(getattr(args, "epochs", None) or 5),
-        rate=float(getattr(args, "rate", None) or 1.0),
+        epochs=_at_least(args, "epochs", 5),
+        rate=_opt(args, "rate", 1.0, float, lambda v: v > 0.0, "> 0"),
         schedule=getattr(args, "schedule", None) or "constant",
         shuffle_seed=_seed(args, default=0),
         averaged=not getattr(args, "no_average", False),
@@ -724,9 +739,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     h = read_halfspace(_require(args, "halfspace"))
     inst = read_instance(_require(args, "instance"))
     spec = DecoderSpec(
-        t=int(getattr(args, "t", None) or 1),
-        tau=float(getattr(args, "tau", None) or 0.25),
-        trials=int(getattr(args, "trials", None) or 64),
+        t=_at_least(args, "t", 1),
+        tau=_unit(args, "tau", 0.25),
+        trials=_at_least(args, "trials", 64),
     )
     report = weak_sat_rate_of_decoder(h, spec, inst, seed)
     echo = {

@@ -23,6 +23,14 @@ ordering decision is deterministic):
 * a vector is tau-regular iff its critical index is 1;
 * the regularizing prefix is the first (critical index - 1) sorted positions,
   the minimal prefix whose removal leaves a tau-regular tail.
+
+`critical_index` and `check_geometric_decay` take one vector or a
+(count, dim) matrix of row vectors, decided at once; a vector is the one-row
+case of the same code.  The tail norms are a running dnrm2-style update that
+squares each ratio as r * r.  They agree with a per-element loop that squares
+with Python's `** 2` (libm pow) to a few ulps, well inside the 4(n+4) eps
+within which `critical_index` redoes a near-tie on `math.hypot`; no decision
+depends on the difference.
 """
 
 from __future__ import annotations
@@ -194,80 +202,108 @@ class CriticalIndexReport:
 
     order[t] is the original index of the (t+1)-st largest magnitude;
     tail_norms[t] is sigma_{t+1} in 1-based terms.  c_tau is a 1-based
-    position or math.inf when no position qualifies.
+    position or math.inf when no position qualifies.  For a (count, dim)
+    matrix of row vectors, order and tail_norms are (count, dim) and c_tau is
+    a float array of count positions (inf where none qualifies).
     """
 
     order: np.ndarray
     tail_norms: np.ndarray
-    c_tau: float
+    c_tau: float | np.ndarray
     tau: float
 
     @property
-    def is_regular(self) -> bool:
+    def is_regular(self) -> bool | np.ndarray:
         return self.c_tau == 1
+
+    @property
+    def prefix_size(self) -> int | np.ndarray:
+        """Length of the regularizing prefix: c_tau - 1, or dim if c_tau = inf."""
+        size = np.where(np.isinf(self.c_tau), self.order.shape[-1], self.c_tau - 1)
+        size = size.astype(np.int64)
+        return size if size.ndim else int(size)
+
+
+def _as_rows(w: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A vector as one row, or a (count, dim) matrix as it is, in float64."""
+    arr = np.asarray(w, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise ValueError("expected a vector or a (count, dim) matrix of row vectors")
+    if arr.size and not np.isfinite(arr).all():
+        raise ValueError("weights must be finite")
+    return arr[None, :] if arr.ndim == 1 else arr
 
 
 def _magnitude_order(w: np.ndarray) -> np.ndarray:
-    # stable sort on (-|w|, index): ties broken by ascending original index
-    return np.argsort(-np.abs(w), kind="stable")
+    # stable sort on (-|w|, index) along the last axis: ties broken by
+    # ascending original index
+    return np.argsort(-np.abs(w), axis=-1, kind="stable")
 
 
 def _suffix_norms(mags: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every suffix, rescaled on the fly.
+    """Euclidean norm of every suffix of every row, rescaled on the fly.
 
-    Running (scale, sum-of-squares) update in the dnrm2 style, so vectors
-    spanning the full float64 magnitude range neither overflow nor underflow.
+    dnrm2's running (scale, sum-of-squares) update from the last position
+    back, so no range of float64 magnitudes overflows or underflows.  On rows
+    sorted in decreasing order the scale at t is |w_(t)| itself:
+    ssq_t = 1 + ssq_(t+1) q_t^2 with q_t = |w_(t+1)| / |w_(t)| (0 past the
+    last nonzero), and sigma_t = |w_(t)| sqrt(ssq_t).
     """
-    n = mags.size
-    tails = np.empty(n, dtype=np.float64)
-    scale = 0.0
-    ssq = 1.0
-    for t in range(n - 1, -1, -1):
-        x = float(mags[t])
-        if x > scale:
-            ssq = 1.0 + ssq * (scale / x) ** 2 if scale > 0.0 else 1.0
-            scale = x
-        elif scale > 0.0:
-            ssq += (x / scale) ** 2
-        tails[t] = scale * math.sqrt(ssq)
-    return tails
+    count, n = mags.shape
+    head, rest = mags[:, :-1], mags[:, 1:]
+    q = np.divide(rest, head, out=np.zeros_like(rest), where=head > 0.0)
+    q *= q
+    q = q.T.copy()  # one contiguous row of ratios per step
+    ssq = np.ones((n, count))
+    for t in range(n - 2, -1, -1):
+        np.multiply(ssq[t + 1], q[t], out=ssq[t])
+        ssq[t] += 1.0
+    return mags * np.sqrt(ssq.T)
 
 
 def critical_index(w: Sequence[float] | np.ndarray, tau: float) -> CriticalIndexReport:
     """Locate the first sorted position whose magnitude drops to the tau fringe.
 
-    The empty vector and the all-zero vector are regular (c_tau = 1).  The
-    report is scale-invariant: both sides of the defining comparison scale
-    linearly.
+    w is one vector or a (count, dim) matrix whose rows are decided at once;
+    a vector is the one-row case and gets a scalar c_tau.  The empty vector
+    and the all-zero vector are regular (c_tau = 1).  The report is
+    scale-invariant: both sides of the defining comparison scale linearly.
     """
     if not 0 < tau <= 1:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    arr = np.asarray(w, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("critical_index expects a one-dimensional vector")
-    if arr.size and not np.isfinite(arr).all():
-        raise ValueError("weights must be finite")
-    order = _magnitude_order(arr)
-    mags = np.abs(arr[order])
+    rows = _as_rows(w)
+    count, n = rows.shape
+    order = _magnitude_order(rows)
+    mags = np.take_along_axis(np.abs(rows), order, axis=1)
     tails = _suffix_norms(mags)
     # The running norm may be a few ulps off; within that bound of a tie the
     # comparison is decided on math.hypot of the tail, which is correctly
     # rounded in all but rare cases.
-    slack = 4.0 * (arr.size + 4) * np.finfo(np.float64).eps
+    slack = 4.0 * (n + 4) * np.finfo(np.float64).eps
     fringe = tau * tails
     near = np.abs(mags - fringe) <= slack * np.maximum(mags, fringe)
-    c: float = math.inf
-    for t in np.flatnonzero((mags <= fringe) | near).tolist():
-        if not near[t] or mags[t] <= tau * math.hypot(*mags[t:].tolist()):
-            c = t + 1
-            break
-    if arr.size == 0:
-        c = 1.0
-    order_ro = order.astype(np.int64)
-    order_ro.flags.writeable = False
-    tails_ro = tails.copy()
-    tails_ro.flags.writeable = False
-    return CriticalIndexReport(order=order_ro, tail_norms=tails_ro, c_tau=c, tau=tau)
+    # first plain hit per row; a sentinel column makes it n where there is none
+    plain = np.concatenate([(mags <= fringe) & ~near, np.ones((count, 1), bool)], axis=1)
+    first = plain.argmax(axis=1)
+    c = np.where(first < n, first + 1.0, math.inf) if n else np.ones(count)
+    # near-ties before a row's first plain hit, in row-major order
+    decided = np.zeros(count, dtype=bool)
+    cells = np.nonzero(near & (np.arange(n) < first[:, None]))
+    for r, t in zip(cells[0].tolist(), cells[1].tolist()):
+        if not decided[r] and mags[r, t] <= tau * math.hypot(*mags[r, t:].tolist()):
+            c[r] = t + 1
+            decided[r] = True
+    order = order.astype(np.int64)
+    order.flags.writeable = False
+    tails.flags.writeable = False
+    if np.ndim(w) == 1:
+        c0 = float(c[0])
+        return CriticalIndexReport(
+            order=order[0], tail_norms=tails[0],
+            c_tau=int(c0) if math.isfinite(c0) else math.inf, tau=tau,
+        )
+    c.flags.writeable = False
+    return CriticalIndexReport(order=order, tail_norms=tails, c_tau=c, tau=tau)
 
 
 def top_indices(w: Sequence[float] | np.ndarray, t: int) -> np.ndarray:
@@ -288,10 +324,17 @@ def regularizing_prefix(
     c_tau is infinite every index is returned.
     """
     report = critical_index(w, tau)
-    arr = np.asarray(w, dtype=np.float64)
-    if math.isinf(report.c_tau):
-        return report.order.copy()
-    return report.order[: int(report.c_tau) - 1].copy()
+    return report.order[: report.prefix_size].copy()
+
+
+def drop_top(w: np.ndarray, order: np.ndarray, counts) -> np.ndarray:
+    """Copy of each row of w with its counts[r] largest magnitudes zeroed.
+
+    order is the rows' magnitude order (`CriticalIndexReport.order`); counts
+    is one count per row, or one for all.
+    """
+    rank = np.argsort(order, axis=-1)
+    return np.where(rank >= np.asarray(counts)[..., None], w, 0.0)
 
 
 def truncate(w: Sequence[float] | np.ndarray, keep: Iterable[int]) -> np.ndarray:
@@ -324,9 +367,9 @@ class DecayCheck:
 def check_geometric_decay(
     w: Sequence[float] | np.ndarray,
     tau: float,
-    l: int,
+    l: int | Sequence[int] | np.ndarray,
     rtol: float = 1e-9,
-) -> DecayCheck:
+) -> DecayCheck | list[DecayCheck]:
     """Verify the decay chain on the sorted magnitudes when c_tau > l.
 
     For 1 <= i <= j <= l+1 the chain asserts
@@ -341,59 +384,127 @@ def check_geometric_decay(
     and tau <= 1/3.  The third link is only guaranteed strictly below the
     critical index; at i equal to the critical index the defining inequality
     points the other way, so it is checked only where it is implied.
+
+    w is one vector, or a (count, dim) matrix with one l per row (or one
+    for all) and one DecayCheck per row.  A row reports its first failing
+    link, and in a link its first failing pair in i-major order.
     """
     if not 0 < tau <= 1:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    if l < 0:
+    if np.any(np.asarray(l) < 0):
         raise ValueError(f"l must be nonnegative, got {l}")
-    arr = np.asarray(w, dtype=np.float64)
-    report = critical_index(arr, tau)
-    if not report.c_tau > l:
+    rows = _as_rows(w)
+    count, n = rows.shape
+    report = critical_index(rows, tau)
+    c = report.c_tau
+    ls = np.broadcast_to(np.asarray(l, dtype=np.int64), (count,))
+    short = np.flatnonzero(~(c > ls))
+    if short.size:
+        r = short[0]
+        where = f" in row {r}" if np.ndim(w) == 2 else ""
         raise ValueError(
-            f"precondition failed: critical index {report.c_tau} must exceed l={l}"
+            f"precondition failed{where}: critical index {c[r]:g} must exceed "
+            f"l={ls[r]}"
         )
-    limit = min(l + 1, arr.size)
-    mags = np.abs(arr[report.order])
-    tails = report.tail_norms
-    slack = 1.0 + rtol
+    mags = np.take_along_axis(np.abs(rows), report.order, axis=1)
+    limit = np.minimum(ls + 1, n)
+    third = np.minimum(limit, report.prefix_size)
+    checks = _decay_chain(mags, report.tail_norms, tau, limit, third, 1.0 + rtol)
+    return checks[0] if np.ndim(w) == 1 else checks
+
+
+def _decay_chain(
+    mags: np.ndarray,
+    tails: np.ndarray,
+    tau: float,
+    limit: np.ndarray,
+    third: np.ndarray,
+    slack: float,
+) -> list[DecayCheck]:
+    """The four links of `check_geometric_decay` over sorted rows.
+
+    Row r checks positions below limit[r], and the last two links only from
+    positions below third[r].  The pair links take a block of i at a time,
+    at most max(_BLOCK_CELLS, count * dim) cells.
+    """
+    count, n = mags.shape
+    cols = np.arange(n)
+    in_limit = cols < limit[:, None]
+    details: list[str | None] = [None] * count
+    open_ = np.ones(count, dtype=bool)
+
+    def settle(bad: np.ndarray, describe) -> None:
+        # bad is (count, cells); each open row fails at its first bad cell
+        hit = open_ & bad.any(axis=1)
+        if hit.any():
+            for r, k in zip(np.flatnonzero(hit).tolist(), bad[hit].argmax(axis=1).tolist()):
+                details[r] = describe(r, k)
+            open_[hit] = False
+
+    # every pair has i <= j < max(limit)
+    stop = int(limit.max(initial=0))
+
+    def settle_pairs(bad_pairs, describe, i_stop: int) -> None:
+        # bad_pairs(i0, i1) is (count, i1 - i0, stop - i0): pair (i, j) fails,
+        # for i in [i0, i1) and j in [i0, stop)
+        step = max(1, _BLOCK_CELLS // max(count * stop, 1))
+        for i0 in range(0, i_stop, step):
+            if open_.any():
+                width = stop - i0
+                bad = bad_pairs(i0, min(i_stop, i0 + step)).reshape(count, -1)
+                settle(bad, lambda r, k: describe(r, i0 + k // width, i0 + k % width))
+
+    settle(
+        in_limit & (mags > tails * slack),
+        lambda r, j: (
+            f"|w_({j + 1})| = {mags[r, j]:.6g} exceeds sigma = {tails[r, j]:.6g}"
+        ),
+    )
 
     decay = math.sqrt(max(0.0, 1.0 - tau * tau))
-    c_strict = arr.size if math.isinf(report.c_tau) else int(report.c_tau) - 1
-    third_limit = min(limit, c_strict)
+    # Python's ** as in the scalar chain, so every bound is the same float
+    powers = np.array([decay**e for e in range(n)])
 
-    for j in range(limit):
-        if mags[j] > tails[j] * slack:
-            return DecayCheck(
-                False, f"|w_({j + 1})| = {mags[j]:.6g} exceeds sigma = {tails[j]:.6g}"
-            )
-    for i in range(limit):
-        for j in range(i, limit):
-            bound = decay ** (j - i) * tails[i]
-            if tails[j] > bound * slack + 1e-300:
-                return DecayCheck(
-                    False,
-                    f"sigma_({j + 1}) = {tails[j]:.6g} exceeds "
-                    f"(1-tau^2)^({j - i}/2) * sigma_({i + 1}) = {bound:.6g}",
-                )
-    for i in range(third_limit):
-        if tails[i] * tau > mags[i] * slack:
-            return DecayCheck(
-                False,
-                f"tau * sigma_({i + 1}) = {tau * tails[i]:.6g} exceeds "
-                f"|w_({i + 1})| = {mags[i]:.6g} below the critical index",
+    def chain(i0: int, i1: int) -> np.ndarray:
+        gap = cols[i0:stop] - cols[i0:i1, None]  # j - i
+        bound = powers[np.maximum(gap, 0)] * tails[:, i0:i1, None]
+        bad = tails[:, None, i0:stop] > bound * slack + 1e-300
+        return bad & (gap >= 0) & in_limit[:, None, i0:stop]
+
+    settle_pairs(
+        chain,
+        lambda r, i, j: (
+            f"sigma_({j + 1}) = {tails[r, j]:.6g} exceeds "
+            f"(1-tau^2)^({j - i}/2) * sigma_({i + 1}) = {powers[j - i] * tails[r, i]:.6g}"
+        ),
+        stop,
+    )
+    settle(
+        (cols < third[:, None]) & (tails * tau > mags * slack),
+        lambda r, i: (
+            f"tau * sigma_({i + 1}) = {tau * tails[r, i]:.6g} exceeds "
+            f"|w_({i + 1})| = {mags[r, i]:.6g} below the critical index"
+        ),
+    )
+    stride = (4.0 / (tau * tau)) * math.log(1.0 / tau)
+    if tau <= 1.0 / 3.0 and stop - 1 > stride:
+
+        def spread(i0: int, i1: int) -> np.ndarray:
+            rows = cols[i0:i1, None]
+            bad = mags[:, None, i0:stop] > (mags[:, i0:i1, None] / 3.0) * slack
+            return bad & ((cols[i0:stop] - rows) > stride) & in_limit[:, None, i0:stop] & (
+                rows < third[:, None, None]
             )
 
-    if tau <= 1.0 / 3.0:
-        stride = (4.0 / (tau * tau)) * math.log(1.0 / tau)
-        for i in range(third_limit):
-            for j in range(i + 1, limit):
-                if (j - i) > stride and mags[j] > (mags[i] / 3.0) * slack:
-                    return DecayCheck(
-                        False,
-                        f"|w_({j + 1})| = {mags[j]:.6g} exceeds |w_({i + 1})|/3 "
-                        f"despite a gap of {j - i} > {stride:.3g}",
-                    )
-    return DecayCheck(True)
+        settle_pairs(
+            spread,
+            lambda r, i, j: (
+                f"|w_({j + 1})| = {mags[r, j]:.6g} exceeds |w_({i + 1})|/3 "
+                f"despite a gap of {j - i} > {stride:.3g}"
+            ),
+            int(third.max(initial=0)),
+        )
+    return [DecayCheck(True) if d is None else DecayCheck(False, d) for d in details]
 
 
 # ---------------------------------------------------------------------------

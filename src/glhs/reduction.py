@@ -47,7 +47,14 @@ from .core import (
     rng_words,
     words_to_uniforms,
 )
-from .halfspace import Disjunction, Halfspace, regularizing_prefix, top_indices, truncate
+from .halfspace import (
+    Disjunction,
+    Halfspace,
+    critical_index,
+    drop_top,
+    top_indices,
+    truncate,
+)
 from .labelcover import LabelCoverInstance, Labeling, weak_mask
 from .moments import (
     ColumnMixture,
@@ -421,52 +428,55 @@ def _candidate_labels(h: Halfspace, spec_t: int, v: int) -> np.ndarray:
 # niceness
 
 
-def niceness_value(w_v: np.ndarray, tau: float, proj_row: np.ndarray, n: int) -> float:
-    """Quartic collision mass of the regular part under one projection.
+def collision_mass(parts: np.ndarray, proj: np.ndarray, n: int) -> np.ndarray:
+    """Quartic collision mass of each row l of `parts` under its projection row.
 
-    l is w_v with its regularizing prefix removed; the value is
+    parts and proj are (..., m); the value is
     sum_i (sum_{j in preimage(i)} |l_j|)^4 / ||l||_2^4, and 0 when l = 0.
+    The preimage sums add |l_j| in ascending j, as np.bincount does.
     """
-    w_v = np.asarray(w_v, dtype=np.float64)
-    proj_row = np.asarray(proj_row, dtype=np.int64)
-    if proj_row.shape != w_v.shape:
+    parts = np.asarray(parts, dtype=np.float64)
+    proj = np.asarray(proj)
+    if proj.shape != parts.shape:
         raise ValueError(
-            f"projection row shape {proj_row.shape} does not match weights {w_v.shape}"
+            f"projection shape {proj.shape} does not match weights {parts.shape}"
         )
-    prefix = regularizing_prefix(w_v, tau)
-    l = w_v - truncate(w_v, prefix)
-    norm2 = float(l @ l)
-    if norm2 <= 0.0:
-        return 0.0
-    sums = np.bincount(proj_row, weights=np.abs(l), minlength=n)
-    return float(np.sum(sums**4)) / (norm2 * norm2)
+    m = parts.shape[-1]
+    mags = np.abs(parts).reshape(-1, m)
+    bins = proj.reshape(-1, m)
+    rows = np.arange(mags.shape[0])
+    sums = np.zeros((mags.shape[0], n))
+    for j in range(m):
+        sums[rows, bins[:, j]] += mags[:, j]
+    norm2 = np.vecdot(parts, parts).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.sum(sums**4, axis=1) / (norm2 * norm2)
+    return np.where(norm2 > 0.0, values, 0.0).reshape(parts.shape[:-1])
 
 
 def edge_niceness_audit(
     inst: LabelCoverInstance, h: Halfspace, tau: float, beta: float
 ) -> float:
-    """Fraction of edges all of whose slot vertices are beta-nice."""
+    """Fraction of edges all of whose slot vertices are beta-nice.
+
+    A slot is beta-nice when the `collision_mass` of its vertex block's
+    regular part (the block with its regularizing prefix zeroed) under the
+    slot's projection row is at most beta.  One critical_index call covers
+    every vertex block.
+    """
     if h.rows != inst.num_vertices or h.cols != inst.m:
         raise ValueError(
             f"halfspace grid {h.rows}x{h.cols} does not match instance "
             f"{inst.num_vertices}x{inst.m}"
         )
-    values = {}
-    nice_edges = 0
-    for e in range(inst.num_edges):
-        ok = True
-        for s in range(inst.k):
-            v = int(inst.edges[e, s])
-            key = (v, inst.projections[e, s].tobytes())
-            val = values.get(key)
-            if val is None:
-                val = niceness_value(h.block(v), tau, inst.projections[e, s], inst.n)
-                values[key] = val
-            if val > beta:
-                ok = False
-                break
-        nice_edges += ok
-    return nice_edges / inst.num_edges
+    if inst.num_edges == 0:
+        raise ValueError("the niceness audit needs an instance with at least one edge")
+    grid = h.grid()
+    report = critical_index(grid, tau)
+    parts = drop_top(grid, report.order, report.prefix_size)
+    values = collision_mass(parts[inst.edges], inst.projections, inst.n)
+    nice = ~(values > beta).any(axis=1)
+    return int(nice.sum()) / inst.num_edges
 
 
 def non_nice_bound(k: int, d: int, j: float) -> float:

@@ -83,12 +83,12 @@ from glhs.moments import (
 from glhs.reduction import (
     DecoderSpec,
     TestSpec as Spec,  # plain import trips pytest collection
+    collision_mass,
     decode_labeling,
     dict_test_batch,
     edge_incidence_fraction,
     edge_niceness_audit,
     lc_reduce_batch,
-    niceness_value,
     non_nice_bound,
     or_acceptance_closed_form,
     planted_disjunction,
@@ -799,7 +799,8 @@ def test_niceness_audits_within_bounds():
         if critical_index(w, reg_tau).c_tau != 1:
             continue
         produced += 1
-        value = niceness_value(w, reg_tau, np.arange(w.size), w.size)
+        # a regular block is its own regular part
+        value = float(collision_mass(w, np.arange(w.size), w.size))
         worst_value = max(worst_value, value)
         if value > reg_tau * reg_tau + 1e-12:
             regular_fail += 1
@@ -877,6 +878,10 @@ _STDOUT_DIGESTS = {
     "dict-test": "1d7424396d9cd3be8d618f89d449469f86aba7477695537e69a601ddd9351a9c",
     "verify-moments": "9951b22b4248f199efa34d28c22aa575ec558393faf6dbf87438eef5fe857c69",
     "verify-invariance": "d9fbf262e753e3efb4abfcca428f5ad41aed3d39f5e812565e9896ce2364b496",
+    "verify-critical-index": "f5a9da256f63dda1df51db8ccc3c7fc95a41bf0544216cd90ef59d2bea352c41",
+    "verify-critical-index-tau": "c0399af79d8509972b90555cce7cf81b1768f27304603f4fc4dd7432adce82c7",
+    "verify-niceness": "1fb37067844edce4994ebc01ac4a36458945302f0874a56e95709a35c3f84e7b",
+    "verify-niceness-beta": "3b802c2a524bf0d13e21e55ca826d900dee15ee4a24025a4182c3420cc3ffba2",
 }
 
 
@@ -977,6 +982,22 @@ def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch, capsys)
         "verify-moments": ["verify", "moments", "--k", "16", "--eps", "0.78", "--p", "0.25"],
         "verify-invariance": [
             "verify", "invariance", "--families", "6", "--r", "5", "--seed", "0",
+        ],
+        # the benchmark argv (no vector reaches prefix minimality at tau 0.25)
+        # and tau 0.3, where 181 of the 2000 vectors do
+        "verify-critical-index": ["verify", "critical-index", "--count", "2000", "--seed", "0"],
+        "verify-critical-index-tau": [
+            "verify", "critical-index", "--count", "2000", "--tau", "0.3", "--seed", "0",
+        ],
+        # the benchmark tau (every block reads 0) and one where 3/4 of the edges
+        # are not nice
+        "verify-niceness": [
+            "verify", "niceness", "--instance", proj_inst,
+            "--halfspace", "learn-projection-a.out", "--tau", "0.25",
+        ],
+        "verify-niceness-beta": [
+            "verify", "niceness", "--instance", proj_inst,
+            "--halfspace", "learn-projection-a.out", "--tau", "0.6", "--beta", "1.5",
         ],
     }
     for name, argv in checked_runs.items():

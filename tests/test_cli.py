@@ -11,6 +11,7 @@ from glhs.core import AtomicFile, StreamReader
 from glhs.halfspace import Halfspace, read_halfspace, write_halfspace
 from glhs.harness import make_record, parse_record, read_records
 from glhs.labelcover import (
+    LabelCoverInstance,
     Labeling,
     read_instance,
     read_labeling,
@@ -217,12 +218,15 @@ class TestVerifyLemmas:
         code, out, _ = _run(
             capsys,
             ["verify", "critical-index", "--count", "60", "--dim", "12",
-             "--tau", "0.3", "--seed", "2"],
+             "--tau", "0.5", "--seed", "2"],
         )
         assert code == 0
         recs = {r.check_id: r for r in _check_lines(out)}
         assert recs["critical-index.decay-chain"].status == "pass"
-        assert recs["critical-index.prefix-minimality"].status == "pass"
+        minimality = recs["critical-index.prefix-minimality"]
+        assert minimality.status == "pass"
+        # 10 of the 60 vectors have 2 <= c_tau < inf at tau 0.5
+        assert dict(minimality.params)["checked"] == "10"
 
     def test_small_ball(self, capsys):
         code, out, _ = _run(
@@ -461,6 +465,66 @@ class TestHostileInput:
         assert err.startswith("error: " + name) and err.count("\n") == 1
         assert list(tmp_path.glob("x.stream*")) == []
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["verify", "critical-index"], "count", "0"),
+            (["verify", "critical-index"], "count", "-5"),
+            (["verify", "critical-index"], "dim", "-3"),
+            (["verify", "critical-index"], "tau", "0"),
+            (["verify", "critical-index"], "tau", "1.5"),
+            (["verify", "spread", "--seed", "1"], "cases", "0"),
+            (["verify", "spread", "--seed", "1"], "cases", "-2"),
+            (["verify", "spread", "--seed", "1"], "trials", "0"),
+            (["verify", "spread", "--seed", "1"], "gamma", "0"),
+            (["verify", "spread", "--seed", "1"], "tau", "0"),
+            (["verify", "small-ball", "--seed", "1"], "cases", "0"),
+            (["verify", "small-ball", "--seed", "1"], "t", "0"),
+            (["verify", "small-ball", "--seed", "1"], "gamma", "0"),
+            (["verify", "small-ball", "--seed", "1"], "trials", "0"),
+            (["verify", "invariance"], "families", "0"),
+            (["verify", "invariance"], "r", "0"),
+            (["sample", *GADGET, "--count", "8", "--seed", "1", "--out", "x.stream"], "r", "0"),
+            (["sample", *GADGET, "--count", "8", "--seed", "1", "--out", "x.stream"],
+             "stream-id", "-1"),
+        ],
+    )
+    def test_zero_and_negative_flags_are_usage_errors(self, capsys, tmp_path, monkeypatch,
+                                                      argv, flag, value):
+        # an explicit 0 is a value, not "unset": it must not fall back to the default
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = _run(capsys, [*argv, f"--{flag}", value])
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: --{flag} must be ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, value", [("epochs", "0"), ("rate", "0"), ("rate", "-1")]
+    )
+    def test_learn_flags_out_of_range(self, capsys, tmp_path, flag, value):
+        stream = tmp_path / "s.stream"
+        assert main(["sample", *GADGET, "--r", "2", "--count", "8", "--seed", "1",
+                     "--out", str(stream)]) == 0
+        capsys.readouterr()
+        code, _, err = _run(capsys, ["learn", "--stream", str(stream), f"--{flag}", value])
+        assert code == 2
+        assert err.startswith(f"error: --{flag} must be ")
+
+    @pytest.mark.parametrize(
+        "flag, value", [("t", "0"), ("tau", "0"), ("trials", "0")]
+    )
+    def test_decode_flags_out_of_range(self, capsys, tmp_path, instance, flag, value):
+        h_path = tmp_path / "h.hs"
+        write_halfspace(Halfspace.from_grid(np.ones((5, 4)), 1.0), str(h_path))
+        code, _, err = _run(
+            capsys,
+            ["decode", "--halfspace", str(h_path), "--instance", str(instance),
+             "--seed", "1", f"--{flag}", value],
+        )
+        assert code == 2
+        assert err.startswith(f"error: --{flag} must be ")
+
     def test_halfspace_record_without_cols(self, capsys, tmp_path, instance):
         h_path = tmp_path / "bad.hs"
         write_halfspace(Halfspace.from_grid(np.ones((5, 4)), 1.0), str(h_path))
@@ -478,6 +542,24 @@ class TestHostileInput:
             assert code == 2
             assert err.startswith("error:") and "cols" in err
             assert err.count("\n") == 1
+
+    def test_niceness_of_an_instance_without_edges(self, capsys, tmp_path):
+        inst_path, h_path = tmp_path / "e.lc", tmp_path / "h.hs"
+        write_instance(
+            LabelCoverInstance(k=2, num_vertices=3, m=2, n=2,
+                               edges=np.zeros((0, 2), np.int32),
+                               projections=np.zeros((0, 2, 2), np.int32)),
+            str(inst_path),
+        )
+        write_halfspace(Halfspace.from_grid(np.ones((3, 2)), 0.0), str(h_path))
+        code, stdout, err = _run(
+            capsys,
+            ["verify", "niceness", "--instance", str(inst_path),
+             "--halfspace", str(h_path), "--tau", "0.5"],
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and "edge" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", [[1, 2], {"a": 1}])
     def test_config_value_that_is_not_a_scalar(self, capsys, tmp_path, value):

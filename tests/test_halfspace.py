@@ -11,10 +11,13 @@ from hypothesis.extra import numpy as hnp
 from glhs.halfspace import (
     _BLOCK_CELLS,
     CriticalIndexReport,
+    DecayCheck,
     Disjunction,
     Halfspace,
+    _decay_chain,
     check_geometric_decay,
     critical_index,
+    drop_top,
     read_halfspace,
     regularizing_prefix,
     sgn,
@@ -37,6 +40,60 @@ def _oracle_critical_index(w, tau):
         if mags[t] <= tau * tail:
             return t + 1
     return math.inf
+
+
+def _oracle_suffix_norms(mags):
+    """The former per-element dnrm2-style loop over one sorted row."""
+    n = mags.size
+    tails = np.empty(n, dtype=np.float64)
+    scale = 0.0
+    ssq = 1.0
+    for t in range(n - 1, -1, -1):
+        x = float(mags[t])
+        if x > scale:
+            ssq = 1.0 + ssq * (scale / x) ** 2 if scale > 0.0 else 1.0
+            scale = x
+        elif scale > 0.0:
+            ssq += (x / scale) ** 2
+        tails[t] = scale * math.sqrt(ssq)
+    return tails
+
+
+def _oracle_decay_chain(mags, tails, tau, limit, third_limit, slack):
+    """The former pair loops of check_geometric_decay over one sorted row."""
+    decay = math.sqrt(max(0.0, 1.0 - tau * tau))
+    for j in range(limit):
+        if mags[j] > tails[j] * slack:
+            return DecayCheck(
+                False, f"|w_({j + 1})| = {mags[j]:.6g} exceeds sigma = {tails[j]:.6g}"
+            )
+    for i in range(limit):
+        for j in range(i, limit):
+            bound = decay ** (j - i) * tails[i]
+            if tails[j] > bound * slack + 1e-300:
+                return DecayCheck(
+                    False,
+                    f"sigma_({j + 1}) = {tails[j]:.6g} exceeds "
+                    f"(1-tau^2)^({j - i}/2) * sigma_({i + 1}) = {bound:.6g}",
+                )
+    for i in range(third_limit):
+        if tails[i] * tau > mags[i] * slack:
+            return DecayCheck(
+                False,
+                f"tau * sigma_({i + 1}) = {tau * tails[i]:.6g} exceeds "
+                f"|w_({i + 1})| = {mags[i]:.6g} below the critical index",
+            )
+    if tau <= 1.0 / 3.0:
+        stride = (4.0 / (tau * tau)) * math.log(1.0 / tau)
+        for i in range(third_limit):
+            for j in range(i + 1, limit):
+                if (j - i) > stride and mags[j] > (mags[i] / 3.0) * slack:
+                    return DecayCheck(
+                        False,
+                        f"|w_({j + 1})| = {mags[j]:.6g} exceeds |w_({i + 1})|/3 "
+                        f"despite a gap of {j - i} > {stride:.3g}",
+                    )
+    return DecayCheck(True)
 
 
 class TestSgn:
@@ -243,6 +300,153 @@ class TestCriticalIndex:
             critical_index([1.0], tau=0.0)
         with pytest.raises(ValueError):
             critical_index([1.0], tau=1.5)
+
+
+# rows that tend to tie: a few repeated magnitudes, zeros and their negatives
+_tie_prone = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 1.0 / 3.0, -1.0 / 3.0, 0.25])
+_row_entries = st.one_of(
+    st.floats(min_value=-100, max_value=100, allow_nan=False, allow_subnormal=False),
+    _tie_prone,
+)
+
+
+def _matrices(max_dim=24):
+    return hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(0, max_dim)),
+        elements=_row_entries,
+    )
+
+
+class TestRowForm:
+    """The (count, dim) row form against the former per-vector loops."""
+
+    @given(_matrices(), st.floats(min_value=0.05, max_value=1.0))
+    @example(np.zeros((3, 0)), 0.3)
+    @example(np.array([[2.0], [0.0], [-1e-170]]), 0.5)
+    @example(
+        np.array([[0.0, 0.0, 0.0], [1e-170, -1e-170, 1e-170], [9e200, 3e200, 1e200]]), 0.9
+    )
+    @example(np.array([[0.0, 0.0] + [1 / 3] * 9, [1 / 3] * 11]), 1 / 3)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_per_vector_oracles(self, w, tau):
+        count, dim = w.shape
+        rep = critical_index(w, tau)
+        assert rep.c_tau.shape == (count,)
+        assert rep.order.shape == rep.tail_norms.shape == (count, dim)
+        limit = np.minimum(rep.prefix_size, max(dim - 1, 0))
+        checks = check_geometric_decay(w, tau, limit)
+        assert len(checks) == count
+        for r, row in enumerate(w):
+            want_c = _oracle_critical_index(row.tolist(), tau) if dim else 1
+            assert rep.c_tau[r] == want_c
+            order = sorted(range(dim), key=lambda i: (-abs(row[i]), i))
+            assert rep.order[r].tolist() == order
+            # the running norm squares each ratio as r * r where the loop
+            # used libm's pow; they differ by a few ulps at most, well inside
+            # the 4(n+4) eps within which critical_index redoes a tie exactly
+            want_tails = _oracle_suffix_norms(np.abs(row[order]))
+            bound = 4.0 * (dim + 4) * np.finfo(np.float64).eps * want_tails
+            assert np.all(np.abs(rep.tail_norms[r] - want_tails) <= bound)
+            # one row alone gives the same report and check as in the batch
+            one = critical_index(row, tau)
+            assert one.c_tau == rep.c_tau[r]
+            assert np.array_equal(one.order, rep.order[r])
+            assert np.array_equal(one.tail_norms, rep.tail_norms[r])
+            if dim:
+                assert check_geometric_decay(row, tau, int(limit[r])) == checks[r]
+            third = min(int(limit[r]) + 1, dim, int(rep.prefix_size[r]))
+            assert checks[r] == _oracle_decay_chain(
+                np.abs(row[order]), rep.tail_norms[r], tau,
+                min(int(limit[r]) + 1, dim), third, 1.0 + 1e-9,
+            )
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(0, 16)),
+            elements=st.floats(min_value=0.0, max_value=10.0, allow_subnormal=False),
+        ),
+        st.data(),
+        st.floats(min_value=0.05, max_value=1.0),
+        st.floats(min_value=0.5, max_value=12.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chain_matches_the_pair_loops_on_any_rows(self, mags, data, tau, slack):
+        # arbitrary (mags, tails) pairs, so every link can fail
+        count, dim = mags.shape
+        tails = data.draw(
+            hnp.arrays(np.float64, mags.shape,
+                       elements=st.floats(min_value=0.0, max_value=10.0,
+                                          allow_subnormal=False))
+        )
+        limit = np.asarray(data.draw(st.lists(st.integers(0, dim), min_size=count,
+                                              max_size=count)), dtype=np.int64)
+        third = np.asarray([data.draw(st.integers(0, int(l))) for l in limit], dtype=np.int64)
+        got = _decay_chain(mags, tails, tau, limit, third, slack)
+        for r in range(count):
+            want = _oracle_decay_chain(mags[r], tails[r], tau, limit[r], third[r], slack)
+            assert got[r] == want
+
+    def test_each_link_fails_as_in_the_pair_loops(self):
+        tau = 1.0 / 3.0
+        decay = math.sqrt(1.0 - tau * tau)
+        geometric = np.array([decay**t for t in range(42)])
+        link4 = 0.05 * geometric
+        link4[41] = 0.5
+        rows = [
+            # |w_(j)| above sigma_j
+            (np.array([2.0, 1.0] + [0.0] * 40), np.ones(42), 1.0 + 1e-9),
+            # sigma_j growing
+            (np.zeros(42), np.linspace(1.0, 2.0, 42), 1.0 + 1e-9),
+            # tau * sigma_i above |w_(i)|
+            (0.1 * geometric, geometric, 1.0 + 1e-9),
+            # |w_(j)| above |w_(i)|/3 across a gap of 41 > 39.5 (a loose slack
+            # lets the other three links pass)
+            (link4, geometric, 11.0),
+            # every link holds
+            (0.5 * geometric, geometric, 1.0 + 1e-9),
+        ]
+        prefixes = [
+            "|w_(1)| = 2 exceeds sigma",
+            "sigma_(2) = ",
+            "tau * sigma_(1) = ",
+            "|w_(42)| = 0.5 exceeds |w_(1)|/3 despite a gap of 41 ",
+            None,
+        ]
+        for (mags, tails, slack), prefix in zip(rows, prefixes):
+            mags, tails = mags[None, :], tails[None, :]
+            limit = third = np.array([42])
+            (got,) = _decay_chain(mags, tails, tau, limit, third, slack)
+            assert got == _oracle_decay_chain(mags[0], tails[0], tau, 42, 42, slack)
+            if prefix is None:
+                assert got.ok
+            else:
+                assert not got.ok and got.detail.startswith(prefix)
+
+    def test_one_l_or_one_per_row(self):
+        w = np.array([[3.0 ** -i for i in range(10)], [2.0 ** -i for i in range(10)]])
+        assert [c.ok for c in check_geometric_decay(w, 0.3, 4)] == [True, True]
+        assert [c.ok for c in check_geometric_decay(w, 0.3, [4, 2])] == [True, True]
+        with pytest.raises(ValueError, match="row 1"):
+            check_geometric_decay(
+                np.array([[3.0 ** -i for i in range(4)], [1.0] * 4]), 0.6, 2
+            )
+
+    def test_drop_top_zeroes_the_largest_magnitudes(self):
+        w = np.array([[0.5, -8.0, 2.0, -1.0], [1.0, 1.0, -1.0, 0.0]])
+        rep = critical_index(w, 0.5)
+        assert drop_top(w, rep.order, [2, 1]).tolist() == [
+            [0.5, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0],
+        ]
+        assert drop_top(w[0], rep.order[0], 0).tolist() == w[0].tolist()
+
+    def test_prefix_size(self):
+        w = np.array([[8.0, 1.0, 1.0, 1.0, 1.0], [5.0, 1.0, 0.2, 0.04, 0.008]])
+        rep = critical_index(w, 0.5)
+        assert rep.c_tau.tolist() == [2.0, math.inf]
+        assert rep.prefix_size.tolist() == [1, 5]
+        assert critical_index([8.0, 1.0, 1.0, 1.0, 1.0], 0.5).prefix_size == 1
 
 
 class TestPrefixAndTruncate:

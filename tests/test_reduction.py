@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from glhs.core import PURPOSE_DECODE, CursorRng, purpose_stream
-from glhs.halfspace import Disjunction, Halfspace, regularizing_prefix, top_indices, truncate
+from glhs.halfspace import (
+    Disjunction,
+    Halfspace,
+    critical_index,
+    drop_top,
+    regularizing_prefix,
+    top_indices,
+    truncate,
+)
 from glhs.labelcover import (
     LabelCoverInstance,
     gen_planted_projection,
@@ -16,12 +24,12 @@ from glhs.labelcover import (
 from glhs.moments import build_pair, completeness_pair, exact_moment, marginal_pmf
 from glhs.reduction import (
     DecoderSpec,
+    collision_mass,
     decode_labeling,
     dict_test_batch,
     edge_incidence_fraction,
     edge_niceness_audit,
     lc_reduce_batch,
-    niceness_value,
     non_nice_bound,
     or_acceptance_closed_form,
     planted_disjunction,
@@ -462,12 +470,49 @@ class TestEdgeWeakProbability:
         assert weak_sat_rate_of_decoder(h2, spec, inst, SEED).weak_rate == 0.0
 
 
+def _niceness_value(w, tau, proj, n):
+    """The audit's value for one block: the collision mass of its regular part."""
+    rep = critical_index(w, tau)
+    return float(collision_mass(drop_top(w, rep.order, rep.prefix_size), proj, n))
+
+
+def _oracle_niceness_value(w_v, tau, proj_row, n):
+    """The former per-block value: prefix trimmed by truncate, sums by bincount."""
+    prefix = regularizing_prefix(w_v, tau)
+    l = w_v - truncate(w_v, prefix)
+    norm2 = float(l @ l)
+    if norm2 <= 0.0:
+        return 0.0
+    sums = np.bincount(proj_row, weights=np.abs(l), minlength=n)
+    return float(np.sum(sums**4)) / (norm2 * norm2)
+
+
+def _oracle_edge_niceness_audit(inst, h, tau, beta):
+    """The former audit: one value per (edge, slot), cached per (vertex, row)."""
+    values = {}
+    nice_edges = 0
+    for e in range(inst.num_edges):
+        ok = True
+        for s in range(inst.k):
+            v = int(inst.edges[e, s])
+            key = (v, inst.projections[e, s].tobytes())
+            if key not in values:
+                values[key] = _oracle_niceness_value(
+                    h.block(v), tau, inst.projections[e, s], inst.n
+                )
+            if values[key] > beta:
+                ok = False
+                break
+        nice_edges += ok
+    return nice_edges / inst.num_edges
+
+
 class TestNiceness:
     def test_hand_value_regular_vector(self):
         # three equal magnitudes are 0.8-regular, so nothing is trimmed
         w = np.array([1.0, 1.0, 1.0])
         proj = np.array([0, 0, 1])
-        val = niceness_value(w, 0.8, proj, 2)
+        val = _niceness_value(w, 0.8, proj, 2)
         assert val == pytest.approx((2.0**4 + 1.0) / 9.0)
 
     def test_bijective_projection_of_regular_part_is_tau_squared_nice(self):
@@ -478,7 +523,7 @@ class TestNiceness:
             proj = rnd.permutation(12).astype(np.int64)
             prefix = regularizing_prefix(w, tau)
             l = w - truncate(w, prefix)
-            val = niceness_value(w, tau, proj, 12)
+            val = _niceness_value(w, tau, proj, 12)
             if float(l @ l) == 0.0:
                 assert val == 0.0
             else:
@@ -492,18 +537,18 @@ class TestNiceness:
         l = w - truncate(w, prefix)
         sums = np.bincount(proj, weights=np.abs(l), minlength=2)
         want = float((sums**4).sum()) / float(l @ l) ** 2
-        assert niceness_value(w, 0.8, proj, 2) == pytest.approx(want)
-        assert niceness_value(w, 0.8, proj, 2) < niceness_value(
+        assert _niceness_value(w, 0.8, proj, 2) == pytest.approx(want)
+        assert _niceness_value(w, 0.8, proj, 2) < _niceness_value(
             np.array([1.0, 1.0, 1.0, 1.0]), 0.8, proj, 2
         )
 
     def test_zero_tail_scores_zero(self):
         w = np.array([5.0, 0.0, 0.0])
-        assert niceness_value(w, 0.9, np.array([0, 1, 1]), 2) == 0.0
+        assert _niceness_value(w, 0.9, np.array([0, 1, 1]), 2) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            niceness_value(np.ones(3), 0.5, np.array([0, 1]), 2)
+            collision_mass(np.ones(3), np.array([0, 1]), 2)
 
     def test_edge_audit_counts_fully_nice_edges(self):
         # vertex 0 is collapsed by an all-to-one row; vertices 1, 2 spread out
@@ -520,10 +565,33 @@ class TestNiceness:
         frac = edge_niceness_audit(inst, h, tau, beta)
         assert frac == 0.5
         vals = [
-            niceness_value(h.block(0), tau, np.asarray(r), 4)
+            _niceness_value(h.block(0), tau, np.asarray(r), 4)
             for r in (rows_bad[0], rows_good[0])
         ]
         assert vals[0] > beta >= vals[1]
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.8])
+    def test_batched_audit_matches_the_per_edge_oracle(self, tau):
+        # the acceptance-test instance and weights, plus decaying, zero and
+        # tied blocks
+        inst, _ = gen_planted_projection(10, 40, 3, 8, 4, 2, seed=1111)
+        grid = np.asarray(CursorRng(1111, 1).uniforms(10 * 8)).reshape(10, 8) - 0.5
+        grid[1] *= np.geomspace(1.0, 1e-4, 8)
+        grid[2] = 0.0
+        grid[3] = np.round(grid[3] * 3.0)
+        h = Halfspace.from_grid(grid, 0.0)
+        rep = critical_index(grid, tau)
+        values = collision_mass(
+            drop_top(grid, rep.order, rep.prefix_size)[inst.edges], inst.projections, inst.n
+        )
+        for e, s in product(range(inst.num_edges), range(inst.k)):
+            want = _oracle_niceness_value(
+                h.block(int(inst.edges[e, s])), tau, inst.projections[e, s], inst.n
+            )
+            assert values[e, s] == want
+        for beta in (0.3, 0.5, 1.0, 1.5, 2.0):
+            got = edge_niceness_audit(inst, h, tau, beta)
+            assert got == _oracle_edge_niceness_audit(inst, h, tau, beta)
 
     def test_edge_audit_shape_check(self):
         inst, _ = gen_planted_unique(6, 5, 3, 3, seed=2)
