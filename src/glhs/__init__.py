@@ -17,12 +17,10 @@ from .core import (
     purpose_stream,
 )
 from .moments import (
-    AllZero,
     Bernoulli,
     ColumnMixture,
     ExactlyOne,
     FeasibilityError,
-    NoisySource,
     WeightSolution,
     apply_noise,
     asymptotic_eps,
@@ -34,7 +32,6 @@ from .moments import (
     exact_moment,
     marginal_pmf,
     moment_gap,
-    prob_all_zero,
     solve_d0_weights,
 )
 from .halfspace import (

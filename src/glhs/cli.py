@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,8 +31,6 @@ from .core import (
     PURPOSE_AUX,
     AtomicFile,
     CursorRng,
-    FormatError,
-    GuardError,
     purpose_stream,
 )
 from .concentration import (
@@ -92,7 +91,6 @@ from .labelcover import (
     write_labeling,
 )
 from .moments import (
-    FeasibilityError,
     asymptotic_eps,
     asymptotic_rate,
     boundary_eps,
@@ -124,7 +122,9 @@ class CliError(ValueError):
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset (None) argument slots from the JSON config file."""
+    """Fill unset (None) argument slots from the JSON config file, with the
+    command line's types: integer flags take integers, no flag takes a
+    non-finite number."""
     if not getattr(args, "config", None):
         return
     try:
@@ -145,6 +145,12 @@ def _apply_config(args: argparse.Namespace) -> None:
                 f"config value for {key!r} must be a number or a string, "
                 f"got {type(value).__name__}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(f"config value for {key!r} must be finite, got {value}")
+        if attr in args.int_flags:
+            if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+                raise CliError(f"config value for {key!r} must be an integer, got {value!r}")
+            value = int(value) if isinstance(value, float) else value
         if getattr(args, attr) is None:
             setattr(args, attr, value)
 
@@ -190,6 +196,11 @@ def _unit(args: argparse.Namespace, name: str, default: float) -> float:
     return _opt(args, name, default, float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
+def _positive_j(args: argparse.Namespace) -> float | None:
+    """The optional smoothness parameter J of the collision bound 1/J."""
+    return _opt(args, "j", None, float, lambda v: v is None or v > 0.0, "> 0")
+
+
 def _count(args: argparse.Namespace, name: str) -> int:
     """A required example count (--count, --samples); never negative."""
     count = int(_require(args, name))
@@ -198,19 +209,24 @@ def _count(args: argparse.Namespace, name: str) -> int:
     return count
 
 
-def _resolve_gadget(args: argparse.Namespace) -> tuple[TestSpec, dict]:
-    """Build a TestSpec from --k/--r/--eps/--p/--gamma with 'paper' sentinels."""
+def _resolve_params(args: argparse.Namespace) -> tuple[int, object, object, float]:
+    """(k, eps, p, gamma) from --k/--eps/--p/--gamma, with the 'paper'
+    sentinels resolved; an unset --p or --gamma means 'paper'."""
     k = int(_require(args, "k"))
+    if k < 1:
+        raise CliError(f"--k must be >= 1, got {k}")
     eps = _require(args, "eps")
     p = getattr(args, "p", None)
-    if p is None:
-        p = "paper"
     eps = asymptotic_eps(k) if eps == "paper" else str(eps)
-    p = asymptotic_rate(k) if p == "paper" else str(p)
+    p = asymptotic_rate(k) if p in (None, "paper") else str(p)
     gamma = getattr(args, "gamma", None)
-    if gamma is None or gamma == "paper":
-        gamma = default_noise_rate(k)
-    gamma = float(gamma)
+    gamma = default_noise_rate(k) if gamma in (None, "paper") else float(gamma)
+    return k, eps, p, gamma
+
+
+def _resolve_gadget(args: argparse.Namespace) -> tuple[TestSpec, dict]:
+    """Build a TestSpec from --k/--r/--eps/--p/--gamma."""
+    k, eps, p, gamma = _resolve_params(args)
     if getattr(args, "completeness_only", False):
         d0, d1 = completeness_pair(k, eps, p)
     else:
@@ -313,14 +329,13 @@ def _cmd_gen_lc(args: argparse.Namespace) -> int:
     return _emit(args, records, echo)
 
 
-def _cmd_sample(args: argparse.Namespace, require_instance: bool) -> int:
+def _cmd_sample(args: argparse.Namespace) -> int:
+    """sample (the grid test) and reduce (an instance's reduction)."""
     seed = _seed(args)
     out = _require(args, "out")
     count = _count(args, "count")
     stream_id = _at_least(args, "stream_id", 0, low=0)
     inst_path = getattr(args, "instance", None)
-    if require_instance and not inst_path:
-        raise CliError("--instance is required for reduce")
     if inst_path:
         inst = read_instance(inst_path)
         if getattr(args, "r", None) is None:
@@ -377,13 +392,7 @@ def _cmd_dict_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_moments(args: argparse.Namespace) -> int:
-    k = int(_require(args, "k"))
-    eps = _require(args, "eps")
-    p = getattr(args, "p", None) or "paper"
-    eps_v = asymptotic_eps(k) if eps == "paper" else str(eps)
-    p_v = asymptotic_rate(k) if p == "paper" else str(p)
-    gamma = getattr(args, "gamma", None)
-    gamma = default_noise_rate(k) if gamma in (None, "paper") else float(gamma)
+    k, eps_v, p_v, gamma = _resolve_params(args)
     echo = {"k": k, "eps": eps_v, "p": p_v, "gamma": gamma}
 
     sol = solve_d0_weights(k, eps_v, p_v)
@@ -640,8 +649,8 @@ def _cmd_verify_invariance(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_smoothness(args: argparse.Namespace) -> int:
+    j = _positive_j(args)
     inst = read_instance(_require(args, "instance"))
-    j = getattr(args, "j", None)
     vertex = getattr(args, "vertex", None)
     vertices = [int(vertex)] if vertex is not None else [
         v for v in range(inst.num_vertices) if (inst.edges == v).any()
@@ -671,6 +680,8 @@ def _cmd_verify_smoothness(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_niceness(args: argparse.Namespace) -> int:
+    j = _positive_j(args)
+    d = getattr(args, "d", None)
     inst = read_instance(_require(args, "instance"))
     h = read_halfspace(_require(args, "halfspace"))
     tau = float(_require(args, "tau"))
@@ -682,8 +693,6 @@ def _cmd_verify_niceness(args: argparse.Namespace) -> int:
         "instance": args.instance, "halfspace": args.halfspace,
         "tau": tau, "beta": beta,
     }
-    j = getattr(args, "j", None)
-    d = getattr(args, "d", None)
     if j is not None and d is not None:
         bound = non_nice_bound(inst.k, int(d), float(j))
         record = make_record(
@@ -835,11 +844,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         _add_common(sub)
         _add_gadget(sub)
-        sub.add_argument("--instance", required=needs_instance)
+        if needs_instance:
+            sub.add_argument("--instance", required=True)
         sub.add_argument("--count", type=int)
         sub.add_argument("--stream-id", type=int, dest="stream_id")
         sub.add_argument("--out")
-        sub.set_defaults(func=lambda a, ni=needs_instance: _cmd_sample(a, ni))
+        sub.set_defaults(func=_cmd_sample)
 
     sub = subs.add_parser("dict-test", help="run the grid-test experiment")
     _add_common(sub)
@@ -936,6 +946,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("files", nargs="+")
     sub.set_defaults(func=_cmd_report)
 
+    # the flags a config value must fill with an integer, per subcommand
+    for sub in (*subs.choices.values(), *vsubs.choices.values()):
+        if sub.get_default("func"):
+            sub.set_defaults(int_flags={a.dest for a in sub._actions if a.type is int})
     return parser
 
 
@@ -945,16 +959,10 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FeasibilityError, GuardError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CliError and every library error included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -371,16 +371,10 @@ def noise_mass_estimate(
     hits = 0
     done = 0
     threshold = gamma / 2.0
-    noise_t = uniform_threshold(gamma)
+    indicators = ProductBits(rates=(gamma,) * n)
     while done < trials:
         rows = min(chunk, trials - done)
-        idx = (
-            np.arange(done, done + rows, dtype=np.uint64)[:, None] * np.uint64(n)
-            + np.arange(n, dtype=np.uint64)[None, :]
-        )
-        w = rng_words(master_seed, stream, idx)
-        w >>= np.uint64(11)
-        z = w < noise_t
+        z = indicators.sample_bits(rows, master_seed, stream, start=done)
         mass = z @ sq
         hits += int(np.count_nonzero(mass >= threshold))
         done += rows

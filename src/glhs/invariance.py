@@ -169,10 +169,7 @@ def ensemble_from_pmf(pmf: Sequence[Number], m: int) -> Ensemble:
 
 def mixture_marginal_ensemble(dist: ColumnMixture, m: int) -> Ensemble:
     """First-m-coordinates marginal of a gadget column as an exact ensemble."""
-    pmf = marginal_pmf_rational(dist, m)
-    if pmf is None:
-        raise ValueError("distribution carries no exact weights")
-    return ensemble_from_pmf(pmf, m)
+    return ensemble_from_pmf(marginal_pmf_rational(dist, m), m)
 
 
 # ---------------------------------------------------------------------------

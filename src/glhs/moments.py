@@ -20,7 +20,7 @@ replacement-noise channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
@@ -40,7 +40,6 @@ Rational = Union[int, float, str, Fraction]
 ENUM_GUARD_K = 20
 _DENSE_NOISE_THRESHOLD = 1.0 / 32.0
 
-KIND_ALL_ZERO = 0
 KIND_EXACTLY_ONE = 1
 KIND_BERNOULLI = 2
 
@@ -73,30 +72,11 @@ def as_fraction(x: Rational) -> Fraction:
 
 
 @dataclass(frozen=True)
-class AllZero:
-    """Point mass on the all-zeros column."""
-
-    kind = KIND_ALL_ZERO
-    rate: float = 0.0
-    rate_exact: Fraction = Fraction(0)
-
-    def moment(self, s: int, k: int) -> float:
-        return 1.0 if s == 0 else 0.0
-
-    def moment_exact(self, s: int, k: int) -> Fraction:
-        return Fraction(1 if s == 0 else 0)
-
-    def prob_all_zero(self, k: int, gamma: float = 0.0) -> float:
-        return (1.0 - gamma / 2.0) ** k
-
-
-@dataclass(frozen=True)
 class ExactlyOne:
     """Uniform choice of a single hot coordinate."""
 
     kind = KIND_EXACTLY_ONE
-    rate: float = 0.0
-    rate_exact: Fraction = Fraction(0)
+    rate: float = 0.0  # no independent bits: sample_columns_at draws none for it
 
     def moment(self, s: int, k: int) -> float:
         if s == 0:
@@ -109,15 +89,13 @@ class ExactlyOne:
         return Fraction(1, k) if s == 1 else Fraction(0)
 
     def prob_all_zero(self, k: int, gamma: float = 0.0) -> float:
-        if gamma == 0.0:
-            return 0.0
         # the hot bit must be replaced by a zero; the rest must stay zero
         return (gamma / 2.0) * (1.0 - gamma / 2.0) ** (k - 1)
 
 
 @dataclass(frozen=True)
 class Bernoulli:
-    """Independent bits at a common rate."""
+    """Independent bits at a common rate; rate 0 is the all-zeros point mass."""
 
     rate: float
     rate_exact: Fraction
@@ -144,7 +122,7 @@ def bernoulli(rate: Rational) -> Bernoulli:
     return Bernoulli(rate=float(exact), rate_exact=exact)
 
 
-Component = Union[AllZero, ExactlyOne, Bernoulli]
+Component = Union[ExactlyOne, Bernoulli]
 
 
 # ---------------------------------------------------------------------------
@@ -153,61 +131,83 @@ Component = Union[AllZero, ExactlyOne, Bernoulli]
 
 @dataclass(frozen=True)
 class ColumnMixture:
-    """Finite mixture of exchangeable column components over {0,1}^k.
+    """Finite mixture of exchangeable column components over {0,1}^k, seen
+    through per-bit replacement noise at rate `gamma_exact` (0: noiseless).
 
-    `weights_exact` carries the rational weights when the mixture came out of
-    the exact solver; closed-form identities can then be checked with zero
-    rounding error while sampling uses the float weights.
+    Each bit is independently replaced by a uniform bit with probability
+    gamma, so moments follow from the noiseless ones by substituting
+    y = (1-gamma) x + gamma/2 per coordinate.  The rational weights are the
+    definition; the float weights are their correctly rounded values.
     """
 
     k: int
-    weights: tuple[float, ...]
+    weights_exact: tuple[Fraction, ...]
     components: tuple[Component, ...]
-    weights_exact: tuple[Fraction, ...] | None = None
+    gamma_exact: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"column arity k must be >= 1, got {self.k}")
-        if len(self.weights) != len(self.components):
+        if len(self.weights_exact) != len(self.components):
             raise ValueError("weights and components must align")
         if not self.components:
             raise ValueError("mixture needs at least one component")
-        for w in self.weights:
-            if not (w >= 0.0):
+        for w in self.weights_exact:
+            if w < 0:
                 raise ValueError(f"mixture weight {w} is negative")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {total!r}, expected 1")
-        if self.weights_exact is not None:
-            if len(self.weights_exact) != len(self.weights):
-                raise ValueError("exact weights must align with weights")
-            if sum(self.weights_exact) != 1:
-                raise ValueError("exact mixture weights must sum to exactly 1")
+        if sum(self.weights_exact) != 1:
+            raise ValueError("exact mixture weights must sum to exactly 1")
+        if not 0 <= self.gamma_exact <= 1:
+            raise ValueError(f"noise rate must be in [0, 1], got {self.gamma_exact}")
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(float(w) for w in self.weights_exact)
+
+    @property
+    def gamma(self) -> float:
+        return float(self.gamma_exact)
+
+    def noisy(self, gamma: Rational) -> "ColumnMixture":
+        """This mixture behind a further replacement channel at rate gamma:
+        a bit survives both channels iff it survives each."""
+        g = as_fraction(gamma)
+        return replace(self, gamma_exact=1 - (1 - self.gamma_exact) * (1 - g))
+
+    def _clean_moment(self, t: int) -> float:
+        if t == 0:
+            return 1.0
+        return math.fsum(
+            w * c.moment(t, self.k) for w, c in zip(self.weights, self.components)
+        )
 
     def moment_of_size(self, s: int) -> float:
         """E[prod of s distinct coordinates], identical for every such set."""
-        if s == 0:
-            return 1.0
+        g = self.gamma
         return math.fsum(
-            w * c.moment(s, self.k) for w, c in zip(self.weights, self.components)
+            math.comb(s, t) * (1.0 - g) ** t * (g / 2.0) ** (s - t) * self._clean_moment(t)
+            for t in range(s + 1)
         )
 
-    def moment_of_size_exact(self, s: int) -> Fraction | None:
-        if self.weights_exact is None:
-            return None
+    def moment_of_size_exact(self, s: int) -> Fraction:
+        g = self.gamma_exact
         return sum(
-            w * c.moment_exact(s, self.k)
-            for w, c in zip(self.weights_exact, self.components)
+            math.comb(s, t)
+            * (1 - g) ** t
+            * (g / 2) ** (s - t)
+            * sum(
+                w * c.moment_exact(t, self.k)
+                for w, c in zip(self.weights_exact, self.components)
+            )
+            for t in range(s + 1)
         )
 
     def prob_all_zero(self) -> float:
+        """P[column is all zeros] in closed form."""
         return math.fsum(
-            w * c.prob_all_zero(self.k)
+            w * c.prob_all_zero(self.k, self.gamma)
             for w, c in zip(self.weights, self.components)
         )
-
-    def noisy(self, gamma: Rational) -> "NoisySource":
-        return NoisySource(base=self, gamma_exact=as_fraction(gamma))
 
     @cached_property
     def sampler_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,61 +216,6 @@ class ColumnMixture:
         kinds = np.asarray([c.kind for c in self.components], dtype=np.uint8)
         rates = np.asarray([c.rate for c in self.components], dtype=np.float64)
         return cdf, kinds, rates
-
-
-@dataclass(frozen=True)
-class NoisySource:
-    """A column source passed through per-bit replacement noise.
-
-    Each bit is independently replaced by a uniform bit with probability
-    gamma.  Moments follow from the base moments by substituting
-    y = (1-gamma) x + gamma/2 per coordinate.
-    """
-
-    base: ColumnMixture
-    gamma_exact: Fraction
-
-    def __post_init__(self):
-        if not 0 <= self.gamma_exact <= 1:
-            raise ValueError(f"noise rate must be in [0, 1], got {self.gamma_exact}")
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    @property
-    def gamma(self) -> float:
-        return float(self.gamma_exact)
-
-    def moment_of_size(self, s: int) -> float:
-        g = self.gamma
-        return math.fsum(
-            math.comb(s, t)
-            * (1.0 - g) ** t
-            * (g / 2.0) ** (s - t)
-            * self.base.moment_of_size(t)
-            for t in range(s + 1)
-        )
-
-    def moment_of_size_exact(self, s: int) -> Fraction | None:
-        g = self.gamma_exact
-        total = Fraction(0)
-        for t in range(s + 1):
-            base = self.base.moment_of_size_exact(t)
-            if base is None:
-                return None
-            total += math.comb(s, t) * (1 - g) ** t * (g / 2) ** (s - t) * base
-        return total
-
-    def prob_all_zero(self) -> float:
-        g = self.gamma
-        return math.fsum(
-            w * c.prob_all_zero(self.k, g)
-            for w, c in zip(self.base.weights, self.base.components)
-        )
-
-
-ColumnSource = Union[ColumnMixture, NoisySource]
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +350,21 @@ def build_pair(k: int, eps: Rational, p: Rational) -> tuple[ColumnMixture, Colum
     """Construct the moment-matched pair (D0, D1) at (k, eps, p).
 
     D1 = (1-eps) ExactlyOne + sum_i (eps/4) Bernoulli(i*p)
-    D0 = (1-sum eps_i) AllZero + sum_i eps_i Bernoulli(i*p)
+    D0 = (1-sum eps_i) Bernoulli(0) + sum_i eps_i Bernoulli(i*p)
     """
     sol = solve_d0_weights(k, eps, p)
     rates = [(i + 1) * sol.p for i in range(4)]
     bern = tuple(bernoulli(r) for r in rates)
 
-    d1_exact = (1 - sol.eps,) + tuple(sol.eps / 4 for _ in range(4))
     d1 = ColumnMixture(
         k=k,
-        weights=tuple(float(w) for w in d1_exact),
+        weights_exact=(1 - sol.eps,) + tuple(sol.eps / 4 for _ in range(4)),
         components=(ExactlyOne(),) + bern,
-        weights_exact=d1_exact,
     )
-    d0_exact = (1 - sol.total,) + sol.eps_weights
     d0 = ColumnMixture(
         k=k,
-        weights=tuple(float(w) for w in d0_exact),
-        components=(AllZero(),) + bern,
-        weights_exact=d0_exact,
+        weights_exact=(1 - sol.total,) + sol.eps_weights,
+        components=(bernoulli(0),) + bern,
     )
     gap = moment_gap(d0, d1, 4)
     if gap > 1e-9:
@@ -445,19 +386,12 @@ def completeness_pair(k: int, eps: Rational, p: Rational) -> tuple[ColumnMixture
     if not 0 < 4 * p_x <= 1:
         raise ValueError(f"p must satisfy 0 < 4*p <= 1, got {p_x}")
     bern = tuple(bernoulli((i + 1) * p_x) for i in range(4))
-    d1_exact = (1 - eps_x,) + tuple(eps_x / 4 for _ in range(4))
     d1 = ColumnMixture(
         k=k,
-        weights=tuple(float(w) for w in d1_exact),
+        weights_exact=(1 - eps_x,) + tuple(eps_x / 4 for _ in range(4)),
         components=(ExactlyOne(),) + bern,
-        weights_exact=d1_exact,
     )
-    d0 = ColumnMixture(
-        k=k,
-        weights=(1.0,),
-        components=(AllZero(),),
-        weights_exact=(Fraction(1),),
-    )
+    d0 = ColumnMixture(k=k, weights_exact=(Fraction(1),), components=(bernoulli(0),))
     return d0, d1
 
 
@@ -465,7 +399,7 @@ def completeness_pair(k: int, eps: Rational, p: Rational) -> tuple[ColumnMixture
 # closed-form moment queries
 
 
-def _distinct_coords(dist: ColumnSource, coords: Iterable[int]) -> frozenset[int]:
+def _distinct_coords(dist: ColumnMixture, coords: Iterable[int]) -> frozenset[int]:
     out = set()
     for c in coords:
         if not isinstance(c, (int, np.integer)):
@@ -478,12 +412,12 @@ def _distinct_coords(dist: ColumnSource, coords: Iterable[int]) -> frozenset[int
     return frozenset(out)
 
 
-def exact_moment(dist: ColumnSource, coords: Iterable[int]) -> float:
+def exact_moment(dist: ColumnMixture, coords: Iterable[int]) -> float:
     """E[prod_{i in coords} x_i] in closed form; repeats collapse (bits are 0/1)."""
     return dist.moment_of_size(len(_distinct_coords(dist, coords)))
 
 
-def moment_gap(d0: ColumnSource, d1: ColumnSource, degree: int) -> float:
+def moment_gap(d0: ColumnMixture, d1: ColumnMixture, degree: int) -> float:
     """max_{1<=s<=degree} |E_D0 - E_D1| over s distinct coordinates."""
     if d0.k != d1.k:
         raise ValueError(f"sources have different arity: {d0.k} vs {d1.k}")
@@ -497,11 +431,6 @@ def moment_gap(d0: ColumnSource, d1: ColumnSource, degree: int) -> float:
     )
 
 
-def prob_all_zero(dist: ColumnSource) -> float:
-    """P[column is all zeros] in closed form."""
-    return dist.prob_all_zero()
-
-
 # ---------------------------------------------------------------------------
 # enumeration oracle
 
@@ -510,7 +439,7 @@ def _popcounts(n_patterns: int) -> np.ndarray:
     return np.bitwise_count(np.arange(n_patterns, dtype=np.uint64)).astype(np.int64)
 
 
-def enum_oracle_moment(dist: ColumnSource, coords: Iterable[int]) -> float:
+def enum_oracle_moment(dist: ColumnMixture, coords: Iterable[int]) -> float:
     """Brute-force E[prod x_i] over all 2^k points; the closed forms' oracle."""
     s = _distinct_coords(dist, coords)
     pmf = marginal_pmf(dist, dist.k)
@@ -522,7 +451,7 @@ def enum_oracle_moment(dist: ColumnSource, coords: Iterable[int]) -> float:
     return float(pmf[hit].sum())
 
 
-def marginal_pmf(dist: ColumnSource, m: int) -> np.ndarray:
+def marginal_pmf(dist: ColumnMixture, m: int) -> np.ndarray:
     """pmf of the first m coordinates (the sources are exchangeable).
 
     Pattern index encodes coordinate i at bit i.  With m = k this is the
@@ -534,25 +463,12 @@ def marginal_pmf(dist: ColumnSource, m: int) -> np.ndarray:
         raise ValueError(f"marginal size must be in [1, {dist.k}], got {m}")
     if m > ENUM_GUARD_K:
         raise GuardError(f"marginal over 2^{m} patterns exceeds the guard")
-    if isinstance(dist, NoisySource):
-        base = marginal_pmf(dist.base, m)
-        g = dist.gamma
-        t = np.array(
-            [[1.0 - g / 2.0, g / 2.0], [g / 2.0, 1.0 - g / 2.0]], dtype=np.float64
-        )
-        pmf = base.reshape((2,) * m)
-        for _ in range(m):
-            pmf = np.tensordot(pmf, t, axes=([0], [1]))
-        return pmf.reshape(-1)
-
     k = dist.k
     n = 1 << m
     pop = _popcounts(n)
     pmf = np.zeros(n, dtype=np.float64)
     for w, comp in zip(dist.weights, dist.components):
-        if comp.kind == KIND_ALL_ZERO:
-            pmf[0] += w
-        elif comp.kind == KIND_EXACTLY_ONE:
+        if comp.kind == KIND_EXACTLY_ONE:
             pmf[0] += w * (k - m) / k
             for i in range(m):
                 pmf[1 << i] += w / k
@@ -564,24 +480,31 @@ def marginal_pmf(dist: ColumnSource, m: int) -> np.ndarray:
                 pmf[n - 1] += w
             else:
                 pmf += w * np.exp(pop * math.log(q) + (m - pop) * math.log1p(-q))
+    g = dist.gamma
+    if g > 0.0:
+        t = np.array(
+            [[1.0 - g / 2.0, g / 2.0], [g / 2.0, 1.0 - g / 2.0]], dtype=np.float64
+        )
+        pmf = pmf.reshape((2,) * m)
+        for _ in range(m):
+            pmf = np.tensordot(pmf, t, axes=([0], [1]))
+        pmf = pmf.reshape(-1)
     return pmf
 
 
-def marginal_pmf_rational(dist: ColumnMixture, m: int) -> list[Fraction] | None:
-    """Exact-rational marginal pmf; None when exact weights are unavailable."""
+def marginal_pmf_rational(dist: ColumnMixture, m: int) -> list[Fraction]:
+    """Exact-rational marginal pmf of a noiseless mixture."""
     if not 1 <= m <= dist.k:
         raise ValueError(f"marginal size must be in [1, {dist.k}], got {m}")
     if m > 16:
         raise GuardError("exact marginal limited to m <= 16")
-    if dist.weights_exact is None:
-        return None
+    if dist.gamma_exact:
+        raise ValueError("the exact marginal takes a noiseless mixture")
     k = dist.k
     n = 1 << m
     pmf = [Fraction(0)] * n
     for w, comp in zip(dist.weights_exact, dist.components):
-        if comp.kind == KIND_ALL_ZERO:
-            pmf[0] += w
-        elif comp.kind == KIND_EXACTLY_ONE:
+        if comp.kind == KIND_EXACTLY_ONE:
             pmf[0] += w * Fraction(k - m, k)
             for i in range(m):
                 pmf[1 << i] += w * Fraction(1, k)
@@ -616,33 +539,19 @@ def _binom_pmf(n: int, q: float) -> np.ndarray:
     return np.exp(log_c + j * math.log(q) + (n - j) * math.log1p(-q))
 
 
-def column_sum_pmf(dist: ColumnSource) -> np.ndarray:
+def column_sum_pmf(dist: ColumnMixture) -> np.ndarray:
     """Exact pmf of the number of ones in one column (length k+1)."""
-    if isinstance(dist, NoisySource):
-        k = dist.k
-        g = dist.gamma
-        pmf = np.zeros(k + 1, dtype=np.float64)
-        for w, comp in zip(dist.base.weights, dist.base.components):
-            if comp.kind == KIND_ALL_ZERO:
-                pmf += w * _binom_pmf(k, g / 2.0)
-            elif comp.kind == KIND_EXACTLY_ONE:
-                rest = _binom_pmf(k - 1, g / 2.0)
-                hot = np.array([g / 2.0, 1.0 - g / 2.0])
-                pmf += w * np.convolve(rest, hot)
-            else:
-                q = (1.0 - g) * comp.rate + g / 2.0
-                pmf += w * _binom_pmf(k, q)
-        return pmf
-
     k = dist.k
+    g = dist.gamma
     pmf = np.zeros(k + 1, dtype=np.float64)
     for w, comp in zip(dist.weights, dist.components):
-        if comp.kind == KIND_ALL_ZERO:
-            pmf[0] += w
-        elif comp.kind == KIND_EXACTLY_ONE:
-            pmf[1] += w
+        if comp.kind == KIND_EXACTLY_ONE:
+            rest = _binom_pmf(k - 1, g / 2.0)
+            hot = np.array([g / 2.0, 1.0 - g / 2.0])
+            pmf += w * np.convolve(rest, hot)
         else:
-            pmf += w * _binom_pmf(k, comp.rate)
+            q = (1.0 - g) * comp.rate + g / 2.0
+            pmf += w * _binom_pmf(k, q)
     return pmf
 
 
@@ -658,13 +567,13 @@ _COLUMN_BLOCK_EXTRA = 2  # component word + hot word
 _BLOCK_WORDS = 1 << 17
 
 
-def column_block_size(k: int, noisy: bool) -> int:
+def column_block_size(k: int) -> int:
     """Counter words reserved per sampled column."""
-    return _COLUMN_BLOCK_EXTRA + k + (k if noisy else 0)
+    return _COLUMN_BLOCK_EXTRA + k
 
 
 def sample_columns_at(
-    dist: ColumnSource,
+    dist: ColumnMixture,
     master_seed: int,
     stream_id: int,
     columns: np.ndarray,
@@ -674,17 +583,16 @@ def sample_columns_at(
     Column n owns the counter block [n*B, (n+1)*B) with B =
     column_block_size, so the result is independent of batch boundaries and
     interleaving calls for disjoint index sets (different mixtures per
-    example row, say) still reproduces the same bits per index.
+    example row, say) still reproduces the same bits per index.  Noise is
+    not drawn here: noisy columns are these columns through apply_noise.
     """
-    noisy = isinstance(dist, NoisySource)
-    base_mix = dist.base if noisy else dist
-    k = base_mix.k
-    idx = np.asarray(columns, dtype=np.uint64) * np.uint64(column_block_size(k, noisy))
-    cdf, kinds, rates = base_mix.sampler_tables
+    if dist.gamma_exact:
+        raise ValueError("sample_columns_at draws noiseless columns; apply_noise adds the noise")
+    k = dist.k
+    idx = np.asarray(columns, dtype=np.uint64) * np.uint64(column_block_size(k))
+    cdf, kinds, rates = dist.sampler_tables
     rate_t = uniform_threshold(rates)
-    noise_t = uniform_threshold(dist.gamma) if noisy and dist.gamma > 0.0 else None
     bern_lanes = np.arange(2, 2 + k, dtype=np.uint64)
-    noise_lanes = bern_lanes + np.uint64(k)
 
     cols = np.zeros((idx.size, k), dtype=np.uint8)
     step = max(1, _BLOCK_WORDS // k)
@@ -693,24 +601,20 @@ def sample_columns_at(
         out = cols[start : start + step]
         u = words_to_uniforms(rng_words(master_seed, stream_id, blk))
         comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(kinds) - 1)
-        kind_arr = kinds[comp]
 
-        hot_rows = np.flatnonzero(kind_arr == KIND_EXACTLY_ONE)
+        hot_rows = np.flatnonzero(kinds[comp] == KIND_EXACTLY_ONE)
         if hot_rows.size:
             hw = words_to_uniforms(
                 rng_words(master_seed, stream_id, blk[hot_rows] + np.uint64(1))
             )
             out[hot_rows, np.minimum((hw * k).astype(np.int64), k - 1)] = 1
 
-        bern_rows = np.flatnonzero(kind_arr == KIND_BERNOULLI)
+        # rate-0 rows (the all-zeros component) stay zero and draw no words
+        bern_rows = np.flatnonzero(rate_t[comp] > 0)
         if bern_rows.size:
             w = rng_words(master_seed, stream_id, blk[bern_rows, None] + bern_lanes)
             w >>= np.uint64(11)
             out[bern_rows] = w < rate_t[comp[bern_rows], None]
-
-        if noise_t is not None:
-            w = rng_words(master_seed, stream_id, blk[:, None] + noise_lanes)
-            _replace_bits(out, w, noise_t)
     return cols
 
 
@@ -778,7 +682,9 @@ def apply_noise(
     while active.size:
         w = rng_words(master_seed, stream_id, base[active] + slot[active])
         u = words_to_open_uniforms(w)
-        gap = np.floor(np.log(u) * inv_log).astype(np.int64)
+        # a gap past the row ends it; capping it keeps tiny rates from
+        # overflowing the int64 cast
+        gap = np.floor(np.minimum(np.log(u) * inv_log, length)).astype(np.int64)
         pos[active] += gap + 1
         slot[active] += np.uint64(1)
         vals = (w & np.uint64(1)).astype(np.uint8)

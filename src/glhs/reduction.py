@@ -60,7 +60,6 @@ from .moments import (
     ColumnMixture,
     exact_moment,
     moment_gap,
-    prob_all_zero,
     sample_columns_at,
     apply_noise,
 )
@@ -134,9 +133,15 @@ def _labels_for(master_seed: int, stream_id: int, start: int, count: int) -> np.
     return (words & np.uint64(1)).astype(np.uint8)
 
 
+def _require_edges(num_edges: int, what: str) -> None:
+    if num_edges == 0:
+        raise ValueError(f"{what} needs an instance with at least one edge")
+
+
 def _edges_for(
     master_seed: int, stream_id: int, start: int, count: int, num_edges: int
 ) -> np.ndarray:
+    _require_edges(num_edges, "the reduction")
     idx = np.arange(start, start + count, dtype=np.uint64)
     u = words_to_uniforms(
         rng_words(master_seed, purpose_stream(stream_id, PURPOSE_EDGE), idx)
@@ -314,8 +319,8 @@ def or_acceptance_closed_form(spec: TestSpec) -> float:
     satisfiable instance with distinct-vertex edges, where the disjunction
     collapses to the OR of the common projected column.
     """
-    p0 = prob_all_zero(spec.d0.noisy(spec.gamma))
-    p1 = prob_all_zero(spec.d1.noisy(spec.gamma))
+    p0 = spec.d0.noisy(spec.gamma).prob_all_zero()
+    p1 = spec.d1.noisy(spec.gamma).prob_all_zero()
     return 0.5 * p0 + 0.5 * (1.0 - p1)
 
 
@@ -403,6 +408,7 @@ def weak_sat_rate_of_decoder(
             f"halfspace grid {h.rows}x{h.cols} does not match instance "
             f"{inst.num_vertices}x{inst.m}"
         )
+    _require_edges(inst.num_edges, "the decoder's weak-satisfaction rate")
     cands = _candidate_table(h, spec.t)
     total = 0
     for trial in range(spec.trials):
@@ -469,8 +475,7 @@ def edge_niceness_audit(
             f"halfspace grid {h.rows}x{h.cols} does not match instance "
             f"{inst.num_vertices}x{inst.m}"
         )
-    if inst.num_edges == 0:
-        raise ValueError("the niceness audit needs an instance with at least one edge")
+    _require_edges(inst.num_edges, "the niceness audit")
     grid = h.grid()
     report = critical_index(grid, tau)
     parts = drop_top(grid, report.order, report.prefix_size)

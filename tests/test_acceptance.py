@@ -77,7 +77,6 @@ from glhs.moments import (
     exact_moment,
     marginal_pmf,
     moment_gap,
-    prob_all_zero,
     solve_d0_weights,
 )
 from glhs.reduction import (
@@ -127,8 +126,8 @@ def _stream_agreement(hyp, sampler, total: int, chunk: int) -> AgreementReport:
 
 def _closed_form_sigma(spec: Spec, n1: int, n0: int) -> float:
     """Std dev of the balanced acceptance around its closed form."""
-    p1 = 1.0 - prob_all_zero(spec.d1.noisy(spec.gamma))
-    p0 = prob_all_zero(spec.d0.noisy(spec.gamma))
+    p1 = 1.0 - spec.d1.noisy(spec.gamma).prob_all_zero()
+    p0 = spec.d0.noisy(spec.gamma).prob_all_zero()
     return 0.5 * math.sqrt(p1 * (1.0 - p1) / n1 + p0 * (1.0 - p0) / n0)
 
 

@@ -1,9 +1,14 @@
 """End-to-end subcommand runs: exit codes, check lines, files, reruns."""
 
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glhs import harness
 from glhs.cli import main
@@ -443,7 +448,7 @@ class TestHostileInput:
     @pytest.mark.parametrize(
         "flag, value",
         [("count", "-5"), ("seed", "-3"), ("seed", str(2**64)),
-         ("seed", "99999999999999999999999")],
+         ("seed", "99999999999999999999999"), ("k", "0"), ("k", "-1")],
     )
     def test_out_of_range_counts_and_seeds(self, capsys, tmp_path, instance,
                                            command, flag, value):
@@ -487,6 +492,11 @@ class TestHostileInput:
             (["sample", *GADGET, "--count", "8", "--seed", "1", "--out", "x.stream"], "r", "0"),
             (["sample", *GADGET, "--count", "8", "--seed", "1", "--out", "x.stream"],
              "stream-id", "-1"),
+            (["verify", "moments", "--eps", "0.82"], "k", "0"),
+            (["verify", "smoothness", "--instance", "i.lc"], "j", "0"),
+            (["verify", "smoothness", "--instance", "i.lc"], "j", "-2"),
+            (["verify", "niceness", "--instance", "i.lc", "--d", "2"], "j", "0"),
+            (["verify", "niceness", "--instance", "i.lc", "--d", "2"], "j", "-2"),
         ],
     )
     def test_zero_and_negative_flags_are_usage_errors(self, capsys, tmp_path, monkeypatch,
@@ -543,23 +553,59 @@ class TestHostileInput:
             assert err.startswith("error:") and "cols" in err
             assert err.count("\n") == 1
 
-    def test_niceness_of_an_instance_without_edges(self, capsys, tmp_path):
-        inst_path, h_path = tmp_path / "e.lc", tmp_path / "h.hs"
+    @pytest.mark.parametrize("command", ["niceness", "decode", "reduce"])
+    def test_instance_without_edges(self, capsys, tmp_path, command):
+        inst, hs, out = (str(tmp_path / name) for name in ("e.lc", "h.hs", "out"))
         write_instance(
             LabelCoverInstance(k=2, num_vertices=3, m=2, n=2,
                                edges=np.zeros((0, 2), np.int32),
                                projections=np.zeros((0, 2, 2), np.int32)),
-            str(inst_path),
+            inst,
         )
-        write_halfspace(Halfspace.from_grid(np.ones((3, 2)), 0.0), str(h_path))
-        code, stdout, err = _run(
-            capsys,
-            ["verify", "niceness", "--instance", str(inst_path),
-             "--halfspace", str(h_path), "--tau", "0.5"],
-        )
+        write_halfspace(Halfspace.from_grid(np.ones((3, 2)), 0.0), hs)
+        code, stdout, err = _run(capsys, {
+            "niceness": ["verify", "niceness", "--instance", inst, "--halfspace", hs,
+                         "--tau", "0.5"],
+            "decode": ["decode", "--halfspace", hs, "--instance", inst, "--seed", "1",
+                       "--out", out],
+            "reduce": ["reduce", "--instance", inst, "--k", "2", "--eps", "0.5", "--p",
+                       "0.25", "--completeness-only", "--count", "8", "--seed", "1",
+                       "--out", out],
+        }[command])
         assert code == 2
         assert stdout == ""
         assert err.startswith("error:") and "edge" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.lc", "h.hs"]
+
+    @given(st.dictionaries(
+        st.sampled_from(["k", "r", "eps", "p", "gamma", "seed", "stream-id"]),
+        st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(-50, 50),
+                  st.sampled_from([2**64, -(2**70), math.inf, -math.inf, math.nan,
+                                   "paper", "abc", "3", "1e999", "nan"])),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_config_scalars_never_trace_back(self, tmp_path_factory, overrides):
+        # any JSON scalar for a flag the config may fill gives a clean exit
+        # code, one error line on exit 2, and no temporary or partial output;
+        # --count stays on the command line so no draw can ask for a huge stream
+        work = tmp_path_factory.mktemp("cfg")
+        assert main(
+            ["gen-lc", "--kind", "projection", "--vertices", "5", "--edges", "6",
+             "--k", "3", "--m", "4", "--n", "2", "--d", "2", "--seed", "2",
+             "--out", str(work / "p.lc")]
+        ) == 0
+        config = {"k": 3, "eps": "0.5", "p": "0.25", "seed": 1, **overrides}
+        (work / "c.json").write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["reduce", "--instance", str(work / "p.lc"), "--completeness-only",
+                         "--count", "8", "--config", str(work / "c.json"),
+                         "--out", str(work / "x.stream")])
+        assert code in (0, 1, 2)
+        assert code != 2 or (err.getvalue().startswith("error: ")
+                             and err.getvalue().count("\n") == 1)
+        assert list(work.glob("*.tmp")) == []
+        assert (work / "x.stream").exists() == (code != 2)
 
     @pytest.mark.parametrize("value", [[1, 2], {"a": 1}])
     def test_config_value_that_is_not_a_scalar(self, capsys, tmp_path, value):

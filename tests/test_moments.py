@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glhs import moments
 from glhs.core import rng_words, words_to_uniforms
 from glhs.moments import (
-    KIND_BERNOULLI,
     KIND_EXACTLY_ONE,
-    AllZero,
     Bernoulli,
     ColumnMixture,
     ExactlyOne,
@@ -28,9 +27,9 @@ from glhs.moments import (
     enum_oracle_moment,
     exact_moment,
     marginal_pmf,
+    marginal_pmf_rational,
     moment_gap,
     noise_block_size,
-    prob_all_zero,
     sample_columns_at,
     solve_d0_weights,
 )
@@ -73,7 +72,8 @@ class TestFractions:
 class TestComponents:
     def test_component_moments(self):
         k = 10
-        assert AllZero().moment_exact(2, k) == 0
+        assert bernoulli(0).moment_exact(0, k) == 1
+        assert bernoulli(0).moment_exact(2, k) == 0
         assert ExactlyOne().moment_exact(1, k) == Fraction(1, k)
         assert ExactlyOne().moment_exact(2, k) == 0
         q = Fraction(1, 3)
@@ -81,13 +81,43 @@ class TestComponents:
 
     def test_component_all_zero(self):
         k = 6
-        assert AllZero().prob_all_zero(k) == 1.0
+        assert bernoulli(0).prob_all_zero(k) == 1.0
         assert ExactlyOne().prob_all_zero(k) == 0.0
         assert bernoulli("0.25").prob_all_zero(k) == pytest.approx(0.75**k)
 
     def test_bernoulli_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             bernoulli("1.5")
+
+
+class TestMixture:
+    def test_zero_noise_closed_forms_are_the_noiseless_ones(self):
+        # float weights are the rounded exact ones, and the noise transfer at
+        # gamma = 0 keeps every float bit
+        for dist in build_pair(K, EPS, P):
+            assert dist.weights == tuple(float(w) for w in dist.weights_exact)
+            terms = list(zip(dist.weights, dist.components))
+            for s in range(1, 6):
+                assert dist.moment_of_size(s) == math.fsum(w * c.moment(s, K) for w, c in terms)
+            assert dist.prob_all_zero() == math.fsum(w * c.prob_all_zero(K) for w, c in terms)
+
+    def test_noisy_composes(self):
+        a, b = Fraction(1, 8), Fraction(1, 5)
+        for dist in build_pair(K, EPS, P):
+            # a bit survives both channels iff it survives each
+            assert dist.noisy(a).noisy(b) == dist.noisy(1 - (1 - a) * (1 - b))
+            assert dist.noisy(0) == dist
+            with pytest.raises(ValueError, match="noise rate"):
+                dist.noisy(-1)
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [((Fraction(3, 2), Fraction(-1, 2)), "negative"),
+         ((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**30)), "sum to exactly 1")],
+    )
+    def test_rejects_bad_exact_weights(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            ColumnMixture(k=4, weights_exact=weights, components=(bernoulli(0), ExactlyOne()))
 
 
 class TestWeightSolver:
@@ -200,7 +230,7 @@ class TestDistributionShapes:
     def test_prob_all_zero_closed_form(self):
         d0, d1 = build_pair(K, EPS, P)
         for dist in (d0, d1, d1.noisy(Fraction(1, 31))):
-            assert prob_all_zero(dist) == pytest.approx(marginal_pmf(dist, K)[0], abs=1e-12)
+            assert dist.prob_all_zero() == pytest.approx(marginal_pmf(dist, K)[0], abs=1e-12)
 
     def test_marginal_pmf_from_component_marginals(self):
         # exchangeable mixture: hand-build the m-coordinate marginal per component
@@ -212,9 +242,7 @@ class TestDistributionShapes:
             for w, comp in zip(dist.weights, dist.components):
                 for patt in range(2**m):
                     ones = bin(patt).count("1")
-                    if isinstance(comp, AllZero):
-                        prob = 1.0 if ones == 0 else 0.0
-                    elif isinstance(comp, ExactlyOne):
+                    if isinstance(comp, ExactlyOne):
                         if ones == 0:
                             prob = (K - m) / K
                         elif ones == 1:
@@ -246,7 +274,7 @@ class TestDistributionShapes:
 
     def test_completeness_pair_is_one_sided(self):
         d0, d1 = completeness_pair(3, "0.8", "0.25")
-        assert prob_all_zero(d0) == 1.0
+        assert d0.prob_all_zero() == 1.0
         assert d0.moment_of_size_exact(1) == 0
         assert d1.moment_of_size_exact(1) > 0
         # no matching claim: gap at degree 1 is the full D1 mean
@@ -254,13 +282,11 @@ class TestDistributionShapes:
 
 
 def _float_domain_columns(dist, master_seed, stream_id, columns):
-    """Oracle for sample_columns_at: one unblocked pass, Bernoulli and noise
-    draws compared as float uniforms."""
-    noisy = hasattr(dist, "base")
-    mix = dist.base if noisy else dist
-    k = mix.k
-    idx = columns * np.uint64(column_block_size(k, noisy))
-    cdf, kinds, rates = mix.sampler_tables
+    """Oracle for sample_columns_at: one unblocked pass, Bernoulli draws
+    compared as float uniforms."""
+    k = dist.k
+    idx = columns * np.uint64(column_block_size(k))
+    cdf, kinds, rates = dist.sampler_tables
     u = words_to_uniforms(rng_words(master_seed, stream_id, idx))
     comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(kinds) - 1)
     lanes = np.arange(k, dtype=np.uint64)
@@ -269,13 +295,17 @@ def _float_domain_columns(dist, master_seed, stream_id, columns):
         if kinds[comp[n]] == KIND_EXACTLY_ONE:
             hw = words_to_uniforms(rng_words(master_seed, stream_id, idx[n : n + 1] + 1))
             cols[n, min(int(hw[0] * k), k - 1)] = 1
-    bern = kinds[comp] == KIND_BERNOULLI
+    bern = kinds[comp] != KIND_EXACTLY_ONE
     bu = words_to_uniforms(rng_words(master_seed, stream_id, idx[:, None] + 2 + lanes))
     cols[bern] = bu[bern] < rates[comp[bern], None]
-    if noisy:
-        w = rng_words(master_seed, stream_id, idx[:, None] + np.uint64(2 + k) + lanes)
-        cols = np.where(words_to_uniforms(w) < dist.gamma, w & np.uint64(1), cols)
     return cols
+
+
+def sample_noisy_columns(dist, gamma, master_seed, stream_id, columns, start=0):
+    """The production route to noisy columns: sample, then replacement noise
+    with column `start + i` as noise row i."""
+    cols = sample_columns_at(dist, master_seed, stream_id, columns)
+    return apply_noise(cols, gamma, master_seed, stream_id + 1, start)
 
 
 class TestSampling:
@@ -297,21 +327,26 @@ class TestSampling:
     @pytest.mark.parametrize("noisy", [False, True])
     def test_block_boundaries_do_not_change_bits(self, noisy):
         # k=64 gives 2048 rows per block; split points fall inside blocks
+        gamma = 1 / 64 if noisy else 0.0
         d0, d1 = build_pair(64, "0.5", "0.25")
         for dist in (d0, d1):
-            dist = dist.noisy(Fraction(1, 64)) if noisy else dist
             cols = np.arange(5000, dtype=np.uint64) * np.uint64(3) + np.uint64(2**40)
-            whole = sample_columns_at(dist, 21, 4, cols)
+            whole = sample_noisy_columns(dist, gamma, 21, 4, cols)
             cuts = [0, 7, 2100, 4301, 5000]
-            parts = [sample_columns_at(dist, 21, 4, cols[a:b]) for a, b in zip(cuts, cuts[1:])]
+            parts = [
+                sample_noisy_columns(dist, gamma, 21, 4, cols[a:b], start=a)
+                for a, b in zip(cuts, cuts[1:])
+            ]
             assert np.array_equal(whole, np.concatenate(parts))
-            assert np.array_equal(whole, _float_domain_columns(dist, 21, 4, cols))
+            want = apply_noise(_float_domain_columns(dist, 21, 4, cols), gamma, 21, 5, 0)
+            assert np.array_equal(whole, want)
 
     def test_reruns_are_byte_identical(self):
         _, d1 = build_pair(K, EPS, P)
-        a = sample_columns(d1.noisy(Fraction(1, 50)), 7, 1, 0, 64)
-        b = sample_columns(d1.noisy(Fraction(1, 50)), 7, 1, 0, 64)
-        assert np.array_equal(a, b)
+        cols = np.arange(64, dtype=np.uint64)
+        assert np.array_equal(
+            sample_noisy_columns(d1, 0.02, 7, 1, cols), sample_noisy_columns(d1, 0.02, 7, 1, cols)
+        )
 
     def test_empirical_moments_track_closed_forms(self):
         d0, d1 = build_pair(K, EPS, P)
@@ -323,7 +358,7 @@ class TestSampling:
             sigma = math.sqrt(m1 * (1 - m1) / (n * K))  # correlated bits: generous anyway
             assert abs(mean_rate - m1) <= 6 * sigma + 1e-3
             zero_rate = (cols.sum(axis=1) == 0).mean()
-            pz = prob_all_zero(dist)
+            pz = dist.prob_all_zero()
             assert abs(zero_rate - pz) <= 4 * math.sqrt(pz * (1 - pz) / n) + 1e-3
 
     def test_exactly_one_component_shows_up_as_unit_rows(self):
@@ -345,13 +380,39 @@ class TestSampling:
         assert abs(ones0 - p0) <= 4 * math.sqrt(p0 * (1 - p0) / 4000)
 
     def test_noisy_sampling_matches_noisy_closed_form(self):
-        _, d1 = build_pair(K, EPS, P)
-        noisy = d1.noisy(Fraction(1, 8))
+        # sample_columns_at then apply_noise, on the dense (1/8) and sparse
+        # (1/64) noise paths, against the noisy mixture's closed forms
         n = 40000
-        cols = sample_columns(noisy, 314, 6, 0, n)
-        zero_rate = (cols.sum(axis=1) == 0).mean()
-        pz = prob_all_zero(noisy)
-        assert abs(zero_rate - pz) <= 4 * math.sqrt(pz * (1 - pz) / n)
+        columns = np.arange(n, dtype=np.uint64)
+        for gamma in (Fraction(1, 8), Fraction(1, 64)):
+            for dist in build_pair(K, EPS, P):
+                cols = sample_noisy_columns(dist, float(gamma), 314, 6, columns)
+                zero_rate = (cols.sum(axis=1) == 0).mean()
+                pz = dist.noisy(gamma).prob_all_zero()
+                assert abs(zero_rate - pz) <= 4 * math.sqrt(pz * (1 - pz) / n)
+                m1 = dist.noisy(gamma).moment_of_size(1)
+                assert abs(cols.mean() - m1) <= 6 * math.sqrt(m1 * (1 - m1) / n) + 1e-3
+
+    def test_rate_zero_rows_draw_no_bit_words(self, monkeypatch):
+        # the all-zeros component is Bernoulli(0): its rows take only the
+        # component word
+        drawn = []
+
+        def counting_words(master_seed, stream_id, idx):
+            drawn.append(np.size(idx))
+            return rng_words(master_seed, stream_id, idx)
+
+        monkeypatch.setattr(moments, "rng_words", counting_words)
+        d0, _ = completeness_pair(K, "0.8", "0.25")
+        assert not sample_columns(d0, 3, 1, 0, 500).any()
+        assert sum(drawn) == 500
+
+    def test_noisy_mixture_is_not_sampled_or_marginalised_exactly(self):
+        _, d1 = build_pair(K, EPS, P)
+        with pytest.raises(ValueError, match="apply_noise"):
+            sample_columns(d1.noisy(Fraction(1, 8)), 1, 1, 0, 4)
+        with pytest.raises(ValueError, match="noiseless"):
+            marginal_pmf_rational(d1.noisy(Fraction(1, 8)), 2)
 
 
 class TestNoiseChannel:
@@ -400,8 +461,10 @@ class TestNoiseChannel:
         assert np.array_equal(got, want)
 
     def test_zero_noise_is_identity(self):
+        # at 1e-42 every geometric gap overflows int64 unless capped
         bits = np.ones((4, 9), dtype=np.uint8)
-        assert np.array_equal(apply_noise(bits, 0.0, 1, 1, 0), bits)
+        for gamma in (0.0, 1e-42):
+            assert np.array_equal(apply_noise(bits.copy(), gamma, 1, 1, 0), bits)
 
     def test_replacement_channel_is_input_independent_where_hit(self):
         # the same (seed, stream, row) positions are replaced regardless of input
@@ -422,6 +485,5 @@ class TestNoiseChannel:
             apply_noise(np.zeros(4, dtype=np.uint8), 0.1, 0, 0, 0)
 
     def test_block_sizes(self):
-        assert column_block_size(K, noisy=False) == K + 2
-        assert column_block_size(K, noisy=True) == 2 * K + 2
+        assert column_block_size(K) == K + 2
         assert noise_block_size(100) == 102
