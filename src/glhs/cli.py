@@ -201,11 +201,12 @@ def _positive_j(args: argparse.Namespace) -> float | None:
     return _opt(args, "j", None, float, lambda v: v is None or v > 0.0, "> 0")
 
 
-def _count(args: argparse.Namespace, name: str) -> int:
-    """A required example count (--count, --samples); never negative."""
+def _count(args: argparse.Namespace, name: str, low: int = 0) -> int:
+    """A required integer flag of at least `low`: an example count (--count,
+    --samples) is never negative, a size is at least 1."""
     count = int(_require(args, name))
-    if count < 0:
-        raise CliError(f"--{name} must be >= 0, got {count}")
+    if count < low:
+        raise CliError(f"--{name.replace('_', '-')} must be >= {low}, got {count}")
     return count
 
 
@@ -273,31 +274,25 @@ def _cmd_gen_lc(args: argparse.Namespace) -> int:
     kind = _require(args, "kind")
     seed = _seed(args)
     out = _require(args, "out")
-    k = int(_require(args, "k"))
+    k = _count(args, "k", low=2)
     if kind == "unique":
-        nv = int(_require(args, "vertices"))
-        ne = int(_require(args, "edges"))
-        r = int(_require(args, "r"))
+        nv, ne, r = (_count(args, name, low=1) for name in ("vertices", "edges", "r"))
         inst, lab = gen_planted_unique(nv, ne, k, r, seed)
         echo = {"kind": kind, "vertices": nv, "edges": ne, "k": k, "r": r, "seed": seed}
     elif kind == "projection":
-        nv = int(_require(args, "vertices"))
-        ne = int(_require(args, "edges"))
-        m = int(_require(args, "m"))
-        n = int(_require(args, "n"))
-        d = int(_require(args, "d"))
+        nv, ne, m, n, d = (
+            _count(args, name, low=1) for name in ("vertices", "edges", "m", "n", "d")
+        )
         inst, lab = gen_planted_projection(nv, ne, k, m, n, d, seed)
         echo = {
             "kind": kind, "vertices": nv, "edges": ne, "k": k,
             "m": m, "n": n, "d": d, "seed": seed,
         }
     elif kind == "smooth":
-        nw = int(_require(args, "w_vertices"))
-        nv = int(_require(args, "vertices"))
-        deg = int(_require(args, "degree"))
-        m = int(_require(args, "m"))
-        n = int(_require(args, "n"))
-        d = int(_require(args, "d"))
+        nw, nv, deg, m, n, d = (
+            _count(args, name, low=1)
+            for name in ("w_vertices", "vertices", "degree", "m", "n", "d")
+        )
         bip, lab = gen_planted_bipartite(nw, nv, deg, m, n, d, seed)
         inst = smooth_from_bipartite(bip, k)
         echo = {

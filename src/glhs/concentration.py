@@ -34,7 +34,7 @@ from .core import (
     PURPOSE_NOISE,
     PURPOSE_X,
     purpose_stream,
-    rng_words,
+    threshold_bits,
     uniform_threshold,
 )
 from .halfspace import critical_index
@@ -167,14 +167,13 @@ class ProductBits:
     def sample_bits(
         self, count: int, master_seed: int, stream_id: int, start: int = 0
     ) -> np.ndarray:
+        """Row start + i owns the counter words [(start + i) * dim, (start + i + 1) * dim)."""
         n = self.dim
-        idx = (
-            np.arange(start, start + count, dtype=np.uint64)[:, None] * np.uint64(n)
-            + np.arange(n, dtype=np.uint64)[None, :]
+        origins = np.arange(start, start + count, dtype=np.uint64) * np.uint64(n)
+        out = np.empty((count, n), dtype=np.uint8)
+        return threshold_bits(
+            master_seed, stream_id, origins, n, uniform_threshold(self.rates), out
         )
-        w = rng_words(master_seed, stream_id, idx)
-        w >>= np.uint64(11)
-        return (w < uniform_threshold(self.rates)).astype(np.uint8)
 
 
 def uniform_bits(dim: int) -> ProductBits:

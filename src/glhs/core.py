@@ -5,11 +5,14 @@ Everything downstream samples through `rng_words`: a pure function from
 disjoint index ranges instead of sharing mutable generator state, so the same
 triple always produces the same word, chunked and parallel runs produce
 byte-identical output, and any example can be regenerated in isolation.
-`rng_words` mixes its words in place, a cache-sized block at a time; the
-samplers downstream draw in row blocks, and because each row owns its
-counter addresses their output does not depend on block boundaries.
-`uniform_threshold` turns a Bernoulli rate into the integer bound that
-decides the same draws as comparing `words_to_uniforms` against the rate.
+`rng_words` mixes its words in place, a cache-sized block at a time.
+`uniform_threshold` turns a Bernoulli rate q into the integer bound
+T = ceil(q * 2^53): ``(w >> 11) < T`` decides the same draws as comparing
+`words_to_uniforms` against q.  `threshold_bits` is the one kernel for
+per-bit draws (Bernoulli bits and replacement noise, one word per bit):
+it works through rows in blocks of _THRESHOLD_BLOCK = 2^15 words, and
+because each row owns its counter addresses its output does not depend on
+block boundaries.
 
 Streams of labeled examples are stored in a small binary format (magic
 ``GLHS``).  In memory a batch of examples is a uint8 bit matrix of shape
@@ -95,10 +98,16 @@ def _mix64_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _words_from(base: int, indices) -> np.ndarray:
-    """Words at `indices` of the stream keyed by `base`; indices are not modified."""
+def _words_from(base: int, indices, out: np.ndarray | None = None) -> np.ndarray:
+    """Words at `indices` of the stream keyed by `base`, written to `out` (a
+    C-contiguous uint64 array of the indices' shape) or a new array; indices
+    are not modified."""
     idx = np.asarray(indices).astype(np.uint64, copy=False)
-    x = np.bitwise_xor(idx, np.uint64(base), out=np.empty(idx.shape, dtype=np.uint64))
+    if out is None:
+        out = np.empty(idx.shape, dtype=np.uint64)
+    elif not out.flags.c_contiguous:
+        raise ValueError("rng_words writes only to a C-contiguous array")
+    x = np.bitwise_xor(idx, np.uint64(base), out=out)
     x += np.uint64(_C_INDEX)
     return _mix64_inplace(x)
 
@@ -108,13 +117,14 @@ def _stream_base(master_seed: int, stream_id: int) -> int:
     return mix64(((w ^ (stream_id & MASK64)) + _C_STREAM) & MASK64)
 
 
-def rng_words(master_seed: int, stream_id: int, indices: np.ndarray) -> np.ndarray:
-    """Pure 64-bit words for an array of indices (returns uint64).
+def rng_words(master_seed: int, stream_id: int, indices: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Pure 64-bit words for an array of indices (returns uint64, in `out` if given).
 
     Integer-only arithmetic, so identical triples yield identical words on
     every platform and in every process.
     """
-    return _words_from(_stream_base(master_seed, stream_id), indices)
+    return _words_from(_stream_base(master_seed, stream_id), indices, out)
 
 
 def words_to_uniforms(words: np.ndarray) -> np.ndarray:
@@ -131,6 +141,58 @@ def uniform_threshold(q) -> np.ndarray:
     """
     t = np.ceil(np.asarray(q, dtype=np.float64) * 2.0**53)
     return np.clip(t, 0.0, 2.0**53).astype(np.uint64)
+
+
+# Counter words per row block of `threshold_bits`: its buffers and the
+# finalizer's scratch stay in L2 together.
+_THRESHOLD_BLOCK = 1 << 15
+
+
+def threshold_bits(master_seed: int, stream_id: int, origins: np.ndarray, width: int,
+                   threshold, out: np.ndarray, replace: bool = False) -> np.ndarray:
+    """Per-bit threshold draws into a (count, width) uint8 array; returns out.
+
+    Row r reads the words at counter addresses origins[r] + j, j < width,
+    and tests ``(w >> 11) < T`` with T from `uniform_threshold`; `threshold`
+    broadcasts to (count, width): a scalar, one T per column (width,) or one
+    per row (count, 1).  out[r, j] becomes the test's 0/1 result, or with
+    `replace`, the word's low bit wherever the test holds (out is left as it
+    is elsewhere).  Rows go _THRESHOLD_BLOCK words at a time through one
+    index buffer and one word buffer, so no full-size index or word array
+    is built; each row owns its addresses, so blocks do not change bits.
+    """
+    origins = np.asarray(origins, dtype=np.uint64)
+    count = origins.size
+    if count == 0 or width == 0:
+        return out
+    thr = np.broadcast_to(np.asarray(threshold, dtype=np.uint64), (count, width))
+    lanes = np.arange(width, dtype=np.uint64)
+    step = max(1, _THRESHOLD_BLOCK // width)
+    idx_buf = np.empty(min(step, count) * width, dtype=np.uint64)
+    word_buf = np.empty_like(idx_buf)
+    if replace:
+        mask_buf = np.empty(idx_buf.size, dtype=np.uint8)
+        low_buf = np.empty_like(mask_buf)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        size = (hi - lo) * width
+        idx = np.add(origins[lo:hi, None], lanes, out=idx_buf[:size].reshape(-1, width))
+        words = rng_words(master_seed, stream_id, idx, out=word_buf[:size].reshape(-1, width))
+        np.right_shift(words, np.uint64(11), out=idx)
+        if not replace:
+            np.less(idx, thr[lo:hi], out=out[lo:hi])
+            continue
+        # out ^= (low ^ out) & mask, with mask 0xFF where the test holds: a
+        # branch-free select (a masked copy is several times slower)
+        mask = np.less(idx, thr[lo:hi], out=mask_buf[:size].reshape(-1, width))
+        np.negative(mask, out=mask)
+        low = np.bitwise_and(
+            words, np.uint64(1), out=low_buf[:size].reshape(-1, width), casting="unsafe"
+        )
+        low ^= out[lo:hi]
+        low &= mask
+        out[lo:hi] ^= low
+    return out
 
 
 def words_to_open_uniforms(words: np.ndarray) -> np.ndarray:

@@ -15,6 +15,12 @@ exactly on the boundary instead of within float noise of it.  Closed-form
 moments, the all-zeros probabilities, and a brute-force enumeration oracle
 live here, along with deterministic column samplers and the per-bit
 replacement-noise channel.
+
+Column n owns the counter words [n*(k+2), (n+1)*(k+2)) (component word, hot
+word, one word per Bernoulli bit), and noised row r owns [r*(L+2), ...).  A
+Bernoulli bit or dense-path noise decision tests ``(w >> 11) < ceil(q*2^53)``
+on one word w in `core.threshold_bits`, 2^15 words per block; noise takes
+w's low bit as the new value.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import numpy as np
 from .core import (
     GuardError,
     rng_words,
+    threshold_bits,
     uniform_threshold,
     words_to_open_uniforms,
     words_to_uniforms,
@@ -561,9 +568,10 @@ def column_sum_pmf(dist: ColumnMixture) -> np.ndarray:
 
 _COLUMN_BLOCK_EXTRA = 2  # component word + hot word
 
-# Counter words drawn per block of rows by the samplers below, so their word
-# arrays and temporaries stay cache-sized.  Every row owns fixed counter
-# addresses, so the output does not depend on where the blocks fall.
+# Column words (k per column) per block of `sample_columns_at`, which bounds
+# its per-column arrays; the Bernoulli bits go through `threshold_bits` in
+# its own blocks.  Every column owns fixed counter addresses, so the output
+# does not depend on where the blocks fall.
 _BLOCK_WORDS = 1 << 17
 
 
@@ -592,7 +600,6 @@ def sample_columns_at(
     idx = np.asarray(columns, dtype=np.uint64) * np.uint64(column_block_size(k))
     cdf, kinds, rates = dist.sampler_tables
     rate_t = uniform_threshold(rates)
-    bern_lanes = np.arange(2, 2 + k, dtype=np.uint64)
 
     cols = np.zeros((idx.size, k), dtype=np.uint8)
     step = max(1, _BLOCK_WORDS // k)
@@ -612,19 +619,12 @@ def sample_columns_at(
         # rate-0 rows (the all-zeros component) stay zero and draw no words
         bern_rows = np.flatnonzero(rate_t[comp] > 0)
         if bern_rows.size:
-            w = rng_words(master_seed, stream_id, blk[bern_rows, None] + bern_lanes)
-            w >>= np.uint64(11)
-            out[bern_rows] = w < rate_t[comp[bern_rows], None]
+            out[bern_rows] = threshold_bits(
+                master_seed, stream_id, blk[bern_rows] + np.uint64(2), k,
+                rate_t[comp[bern_rows], None],
+                np.empty((bern_rows.size, k), dtype=np.uint8),
+            )
     return cols
-
-
-def _replace_bits(out: np.ndarray, words: np.ndarray, threshold: np.ndarray) -> None:
-    """Replacement noise in place: where ``(words >> 11) < threshold``, set out
-    to the word's low bit.  Consumes `words` (shifted in place)."""
-    vals = words.astype(np.uint8)
-    vals &= np.uint8(1)
-    words >>= np.uint64(11)
-    np.copyto(out, vals, where=words < threshold)
 
 
 def noise_block_size(length: int) -> int:
@@ -646,8 +646,9 @@ def apply_noise(
     walked by exact geometric gaps, consuming one word per replacement; each
     word's low bit supplies the replacement value and its top 53 bits the
     gap uniform, so the channel is exactly the independent per-bit one.
-    Dense rates use one word per bit.  The path depends only on gamma, so
-    equal parameters give identical output regardless of batching.
+    Dense rates use one word per bit, through `threshold_bits`.  The path
+    depends only on gamma, so equal parameters give identical output
+    regardless of batching.
 
     A uint8 `bits` is noised in place and returned; other input is first
     converted to a new uint8 array.  Callers that still need the clean bits
@@ -666,14 +667,9 @@ def apply_noise(
     base = (np.arange(start, start + count, dtype=np.uint64)) * block
 
     if gamma >= _DENSE_NOISE_THRESHOLD:
-        threshold = uniform_threshold(gamma)
-        lanes = np.arange(length, dtype=np.uint64)
-        step = max(1, _BLOCK_WORDS // length)
-        for lo in range(0, count, step):
-            rows = slice(lo, lo + step)
-            w = rng_words(master_seed, stream_id, base[rows, None] + lanes)
-            _replace_bits(bits[rows], w, threshold)
-        return bits
+        return threshold_bits(
+            master_seed, stream_id, base, length, uniform_threshold(gamma), bits, replace=True
+        )
 
     inv_log = 1.0 / math.log1p(-gamma)
     pos = np.full(count, -1, dtype=np.int64)

@@ -142,6 +142,31 @@ class TestGenLc:
         assert code == 2
         assert "required" in err
 
+    SIZES = {
+        "unique": {"vertices": "10", "edges": "8", "k": "3", "r": "4"},
+        "projection": {"vertices": "9", "edges": "10", "k": "3", "m": "8", "n": "4", "d": "2"},
+        "smooth": {"w-vertices": "4", "vertices": "6", "degree": "2", "k": "2",
+                   "m": "4", "n": "2", "d": "2"},
+    }
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize(
+        "kind, flag", [(kind, flag) for kind, sizes in SIZES.items() for flag in sizes]
+    )
+    def test_size_flags_below_range_are_usage_errors(self, capsys, tmp_path, monkeypatch,
+                                                     kind, flag, value):
+        # checked before any generator runs: --k -1 used to index the word
+        # layout and die with an IndexError traceback
+        monkeypatch.chdir(tmp_path)
+        sizes = {**self.SIZES[kind], flag: value}
+        argv = ["gen-lc", "--kind", kind, "--seed", "1", "--out", "g.lc"]
+        code, stdout, err = _run(capsys, argv + [a for f, v in sizes.items() for a in (f"--{f}", v)])
+        assert code == 2
+        assert stdout == ""
+        low = 2 if flag == "k" else 1
+        assert err == f"error: --{flag} must be >= {low}, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSampleAndReduce:
     def test_sample_stream_and_byte_identical_rerun(self, capsys, tmp_path):

@@ -3,6 +3,7 @@
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from glhs.core import (
     FormatError,
     StreamReader,
     StreamWriter,
+    _THRESHOLD_BLOCK,
     mix64,
     purpose_stream,
     rng_words,
+    threshold_bits,
     uniform_threshold,
     words_to_open_uniforms,
     words_to_uniforms,
@@ -117,6 +120,81 @@ class TestWords:
         assert u.min() >= 0.0 and u.max() < 1.0
         assert v.min() > 0.0 and v.max() <= 1.0
         assert np.allclose(v - u, 2.0**-53)
+
+
+def _threshold_oracle(master_seed, stream_id, origins, width, threshold, bits, replace):
+    """The per-caller formula the kernel replaced: words on the full index
+    matrix, then ``(w >> 11) < T``, then the low bit where it holds."""
+    idx = origins[:, None] + np.arange(width, dtype=np.uint64)
+    w = rng_words(master_seed, stream_id, idx)
+    hit = (w >> np.uint64(11)) < np.asarray(threshold, dtype=np.uint64)
+    if not replace:
+        return hit.astype(np.uint8)
+    return np.where(hit, w & np.uint64(1), bits).astype(np.uint8)
+
+
+class TestThresholdKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.sampled_from([1, 101, 3200, _THRESHOLD_BLOCK + 5]),
+        rows_past=st.integers(-1, 2),
+        shape=st.sampled_from(["scalar", "column", "row"]),
+        replace=st.booleans(),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_full_matrix_formula(self, width, rows_past, shape, replace,
+                                             strided, seed):
+        # counts from 0 up to a few blocks, ending inside a block; thresholds
+        # 0, 2^53 and anything between; origins anywhere
+        rng = np.random.default_rng(seed)
+        step = max(1, _THRESHOLD_BLOCK // width)
+        count = max(0, int(rng.integers(0, 3)) * step + rows_past)
+        origins = rng.integers(0, 2**63, size=count, dtype=np.uint64)
+        tshape = {"scalar": (), "column": (width,), "row": (count, 1)}[shape]
+        threshold = np.where(
+            rng.random(tshape) < 0.5,
+            rng.integers(0, 2**53 + 1, size=tshape, dtype=np.uint64),
+            rng.choice(np.array([0, 2**53], dtype=np.uint64), size=tshape),
+        )
+        bits = rng.integers(0, 256 if replace else 2, size=(count, width), dtype=np.uint8)
+        out = np.zeros((count, 2 * width), dtype=np.uint8)[:, ::2] if strided else bits.copy()
+        out[...] = bits
+        got = threshold_bits(seed, 3, origins, width, threshold, out, replace=replace)
+        assert got is out
+        want = _threshold_oracle(seed, 3, origins, width, threshold, bits, replace)
+        assert np.array_equal(got, want)
+
+    def test_words_go_to_the_given_buffer(self):
+        idx = np.arange(12, dtype=np.uint64).reshape(3, 4)
+        buf = np.empty((3, 4), dtype=np.uint64)
+        assert rng_words(5, 1, idx, out=buf) is buf
+        assert np.array_equal(buf, rng_words(5, 1, idx))
+        with pytest.raises(ValueError, match="contiguous"):
+            rng_words(5, 1, idx[:, :2], out=np.empty((3, 4), dtype=np.uint64)[:, :2])
+
+    @pytest.mark.parametrize("caller", ["sample_bits", "dense apply_noise"])
+    def test_callers_build_no_full_size_arrays(self, caller):
+        # the traced peak stays within the uint8 output (noise is in place)
+        # and a fixed block budget; full-size index, word and mask arrays
+        # of 20000 x 101 draws took about 34 MB
+        from glhs.concentration import ProductBits
+        from glhs.moments import apply_noise
+
+        budget = 2 << 20
+        source = ProductBits(rates=tuple(np.linspace(0.1, 0.9, 101)))
+        bits = np.zeros((20000, 101), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            if caller == "sample_bits":
+                out = source.sample_bits(20000, 1, 2, start=7)
+            else:
+                out = apply_noise(bits, 0.1, 1, 2, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        made = 0 if out is bits else out.nbytes
+        assert peak < made + budget, f"peak {peak} bytes for a {made}-byte output"
 
 
 class TestPurposeStreams:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glhs import moments
+from glhs import core, moments
 from glhs.core import rng_words, words_to_uniforms
 from glhs.moments import (
     KIND_EXACTLY_ONE,
@@ -398,11 +398,13 @@ class TestSampling:
         # component word
         drawn = []
 
-        def counting_words(master_seed, stream_id, idx):
+        def counting_words(master_seed, stream_id, idx, out=None):
             drawn.append(np.size(idx))
-            return rng_words(master_seed, stream_id, idx)
+            return rng_words(master_seed, stream_id, idx, out)
 
+        # the bit words are drawn by core.threshold_bits
         monkeypatch.setattr(moments, "rng_words", counting_words)
+        monkeypatch.setattr(core, "rng_words", counting_words)
         d0, _ = completeness_pair(K, "0.8", "0.25")
         assert not sample_columns(d0, 3, 1, 0, 500).any()
         assert sum(drawn) == 500
