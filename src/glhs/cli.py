@@ -6,10 +6,16 @@ verifications (verify ...), the perceptron probe (learn), halfspace decoding
 (decode), and record-file aggregation (report).
 
 Every run prints one check line per verified quantity and exits 0 iff all
-asserted checks pass (exploratory records never fail a run).  Parameters can
-come from a JSON config file (--config); explicit flags win.  Sampling
-subcommands require a seed so every output is reproducible; the resolved
-configuration is echoed into stream metadata and record-file headers.
+asserted checks pass (exploratory records never fail a run).  Each
+subcommand's flags are declared once, as rows of `_COMMANDS`: name, kind,
+default, whether it is required, and allowed range.  The parser is built
+from those rows, and `_resolve` turns a parsed command line plus an optional
+JSON config file (--config; explicit flags win) into the one dict of
+resolved parameters a handler reads.  Command-line strings and config values
+go through the same converter and range check, so a value out of range is a
+usage error (exit 2) whichever route it came by.  Sampling subcommands
+require a seed so every output is reproducible; the resolved configuration
+is echoed into stream metadata and record-file headers.
 
 The sentinel value 'paper' for --eps / --p / --gamma selects the theoretical
 couplings (eps = k^-1/2, p = k^-1/3, gamma = 1/k^2); the first two are
@@ -23,11 +29,12 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    MASK64,
     PURPOSE_AUX,
     AtomicFile,
     CursorRng,
@@ -118,129 +125,167 @@ class CliError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# flag rows and the resolver
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset (None) argument slots from the JSON config file, with the
-    command line's types: integer flags take integers, no flag takes a
-    non-finite number."""
-    if not getattr(args, "config", None):
-        return
+class Flag(NamedTuple):
+    """One row of a subcommand's flag table.
+
+    `kind` is int, float (finite), path, choice, switch, rational (a number
+    or 'paper', kept as the string given) or files (report's positional
+    list).  `range` is the allowed range as printed in errors and --help:
+    ">= 1", "> 0", "(0, 1]", "[0, 2^64)", or a choice's "a|b".  A required
+    row must get a value from the command line or --config; "argv" means the
+    parser requires it on the command line.
+    """
+
+    name: str
+    kind: str = "int"
+    default: object = None
+    required: bool | str = False
+    range: str = ""
+    help: str = ""
+
+
+# kind -> (the JSON types it takes once command-line text is parsed, what
+# an error says it must be)
+_KINDS = {
+    "int": ((int, float), "an integer"),
+    "float": ((int, float), "a finite number"),
+    "rational": ((str, int, float), "a number or 'paper'"),
+    "path": (str, "a path string"),
+    "switch": (bool, "true or false"),
+    "choice": (str, None),
+}
+
+
+def _need(spec: str) -> str:
+    return "in " + spec if spec.startswith(("(", "[")) else spec
+
+
+def _bound(text: str) -> int:
+    base, _, exp = text.partition("^")
+    return int(base) ** int(exp or 1)
+
+
+def _within(value, spec: str) -> bool:
+    if spec.startswith(("(", "[")):
+        lo, hi = (_bound(part) for part in spec[1:-1].split(", "))
+        above = lo < value if spec[0] == "(" else lo <= value
+        return above and (value < hi if spec[-1] == ")" else value <= hi)
+    op, bound = spec.split()
+    return value >= _bound(bound) if op == ">=" else value > _bound(bound)
+
+
+def _convert(flag: Flag, value, text: bool):
+    """One value as the row's type, checked against the row's range.
+
+    `value` is command-line text when `text` is set, else a JSON value from
+    --config.  Text for a numeric row is parsed first; after that both
+    routes pass the same checks, so a config file gives numbers as JSON
+    numbers, paths and choices as strings and switches as booleans.
+    """
+    kind, name = flag.kind, flag.name
+    if kind == "files":
+        return value
+    number = None
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        if text and kind in ("int", "float"):
+            value = int(value) if kind == "int" else float(value)
+        if isinstance(value, bool) != (kind == "switch") or not isinstance(value, _KINDS[kind][0]):
+            raise ValueError
+        if kind == "int":
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError
+            value = number = int(value)
+        elif kind == "float":
+            value = number = float(value)
+            if not math.isfinite(number):
+                raise ValueError
+        elif kind == "rational" and value != "paper":
+            value = str(value)
+            number = Fraction(value)
+        elif kind == "choice" and value not in flag.range.split("|"):
+            raise ValueError
+    except (ValueError, OverflowError):
+        want = _KINDS[kind][1] or f"one of {flag.range}"
+        raise CliError(f"--{name} must be {want}, got {value!r}") from None
+    if number is not None and not _within(number, flag.range):
+        raise CliError(f"--{name} must be {_need(flag.range)}, got {value}")
+    return value
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read config file {args.config}: {exc}") from exc
+        raise CliError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise CliError("config file must hold a JSON object of parameter=value")
-    for key, value in loaded.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or value is None:
-            continue
-        if not isinstance(value, (str, int, float)):
-            raise CliError(
-                f"config value for {key!r} must be a number or a string, "
-                f"got {type(value).__name__}"
-            )
-        if isinstance(value, float) and not math.isfinite(value):
-            raise CliError(f"config value for {key!r} must be finite, got {value}")
-        if attr in args.int_flags:
-            if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-                raise CliError(f"config value for {key!r} must be an integer, got {value!r}")
-            value = int(value) if isinstance(value, float) else value
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+    return {key.replace("-", "_"): value for key, value in loaded.items()}
 
 
-def _require(args: argparse.Namespace, name: str) -> object:
-    value = getattr(args, name, None)
-    if value is None:
-        raise CliError(
-            f"--{name.replace('_', '-')} is required for this subcommand "
-            f"(set it on the command line or in --config)"
-        )
-    return value
-
-
-def _seed(args: argparse.Namespace, default: int | None = None) -> int:
-    """The master seed: --seed, or `default` when it may be omitted."""
-    if default is None:
-        seed = int(_require(args, "seed"))
-    else:
-        value = getattr(args, "seed", None)
-        seed = int(default if value is None else value)
-    if not 0 <= seed <= MASK64:
-        raise CliError(f"--seed must be in [0, 2^64), got {seed}")
-    return seed
-
-
-def _opt(args: argparse.Namespace, name: str, default, cast, ok, need: str):
-    """An optional flag: `default` when unset (0 is a value, not unset), else
-    the cast value, which must satisfy `ok`."""
-    value = getattr(args, name, None)
-    value = default if value is None else cast(value)
-    if not ok(value):
-        raise CliError(f"--{name.replace('_', '-')} must be {need}, got {value}")
-    return value
-
-
-def _at_least(args: argparse.Namespace, name: str, default: int, low: int = 1) -> int:
-    return _opt(args, name, default, int, lambda v: v >= low, f">= {low}")
-
-
-def _unit(args: argparse.Namespace, name: str, default: float) -> float:
-    """A rate or a tau: a float in (0, 1]."""
-    return _opt(args, name, default, float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-
-
-def _positive_j(args: argparse.Namespace) -> float | None:
-    """The optional smoothness parameter J of the collision bound 1/J."""
-    return _opt(args, "j", None, float, lambda v: v is None or v > 0.0, "> 0")
-
-
-def _count(args: argparse.Namespace, name: str, low: int = 0) -> int:
-    """A required integer flag of at least `low`: an example count (--count,
-    --samples) is never negative, a size is at least 1."""
-    count = int(_require(args, name))
-    if count < low:
-        raise CliError(f"--{name.replace('_', '-')} must be >= {low}, got {count}")
-    return count
-
-
-def _resolve_params(args: argparse.Namespace) -> tuple[int, object, object, float]:
-    """(k, eps, p, gamma) from --k/--eps/--p/--gamma, with the 'paper'
-    sentinels resolved; an unset --p or --gamma means 'paper'."""
-    k = int(_require(args, "k"))
-    if k < 1:
-        raise CliError(f"--k must be >= 1, got {k}")
-    eps = _require(args, "eps")
-    p = getattr(args, "p", None)
-    eps = asymptotic_eps(k) if eps == "paper" else str(eps)
-    p = asymptotic_rate(k) if p in (None, "paper") else str(p)
-    gamma = getattr(args, "gamma", None)
-    gamma = default_noise_rate(k) if gamma in (None, "paper") else float(gamma)
-    return k, eps, p, gamma
-
-
-def _resolve_gadget(args: argparse.Namespace) -> tuple[TestSpec, dict]:
-    """Build a TestSpec from --k/--r/--eps/--p/--gamma."""
-    k, eps, p, gamma = _resolve_params(args)
-    if getattr(args, "completeness_only", False):
-        d0, d1 = completeness_pair(k, eps, p)
-    else:
-        d0, d1 = build_pair(k, eps, p)
-    r = _at_least(args, "r", 1)
-    spec = TestSpec(
-        d0=d0,
-        d1=d1,
-        r=r,
-        gamma=gamma,
-        completeness_only=bool(getattr(args, "completeness_only", False)),
+def _missing(name: str) -> CliError:
+    return CliError(
+        f"--{name} is required for this subcommand "
+        f"(set it on the command line or in --config)"
     )
-    echo = {"k": k, "eps": eps, "p": p, "gamma": gamma, "r": r}
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """The resolved-parameter dict of one run, keyed by the flags' dests.
+
+    Each row of the subcommand's table takes its command-line value, else
+    its --config value (JSON null counts as unset), else its default.  A
+    value that came by either route goes through `_convert`; an explicit 0
+    is a value, not "unset".  Range errors are reported before a missing
+    required flag.
+    """
+    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    params, missing = {}, []
+    for flag in args.table:
+        key = flag.name.replace("-", "_")
+        value = getattr(args, key)
+        text = value is not None
+        if not text:
+            value = config.get(key)
+            if isinstance(value, (list, dict)):
+                raise CliError(
+                    f"config value for {key!r} must be a number, a string or a "
+                    f"boolean, got {type(value).__name__}"
+                )
+        if value is None:
+            if flag.required:
+                missing.append(flag.name)
+            params[key] = flag.default
+        else:
+            params[key] = _convert(flag, value, text)
+    if missing:
+        raise _missing(missing[0])
+    return params
+
+
+def _resolve_params(p: dict) -> tuple[int, object, object, float]:
+    """(k, eps, p, gamma) with the 'paper' sentinels resolved."""
+    k = p["k"]
+    eps = asymptotic_eps(k) if p["eps"] == "paper" else p["eps"]
+    rate = asymptotic_rate(k) if p["p"] == "paper" else p["p"]
+    gamma = default_noise_rate(k) if p["gamma"] == "paper" else float(Fraction(p["gamma"]))
+    return k, eps, rate, gamma
+
+
+def _resolve_gadget(p: dict) -> tuple[TestSpec, dict]:
+    """Build a TestSpec from --k/--r/--eps/--p/--gamma/--completeness-only."""
+    k, eps, rate, gamma = _resolve_params(p)
+    pair = completeness_pair if p["completeness_only"] else build_pair
+    d0, d1 = pair(k, eps, rate)
+    spec = TestSpec(
+        d0=d0, d1=d1, r=p["r"], gamma=gamma, completeness_only=p["completeness_only"]
+    )
+    echo = {"k": k, "eps": eps, "p": rate, "gamma": gamma, "r": p["r"]}
     return spec, echo
 
 
@@ -248,14 +293,13 @@ def _echo_text(echo: dict) -> str:
     return " ".join(f"{key}={value}" for key, value in sorted(echo.items()))
 
 
-def _emit(args: argparse.Namespace, records: list[CheckRecord], echo: dict) -> int:
+def _emit(p: dict, records: list[CheckRecord], echo: dict) -> int:
     for rec in records:
         print(rec.line())
     summary = summarize_records(records)
     print(summary.line())
-    path = getattr(args, "records", None)
-    if path:
-        with AtomicFile(path) as fh:
+    if p["records"]:
+        with AtomicFile(p["records"]) as fh:
             fh.write(f"# config: {_echo_text(echo)}\n")
             for rec in records:
                 fh.write(rec.line() + "\n")
@@ -270,37 +314,27 @@ def _aux_rng(seed: int, lane: int = 0) -> CursorRng:
 # subcommand handlers
 
 
-def _cmd_gen_lc(args: argparse.Namespace) -> int:
-    kind = _require(args, "kind")
-    seed = _seed(args)
-    out = _require(args, "out")
-    k = _count(args, "k", low=2)
-    if kind == "unique":
-        nv, ne, r = (_count(args, name, low=1) for name in ("vertices", "edges", "r"))
-        inst, lab = gen_planted_unique(nv, ne, k, r, seed)
-        echo = {"kind": kind, "vertices": nv, "edges": ne, "k": k, "r": r, "seed": seed}
-    elif kind == "projection":
-        nv, ne, m, n, d = (
-            _count(args, name, low=1) for name in ("vertices", "edges", "m", "n", "d")
-        )
-        inst, lab = gen_planted_projection(nv, ne, k, m, n, d, seed)
-        echo = {
-            "kind": kind, "vertices": nv, "edges": ne, "k": k,
-            "m": m, "n": n, "d": d, "seed": seed,
-        }
-    elif kind == "smooth":
-        nw, nv, deg, m, n, d = (
-            _count(args, name, low=1)
-            for name in ("w_vertices", "vertices", "degree", "m", "n", "d")
-        )
-        bip, lab = gen_planted_bipartite(nw, nv, deg, m, n, d, seed)
-        inst = smooth_from_bipartite(bip, k)
-        echo = {
-            "kind": kind, "w_vertices": nw, "vertices": nv, "degree": deg,
-            "k": k, "m": m, "n": n, "d": d, "seed": seed,
-        }
+# the size flags each instance kind reads, in echo order
+_GEN_LC_SIZES = {
+    "unique": ("vertices", "edges", "k", "r"),
+    "projection": ("vertices", "edges", "k", "m", "n", "d"),
+    "smooth": ("w_vertices", "vertices", "degree", "k", "m", "n", "d"),
+}
+
+
+def _cmd_gen_lc(p: dict) -> int:
+    kind, seed, d = p["kind"], p["seed"], p["d"]
+    sizes = _GEN_LC_SIZES[kind]
+    for name in sizes:
+        if p[name] is None:
+            raise _missing(name.replace("_", "-"))
+    echo = {"kind": kind, **{name: p[name] for name in sizes}, "seed": seed}
+    if kind == "smooth":
+        bip, lab = gen_planted_bipartite(*(p[name] for name in sizes if name != "k"), seed)
+        inst = smooth_from_bipartite(bip, p["k"])
     else:
-        raise CliError(f"unknown instance kind {kind!r}; use unique|projection|smooth")
+        gen = gen_planted_unique if kind == "unique" else gen_planted_projection
+        inst, lab = gen(*(p[name] for name in sizes), seed)
 
     strong = satisfaction_fractions(inst, lab)[0]
     records = [
@@ -318,76 +352,53 @@ def _cmd_gen_lc(args: argparse.Namespace) -> int:
             None,
         )
     )
-    write_instance(inst, out)
-    if getattr(args, "labeling", None):
-        write_labeling(lab, args.labeling)
-    return _emit(args, records, echo)
+    write_instance(inst, p["out"])
+    if p["labeling"]:
+        write_labeling(lab, p["labeling"])
+    return _emit(p, records, echo)
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(p: dict) -> int:
     """sample (the grid test) and reduce (an instance's reduction)."""
-    seed = _seed(args)
-    out = _require(args, "out")
-    count = _count(args, "count")
-    stream_id = _at_least(args, "stream_id", 0, low=0)
-    inst_path = getattr(args, "instance", None)
-    if inst_path:
-        inst = read_instance(inst_path)
-        if getattr(args, "r", None) is None:
-            args.r = inst.m if inst.unique else inst.n
-        spec, echo = _resolve_gadget(args)
-        echo.update({"instance": inst_path, "count": count, "seed": seed})
+    seed, out, count, stream_id = p["seed"], p["out"], p["count"], p["stream_id"]
+    inst = read_instance(p["instance"]) if p.get("instance") else None
+    if inst is not None and p["r"] is None:
+        p["r"] = inst.m if inst.unique else inst.n
+    spec, echo = _resolve_gadget(p)
+    echo.update({"instance": p["instance"]} if inst else {}, count=count, seed=seed)
+    if inst is None:
+        write_dict_test_stream(out, spec, count, seed, stream_id, extra_meta=_echo_text(echo))
+        kind = "dict-test"
+    else:
         write_reduction_stream(
             out, inst, spec, count, seed, stream_id, extra_meta=_echo_text(echo)
         )
         kind = "ug-reduce" if inst.unique else "lc-reduce"
-    else:
-        spec, echo = _resolve_gadget(args)
-        echo.update({"count": count, "seed": seed})
-        write_dict_test_stream(
-            out, spec, count, seed, stream_id, extra_meta=_echo_text(echo)
-        )
-        kind = "dict-test"
     records = [
         make_record(
             "sample.write", {**echo, "kind": kind, "out": out}, count, "reported", None
         )
     ]
-    return _emit(args, records, echo)
+    return _emit(p, records, echo)
 
 
-def _cmd_dict_test(args: argparse.Namespace) -> int:
-    seed = _seed(args)
-    samples = _count(args, "samples")
-    spec, echo = _resolve_gadget(args)
+def _cmd_dict_test(p: dict) -> int:
+    seed, samples = p["seed"], p["samples"]
+    spec, echo = _resolve_gadget(p)
     echo.update({"samples": samples, "seed": seed})
-    records = run_experiment(
-        ExperimentPlan(
-            kind="completeness",
-            spec=spec,
-            samples=samples,
-            master_seed=seed,
-            threshold=getattr(args, "floor", None),
-        )
-    )
+    plans = [("completeness", p["floor"])]
     if not spec.completeness_only:
-        gap_bound = getattr(args, "gap_bound", None)
-        records.extend(
-            run_experiment(
-                ExperimentPlan(
-                    kind="soundness",
-                    spec=spec,
-                    samples=samples,
-                    master_seed=seed,
-                    threshold=float(gap_bound) if gap_bound is not None else None,
-                )
-            )
-        )
-    return _emit(args, records, echo)
+        plans.append(("soundness", p["gap_bound"]))
+    records = [
+        rec
+        for kind, threshold in plans
+        for rec in run_experiment(ExperimentPlan(kind, spec, samples, seed, threshold))
+    ]
+    return _emit(p, records, echo)
 
 
-def _cmd_verify_moments(args: argparse.Namespace) -> int:
-    k, eps_v, p_v, gamma = _resolve_params(args)
+def _cmd_verify_moments(p: dict) -> int:
+    k, eps_v, p_v, gamma = _resolve_params(p)
     echo = {"k": k, "eps": eps_v, "p": p_v, "gamma": gamma}
 
     sol = solve_d0_weights(k, eps_v, p_v)
@@ -431,7 +442,7 @@ def _cmd_verify_moments(args: argparse.Namespace) -> int:
                 "moments.enum-oracle", echo, worst, "<= 1e-12", worst <= 1e-12
             )
         )
-    return _emit(args, records, echo)
+    return _emit(p, records, echo)
 
 
 def _random_decaying_vector(rng: CursorRng, dim: int, ratio: float) -> np.ndarray:
@@ -449,11 +460,8 @@ def _random_decaying_vector(rng: CursorRng, dim: int, ratio: float) -> np.ndarra
 _VECTOR_BLOCK_CELLS = 1 << 18
 
 
-def _cmd_verify_critical_index(args: argparse.Namespace) -> int:
-    seed = _seed(args, default=0)
-    count = _at_least(args, "count", 1000)
-    dim = _at_least(args, "dim", 32)
-    tau = _unit(args, "tau", 0.25)
+def _cmd_verify_critical_index(p: dict) -> int:
+    seed, count, dim, tau = p["seed"], p["count"], p["dim"], p["tau"]
     echo = {"count": count, "dim": dim, "tau": tau, "seed": seed}
     rng = _aux_rng(seed)
     chain_fail = minimal_fail = 0
@@ -486,15 +494,13 @@ def _cmd_verify_critical_index(args: argparse.Namespace) -> int:
             minimal_fail, "== 0 failures", minimal_fail == 0,
         ),
     ]
-    return _emit(args, records, echo)
+    return _emit(p, records, echo)
 
 
-def _cmd_verify_small_ball(args: argparse.Namespace) -> int:
-    seed = _seed(args)
-    cases = _at_least(args, "cases", 100)
-    t = _at_least(args, "t", 12)
-    gamma = _unit(args, "gamma", 0.25)
-    trials = _at_least(args, "trials", 20000)
+def _cmd_verify_small_ball(p: dict) -> int:
+    seed, cases, t, gamma, trials = (
+        p[name] for name in ("seed", "cases", "t", "gamma", "trials")
+    )
     echo = {"cases": cases, "t": t, "gamma": gamma, "trials": trials, "seed": seed}
     rng = _aux_rng(seed)
     unique_fail = ball_fail = 0
@@ -526,7 +532,7 @@ def _cmd_verify_small_ball(args: argparse.Namespace) -> int:
             ball_fail == 0,
         ),
     ]
-    return _emit(args, records, echo)
+    return _emit(p, records, echo)
 
 
 def _regular_unit_vector(rng: CursorRng, tau: float) -> np.ndarray:
@@ -537,12 +543,10 @@ def _regular_unit_vector(rng: CursorRng, tau: float) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _cmd_verify_spread(args: argparse.Namespace) -> int:
-    seed = _seed(args)
-    cases = _at_least(args, "cases", 20)
-    gamma = _unit(args, "gamma", 0.2)
-    tau = _unit(args, "tau", 0.2)
-    trials = _at_least(args, "trials", 20000)
+def _cmd_verify_spread(p: dict) -> int:
+    seed, cases, gamma, tau, trials = (
+        p[name] for name in ("seed", "cases", "gamma", "tau", "trials")
+    )
     echo = {"cases": cases, "gamma": gamma, "tau": tau, "trials": trials, "seed": seed}
     rng = _aux_rng(seed)
     spread_fail = mass_fail = 0
@@ -573,16 +577,14 @@ def _cmd_verify_spread(args: argparse.Namespace) -> int:
             mass_fail == 0,
         ),
     ]
-    return _emit(args, records, echo)
+    return _emit(p, records, echo)
 
 
 _MICRO_GADGETS = ((12, "0.82", "0.25"), (16, "0.78", "0.25"), (24, "0.7", "0.25"))
 
 
-def _cmd_verify_invariance(args: argparse.Namespace) -> int:
-    seed = _seed(args, default=0)
-    families = _at_least(args, "families", 50)
-    r = _at_least(args, "r", 4)
+def _cmd_verify_invariance(p: dict) -> int:
+    seed, families, r = p["seed"], p["families"], p["r"]
     if r > 6:
         raise CliError("verify invariance is exhaustive; r must stay <= 6")
     echo = {"families": families, "r": r, "seed": seed}
@@ -591,8 +593,7 @@ def _cmd_verify_invariance(args: argparse.Namespace) -> int:
     cubic_nonzero = 0
     quartic_fail = sgn_fail = hybrid_fail = 0
     for idx in range(families):
-        k, eps, p = _MICRO_GADGETS[idx % len(_MICRO_GADGETS)]
-        d0, d1 = build_pair(k, eps, p)
+        d0, d1 = build_pair(*_MICRO_GADGETS[idx % len(_MICRO_GADGETS)])
         m = 2 + (idx % 2)
         ens_a = mixture_marginal_ensemble(d1, m)
         ens_b = mixture_marginal_ensemble(d0, m)
@@ -640,22 +641,20 @@ def _cmd_verify_invariance(args: argparse.Namespace) -> int:
             "invariance.sgn-gap", echo, sgn_fail, "== 0 failures", sgn_fail == 0
         ),
     ]
-    return _emit(args, records, echo)
+    return _emit(p, records, echo)
 
 
-def _cmd_verify_smoothness(args: argparse.Namespace) -> int:
-    j = _positive_j(args)
-    inst = read_instance(_require(args, "instance"))
-    vertex = getattr(args, "vertex", None)
-    vertices = [int(vertex)] if vertex is not None else [
+def _cmd_verify_smoothness(p: dict) -> int:
+    j, d, vertex = p["j"], p["d"], p["vertex"]
+    inst = read_instance(p["instance"])
+    vertices = [vertex] if vertex is not None else [
         v for v in range(inst.num_vertices) if (inst.edges == v).any()
     ]
     worst = 0.0
     for v in vertices:
         report = audit_smoothness(inst, v)
         worst = max(worst, report.value)
-    echo = {"instance": args.instance, "vertices": len(vertices)}
-    d = getattr(args, "d", None)
+    echo = {"instance": p["instance"], "vertices": len(vertices)}
     worst_preimage = audit_preimage(inst)
     records = [
         make_record(
@@ -663,33 +662,30 @@ def _cmd_verify_smoothness(args: argparse.Namespace) -> int:
             {**echo, "j": j if j is not None else "unset"},
             worst,
             f"<= 1/{j}" if j is not None else "reported",
-            worst <= 1.0 / float(j) if j is not None else None,
+            worst <= 1.0 / j if j is not None else None,
         ),
         make_record(
             "smoothness.preimage", echo, worst_preimage,
             f"<= {d}" if d is not None else "reported",
-            worst_preimage <= int(d) if d is not None else None,
+            worst_preimage <= d if d is not None else None,
         ),
     ]
-    return _emit(args, records, echo)
+    return _emit(p, records, echo)
 
 
-def _cmd_verify_niceness(args: argparse.Namespace) -> int:
-    j = _positive_j(args)
-    d = getattr(args, "d", None)
-    inst = read_instance(_require(args, "instance"))
-    h = read_halfspace(_require(args, "halfspace"))
-    tau = float(_require(args, "tau"))
-    beta = getattr(args, "beta", None)
-    beta = 2.0 * tau if beta is None else float(beta)
+def _cmd_verify_niceness(p: dict) -> int:
+    j, d, tau, beta = p["j"], p["d"], p["tau"], p["beta"]
+    inst = read_instance(p["instance"])
+    h = read_halfspace(p["halfspace"])
+    beta = 2.0 * tau if beta is None else beta
     nice = edge_niceness_audit(inst, h, tau, beta)
     non_nice = 1.0 - nice
     echo = {
-        "instance": args.instance, "halfspace": args.halfspace,
+        "instance": p["instance"], "halfspace": p["halfspace"],
         "tau": tau, "beta": beta,
     }
     if j is not None and d is not None:
-        bound = non_nice_bound(inst.k, int(d), float(j))
+        bound = non_nice_bound(inst.k, d, j)
         record = make_record(
             "niceness.non-nice-fraction", {**echo, "j": j, "d": d},
             non_nice, f"<= {bound:.6g} (k*d^16/J)", non_nice <= bound,
@@ -698,22 +694,22 @@ def _cmd_verify_niceness(args: argparse.Namespace) -> int:
         record = make_record(
             "niceness.non-nice-fraction", echo, non_nice, "reported", None
         )
-    return _emit(args, [record], echo)
+    return _emit(p, [record], echo)
 
 
-def _cmd_learn(args: argparse.Namespace) -> int:
-    stream = _require(args, "stream")
+def _cmd_learn(p: dict) -> int:
+    stream = p["stream"]
     cfg = LearnerConfig(
-        epochs=_at_least(args, "epochs", 5),
-        rate=_opt(args, "rate", 1.0, float, lambda v: v > 0.0, "> 0"),
-        schedule=getattr(args, "schedule", None) or "constant",
-        shuffle_seed=_seed(args, default=0),
-        averaged=not getattr(args, "no_average", False),
+        epochs=p["epochs"],
+        rate=p["rate"],
+        schedule=p["schedule"],
+        shuffle_seed=p["seed"],
+        averaged=not p["no_average"],
     )
     bits, labels, rows, cols = load_examples(stream)
     h = perceptron_train((bits, labels), cfg, rows, cols)
-    if getattr(args, "out", None):
-        write_halfspace(h, args.out)
+    if p["out"]:
+        write_halfspace(h, p["out"])
     rep = agreement(h, [(bits, labels)])
     trivial = max(rep.n1, rep.n0) / rep.count
     echo = {
@@ -735,24 +731,20 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             abs(rep.rate + negated_rate(rep) - 1.0) <= 1e-12,
         ),
     ]
-    return _emit(args, records, echo)
+    return _emit(p, records, echo)
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
-    seed = _seed(args)
-    h = read_halfspace(_require(args, "halfspace"))
-    inst = read_instance(_require(args, "instance"))
-    spec = DecoderSpec(
-        t=_at_least(args, "t", 1),
-        tau=_unit(args, "tau", 0.25),
-        trials=_at_least(args, "trials", 64),
-    )
+def _cmd_decode(p: dict) -> int:
+    seed, out, labeling = p["seed"], p["out"], p["labeling"]
+    h = read_halfspace(p["halfspace"])
+    inst = read_instance(p["instance"])
+    spec = DecoderSpec(t=p["t"], tau=p["tau"], trials=p["trials"])
     report = weak_sat_rate_of_decoder(h, spec, inst, seed)
     echo = {
-        "halfspace": args.halfspace, "instance": args.instance,
+        "halfspace": p["halfspace"], "instance": p["instance"],
         "t": spec.t, "trials": spec.trials, "seed": seed,
     }
-    expect_full = bool(getattr(args, "expect_full", False))
+    expect_full = p["expect_full"]
     records = [
         make_record(
             "decode.weak-rate", echo, report.weak_rate,
@@ -760,12 +752,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             report.weak_rate >= 1.0 if expect_full else None,
         )
     ]
-    if getattr(args, "out", None) or getattr(args, "labeling", None):
+    if out or labeling:
         decoded = decode_labeling(h, spec, seed, 0, trial=0)
-    if getattr(args, "out", None):
-        write_labeling(decoded, args.out)
-    if getattr(args, "labeling", None):
-        planted = read_labeling(args.labeling)
+    if out:
+        write_labeling(decoded, out)
+    if labeling:
+        planted = read_labeling(labeling)
         match = bool(np.array_equal(decoded.assignment, planted.assignment))
         records.append(
             make_record(
@@ -774,11 +766,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                 match if spec.t == 1 else None,
             )
         )
-    return _emit(args, records, echo)
+    return _emit(p, records, echo)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    records, summary = fold_record_files(args.files)
+def _cmd_report(p: dict) -> int:
+    records, summary = fold_record_files(p["files"])
     for rec in records:
         print(rec.line())
     print(summary.line())
@@ -789,22 +781,130 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file of default parameter values")
-    sub.add_argument("--records", help="write check records to this file")
-    sub.add_argument("--seed", type=int, help="master seed (sampling subcommands)")
+def _size(name: str, default: int | None = None, low: int = 1, **more) -> Flag:
+    return Flag(name, "int", default, range=f">= {low}", **more)
 
 
-def _add_gadget(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=int, help="column arity of the gadget")
-    sub.add_argument("--r", type=int, help="grid width (columns per example)")
-    sub.add_argument("--eps", help="mixing weight, or 'paper' for k^-1/2")
-    sub.add_argument("--p", help="base rate, or 'paper' for k^-1/3")
-    sub.add_argument("--gamma", help="noise rate, or 'paper' for 1/k^2")
-    sub.add_argument(
-        "--completeness-only", action="store_true",
-        help="use the one-sided pair (no degree-4 matching)",
-    )
+def _rate(name: str, default: float | None = None, **more) -> Flag:
+    return Flag(name, "float", default, range="(0, 1]", **more)
+
+
+def _path(name: str, required: bool | str = False, help: str = "") -> Flag:
+    return Flag(name, "path", required=required, help=help)
+
+
+_COMMON = (
+    _path("config", help="JSON file of default parameter values"),
+    _path("records", help="write check records to this file"),
+)
+_SEED = Flag("seed", required=True, range="[0, 2^64)", help="master seed")
+_SEED_0 = _SEED._replace(required=False, default=0)
+_PAIR = (
+    _size("k", required=True, help="column arity of the gadget"),
+    Flag("eps", "rational", required=True, range="[0, 1]",
+         help="mixing weight, or 'paper' for k^-1/2"),
+    Flag("p", "rational", "paper", range="[0, 1]", help="base rate, or 'paper' for k^-1/3"),
+    Flag("gamma", "rational", "paper", range="[0, 1]", help="noise rate, or 'paper' for 1/k^2"),
+)
+_ONE_SIDED = Flag(
+    "completeness-only", "switch", False, help="use the one-sided pair (no degree-4 matching)"
+)
+_GRID_R = _size("r", 1, help="grid width (columns per example)")
+_J_D = (
+    Flag("j", "float", range="> 0", help="smoothness parameter J of the collision bound 1/J"),
+    _size("d", help="projection degree bound"),
+)
+_STREAM = (
+    _path("out", True, "write the stream here"),
+    _size("count", low=0, required=True, help="examples to draw"),
+    _size("stream-id", 0, low=0, help="stream lane of the draws"),
+)
+
+# subcommand -> (handler, help, flag rows); "verify x" is x under verify
+_COMMANDS = {
+    "gen-lc": (_cmd_gen_lc, "generate a projection instance", (
+        Flag("kind", "choice", required=True, range="|".join(_GEN_LC_SIZES)),
+        _SEED, _path("out", True, "write the instance here"),
+        _size("k", low=2, required=True, help="edge arity"),
+        _size("vertices"), _size("edges"), _size("r", help="label count for unique instances"),
+        *map(_size, ("m", "n", "d", "w-vertices", "degree")),
+        _path("labeling", help="also write the planted labeling here"), *_COMMON,
+    )),
+    "sample": (_cmd_sample, "write a labeled example stream", (
+        _SEED, *_STREAM, *_PAIR, _GRID_R, _ONE_SIDED, *_COMMON,
+    )),
+    "reduce": (_cmd_sample, "write a labeled example stream from an instance", (
+        _SEED, _path("instance", "argv"), *_STREAM, *_PAIR,
+        _GRID_R._replace(default=None, help="grid width; default: the instance's label count"),
+        _ONE_SIDED, *_COMMON,
+    )),
+    "dict-test": (_cmd_dict_test, "run the grid-test experiment", (
+        _SEED, _size("samples", low=0, required=True, help="examples per pass"),
+        *_PAIR, _GRID_R, _ONE_SIDED,
+        Flag("floor", "float", range="[0, 1]", help="assert acceptance at least this"),
+        Flag("gap-bound", "float", range=">= 0", help="assert the majority-probe gap under this"),
+        *_COMMON,
+    )),
+    "verify moments": (
+        _cmd_verify_moments, "moment matching, weight residuals, enumeration oracle",
+        (*_PAIR, *_COMMON),
+    ),
+    "verify critical-index": (
+        _cmd_verify_critical_index, "decay chains and prefix minimality on random vectors",
+        (_SEED_0, _size("count", 1000), _size("dim", 32), _rate("tau", 0.25), *_COMMON),
+    ),
+    "verify small-ball": (
+        _cmd_verify_small_ball, "interval mass bounds under bit noise, Monte Carlo",
+        (_SEED, _size("cases", 100), _size("t", 12), _rate("gamma", 0.25),
+         _size("trials", 20000), *_COMMON),
+    ),
+    "verify spread": (
+        _cmd_verify_spread, "tail spread and noise mass lower bounds for regular vectors",
+        (_SEED, _size("cases", 20), _rate("gamma", 0.2), _rate("tau", 0.2),
+         _size("trials", 20000), *_COMMON),
+    ),
+    "verify invariance": (
+        _cmd_verify_invariance, "quartic hybrid bounds and exact cubic zero checks",
+        (_SEED_0, _size("families", 50), _size("r", 4), *_COMMON),
+    ),
+    "verify smoothness": (
+        _cmd_verify_smoothness, "collision rates and preimage sizes of an instance",
+        (_path("instance", True), _size("vertex", low=0, help="audit this vertex only"),
+         *_J_D, *_COMMON),
+    ),
+    "verify niceness": (
+        _cmd_verify_niceness, "fraction of edges nice for a given halfspace",
+        (_path("instance", True), _path("halfspace", True), _rate("tau", required=True),
+         Flag("beta", "float", range="> 0", help="niceness threshold; default: 2*tau"),
+         *_J_D, *_COMMON),
+    ),
+    "learn": (_cmd_learn, "train the perceptron probe on a stream", (
+        _path("stream", True), _size("epochs", 5), Flag("rate", "float", 1.0, range="> 0"),
+        Flag("schedule", "choice", "constant", range="constant|inverse"),
+        Flag("no-average", "switch", False, help="keep the last weights, not their average"),
+        _path("out", help="write the trained halfspace here"), _SEED_0, *_COMMON,
+    )),
+    "decode": (_cmd_decode, "decode a halfspace into a labeling", (
+        _SEED, _path("halfspace", True), _path("instance", True),
+        _size("t", 1, help="list size"), _rate("tau", 0.25), _size("trials", 64),
+        _path("labeling", help="compare against this planted labeling"),
+        Flag("expect-full", "switch", False, help="assert the weak-satisfaction rate is 1.0"),
+        _path("out", help="write the trial-0 labeling here"), *_COMMON,
+    )),
+    "report": (_cmd_report, "fold record files into one summary", (
+        Flag("files", "files", required="argv", help="record files"),
+    )),
+}
+
+
+def _help(flag: Flag) -> str:
+    """A row's --help text, ending in its kind, range and default."""
+    facts = flag.range if flag.kind == "choice" else f"{flag.kind} {_need(flag.range)}".strip()
+    if flag.required:
+        facts += ", required"
+    elif flag.default is not None:
+        facts += f", default {flag.default}"
+    return f"{flag.help} [{facts}]".lstrip()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -814,146 +914,32 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments, and lemma-level verifications.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("gen-lc", help="generate a projection instance")
-    _add_common(sub)
-    sub.add_argument("--kind", choices=("unique", "projection", "smooth"))
-    sub.add_argument("--vertices", type=int)
-    sub.add_argument("--edges", type=int)
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--r", type=int, help="label count for unique instances")
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--w-vertices", type=int, dest="w_vertices")
-    sub.add_argument("--degree", type=int)
-    sub.add_argument("--out")
-    sub.add_argument("--labeling", help="also write the planted labeling here")
-    sub.set_defaults(func=_cmd_gen_lc)
-
-    for name, needs_instance in (("sample", False), ("reduce", True)):
-        sub = subs.add_parser(
-            name,
-            help="write a labeled example stream"
-            + (" from an instance" if needs_instance else ""),
-        )
-        _add_common(sub)
-        _add_gadget(sub)
-        if needs_instance:
-            sub.add_argument("--instance", required=True)
-        sub.add_argument("--count", type=int)
-        sub.add_argument("--stream-id", type=int, dest="stream_id")
-        sub.add_argument("--out")
-        sub.set_defaults(func=_cmd_sample)
-
-    sub = subs.add_parser("dict-test", help="run the grid-test experiment")
-    _add_common(sub)
-    _add_gadget(sub)
-    sub.add_argument("--samples", type=int)
-    sub.add_argument("--floor", type=float, help="assert acceptance at least this")
-    sub.add_argument(
-        "--gap-bound", type=float, dest="gap_bound",
-        help="assert the majority-probe gap stays under this",
-    )
-    sub.set_defaults(func=_cmd_dict_test)
-
-    verify = subs.add_parser("verify", help="lemma-level verifications")
-    vsubs = verify.add_subparsers(dest="verify_what", required=True)
-
-    sub = vsubs.add_parser("moments")
-    _add_common(sub)
-    _add_gadget(sub)
-    sub.set_defaults(func=_cmd_verify_moments)
-
-    sub = vsubs.add_parser("critical-index")
-    _add_common(sub)
-    sub.add_argument("--count", type=int)
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--tau", type=float)
-    sub.set_defaults(func=_cmd_verify_critical_index)
-
-    sub = vsubs.add_parser("small-ball")
-    _add_common(sub)
-    sub.add_argument("--cases", type=int)
-    sub.add_argument("--t", type=int)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--trials", type=int)
-    sub.set_defaults(func=_cmd_verify_small_ball)
-
-    sub = vsubs.add_parser("spread")
-    _add_common(sub)
-    sub.add_argument("--cases", type=int)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--trials", type=int)
-    sub.set_defaults(func=_cmd_verify_spread)
-
-    sub = vsubs.add_parser("invariance")
-    _add_common(sub)
-    sub.add_argument("--families", type=int)
-    sub.add_argument("--r", type=int)
-    sub.set_defaults(func=_cmd_verify_invariance)
-
-    sub = vsubs.add_parser("smoothness")
-    _add_common(sub)
-    sub.add_argument("--instance")
-    sub.add_argument("--vertex", type=int)
-    sub.add_argument("--j", type=float)
-    sub.add_argument("--d", type=int)
-    sub.set_defaults(func=_cmd_verify_smoothness)
-
-    sub = vsubs.add_parser("niceness")
-    _add_common(sub)
-    sub.add_argument("--instance")
-    sub.add_argument("--halfspace")
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--j", type=float)
-    sub.add_argument("--d", type=int)
-    sub.set_defaults(func=_cmd_verify_niceness)
-
-    sub = subs.add_parser("learn", help="train the perceptron probe on a stream")
-    _add_common(sub)
-    sub.add_argument("--stream")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--rate", type=float)
-    sub.add_argument("--schedule", choices=("constant", "inverse"))
-    sub.add_argument("--no-average", action="store_true", dest="no_average")
-    sub.add_argument("--out", help="write the trained halfspace here")
-    sub.set_defaults(func=_cmd_learn)
-
-    sub = subs.add_parser("decode", help="decode a halfspace into a labeling")
-    _add_common(sub)
-    sub.add_argument("--halfspace")
-    sub.add_argument("--instance")
-    sub.add_argument("--t", type=int)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--labeling", help="compare against this planted labeling")
-    sub.add_argument(
-        "--expect-full", action="store_true", dest="expect_full",
-        help="assert the weak-satisfaction rate is 1.0",
-    )
-    sub.add_argument("--out", help="write the trial-0 labeling here")
-    sub.set_defaults(func=_cmd_decode)
-
-    sub = subs.add_parser("report", help="fold record files into one summary")
-    sub.add_argument("files", nargs="+")
-    sub.set_defaults(func=_cmd_report)
-
-    # the flags a config value must fill with an integer, per subcommand
-    for sub in (*subs.choices.values(), *vsubs.choices.values()):
-        if sub.get_default("func"):
-            sub.set_defaults(int_flags={a.dest for a in sub._actions if a.type is int})
+    verify = None
+    for name, (func, text, table) in _COMMANDS.items():
+        what = name.removeprefix("verify ")
+        if what != name and verify is None:
+            verify = subs.add_parser("verify", help="lemma-level verifications")
+            verify = verify.add_subparsers(dest="verify_what", required=True)
+        sub = (subs if what == name else verify).add_parser(what, help=text)
+        for flag in table:
+            if flag.kind == "files":
+                sub.add_argument(flag.name, nargs="+", help=flag.help)
+            elif flag.kind == "switch":
+                sub.add_argument(
+                    "--" + flag.name, action="store_true", default=None, help=flag.help
+                )
+            else:
+                sub.add_argument(
+                    "--" + flag.name, required=flag.required == "argv", help=_help(flag)
+                )
+        sub.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
-        return args.func(args)
+        return args.func(_resolve(args))
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glhs import harness
-from glhs.cli import main
+from glhs.cli import _COMMANDS, main
 from glhs.core import AtomicFile, StreamReader
 from glhs.halfspace import Halfspace, read_halfspace, write_halfspace
 from glhs.harness import make_record, parse_record, read_records
@@ -685,3 +689,322 @@ class TestHostileInput:
                 write(str(path))
         assert path.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out." + kind, "p.lc"]
+
+
+# ---------------------------------------------------------------------------
+# tests generated from the flag table
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """An instance, its planted labeling, a matching halfspace and a stream."""
+    work = tmp_path_factory.mktemp("inputs")
+    paths = {name: str(work / name) for name in ("p.lc", "p.lab", "p.hs", "s.bin")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-lc", "--kind", "projection", "--vertices", "5", "--edges", "6",
+                     "--k", "3", "--m", "4", "--n", "2", "--d", "2", "--seed", "2",
+                     "--out", paths["p.lc"], "--labeling", paths["p.lab"]]) == 0
+        assert main(["sample", *GADGET, "--r", "2", "--count", "16", "--seed", "1",
+                     "--out", paths["s.bin"]]) == 0
+    write_halfspace(Halfspace.from_grid(np.ones((5, 4)), 1.0), paths["p.hs"])
+    return paths
+
+
+def _base(inputs):
+    """A small valid argv per subcommand; outputs go to the working directory."""
+    lc, lab, hs, stream = (inputs[name] for name in ("p.lc", "p.lab", "p.hs", "s.bin"))
+    return {
+        "gen-lc": ["--kind", "projection", "--vertices", "5", "--edges", "6", "--k", "3",
+                   "--m", "4", "--n", "2", "--d", "2", "--r", "2", "--w-vertices", "2",
+                   "--degree", "2", "--seed", "1", "--out", "out.lc", "--labeling", "out.lab"],
+        "sample": [*GADGET, "--r", "2", "--count", "8", "--seed", "1", "--out", "out.bin"],
+        "reduce": ["--instance", lc, "--k", "3", "--eps", "0.5", "--p", "0.25",
+                   "--completeness-only", "--count", "8", "--seed", "1", "--out", "out.bin"],
+        "dict-test": [*GADGET, "--r", "1", "--samples", "50", "--seed", "1"],
+        "verify moments": GADGET,
+        "verify critical-index": ["--count", "20", "--dim", "8"],
+        "verify small-ball": ["--cases", "2", "--t", "6", "--trials", "200", "--seed", "1"],
+        "verify spread": ["--cases", "1", "--tau", "0.2", "--trials", "200", "--seed", "1"],
+        "verify invariance": ["--families", "1", "--r", "2"],
+        "verify smoothness": ["--instance", lc],
+        "verify niceness": ["--instance", lc, "--halfspace", hs, "--tau", "0.5"],
+        "learn": ["--stream", stream, "--epochs", "1", "--out", "out.hs"],
+        "decode": ["--halfspace", hs, "--instance", lc, "--t", "1", "--trials", "2",
+                   "--seed", "1", "--out", "out.lab", "--labeling", lab],
+    }
+
+
+TABLE = {name: rows for name, (_, _, rows) in _COMMANDS.items()}
+
+
+def _without(argv, name):
+    """argv with --name and its value (if it takes one) removed."""
+    if f"--{name}" not in argv:
+        return list(argv)
+    at = argv.index(f"--{name}")
+    takes_value = at + 1 < len(argv) and not argv[at + 1].startswith("--")
+    return argv[:at] + argv[at + 1 + takes_value:]
+
+
+def _bound(text):
+    base, _, exp = text.partition("^")
+    return Fraction(int(base) ** int(exp or 1))
+
+
+def _outside(flag):
+    """Values just outside a numeric row's range, plus non-finite values for
+    float and rational rows, each as (command-line text, JSON value)."""
+    spec = flag.range
+    if spec.startswith(("(", "[")):
+        lo, hi = (_bound(part) for part in spec[1:-1].split(", "))
+        ends = [(lo, spec[0] == "[", -1), (hi, spec[-1] == "]", 1)]
+    else:
+        op, bound = spec.split()
+        ends = [(_bound(bound), op == ">=", -1)]
+    values = []
+    for bound, closed, side in ends:
+        if not closed:
+            value = bound
+        elif flag.kind == "int":
+            value = bound + side
+        elif flag.kind == "float":
+            value = math.nextafter(float(bound), side * math.inf)
+        else:
+            value = bound + Fraction(side, 10**9)
+        if flag.kind == "int":
+            values.append((str(int(value)), int(value)))
+        elif flag.kind == "float":
+            values.append((repr(float(value)), float(value)))
+        else:
+            values.append((str(value), str(value)))
+    if flag.kind != "int":
+        values += [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+    return values
+
+
+RANGE_CASES = [
+    pytest.param(command, flag, text, value, id=f"{command}--{flag.name}={text}")
+    for command, table in TABLE.items()
+    for flag in table if flag.range and flag.kind != "choice"
+    for text, value in _outside(flag)
+]
+
+
+NICENESS = ["verify", "niceness", "--instance", "p.lc", "--halfspace", "p.hs", "--tau", "0.2"]
+
+
+class TestFlagTable:
+    def test_every_base_argv_runs(self, capsys, tmp_path, monkeypatch, inputs):
+        # the argv the generated cases start from is valid, so the flag under
+        # test is the only fault in each of them
+        monkeypatch.chdir(tmp_path)
+        for command, argv in _base(inputs).items():
+            code, _, err = _run(capsys, [*command.split(), *argv, "--records", "out.rec"])
+            assert code in (0, 1), (command, err)
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "out.lc", "out.lab", "out.bin", "out.hs", "out.rec"}
+
+    @pytest.mark.parametrize("route", ["argv", "config"])
+    @pytest.mark.parametrize("command, flag, text, value", RANGE_CASES)
+    def test_out_of_range_values_are_usage_errors(self, capsys, tmp_path, monkeypatch,
+                                                  inputs, route, command, flag, text, value):
+        monkeypatch.chdir(tmp_path)
+        argv = [*command.split(), *_without(_base(inputs)[command], flag.name),
+                "--records", "out.rec"]
+        if route == "argv":
+            argv.append(f"--{flag.name}={text}")  # '=' keeps "-inf" a value
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({flag.name: value}))
+            argv += ["--config", "c.json"]
+        code, stdout, err = _run(capsys, argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: --{flag.name} must be ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == (["c.json"] if route == "config" else [])
+
+    @pytest.mark.parametrize("command", sorted(TABLE))
+    def test_help_prints_each_range(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([*command.split(), "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in TABLE[command]:
+            if flag.range:
+                assert flag.range in text, flag.name
+
+    @pytest.mark.parametrize("argv, config, flag", [
+        # with d = -1 the k*d^16/J bound would read k/J, since (-1)^16 = 1
+        pytest.param([*NICENESS, "--j", "10", "--d", "-1"], {}, "d", id="niceness-d-negative"),
+        pytest.param([*NICENESS, "--j", "10", "--d", "0"], {}, "d", id="niceness-d-zero"),
+        pytest.param(["verify", "smoothness", "--instance", "p.lc", "--d", "-3"], {}, "d",
+                     id="smoothness-d"),
+        pytest.param(["dict-test", *GADGET, "--samples", "50", "--seed", "1", "--floor", "nan"],
+                     {}, "floor", id="floor-nan"),
+        pytest.param(["dict-test", *GADGET, "--samples", "50", "--seed", "1",
+                      "--gap-bound", "nan"], {}, "gap-bound", id="gap-bound-nan"),
+        pytest.param([*NICENESS, "--beta", "nan"], {}, "beta", id="beta-nan"),
+        pytest.param([*NICENESS, "--beta", "-5"], {}, "beta", id="beta-negative"),
+        # config values of the wrong JSON type
+        pytest.param(["dict-test", *GADGET, "--samples", "50", "--seed", "1"],
+                     {"floor": "0.5"}, "floor", id="config-floor-string"),
+        pytest.param(["learn", "--stream", "s.bin"], {"out": 1}, "out", id="config-out-number"),
+        pytest.param(["verify", "smoothness"], {"instance": 0}, "instance",
+                     id="config-instance-number"),
+        pytest.param(["dict-test", *GADGET, "--samples", "50", "--seed", "1"],
+                     {"completeness_only": 1}, "completeness-only", id="config-switch-number"),
+        pytest.param(["learn", "--stream", "s.bin"], {"no-average": "yes"}, "no-average",
+                     id="config-switch-string"),
+        pytest.param(["learn", "--stream", "s.bin"], {"schedule": "cosine"}, "schedule",
+                     id="config-choice"),
+    ])
+    def test_reported_cases_are_usage_errors(self, capsys, tmp_path, monkeypatch, inputs,
+                                             argv, config, flag):
+        # each value would make a check meaningless or reach a handler
+        # untyped; it must stop the run before any output is written
+        monkeypatch.chdir(tmp_path)
+        argv = [inputs.get(arg, arg) for arg in argv]
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code, stdout, err = _run(capsys, [*argv, "--config", "c.json"])
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: --{flag} must be ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_config_switches_are_read(self, capsys, tmp_path, inputs):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"completeness-only": True}))
+        code, out, _ = _run(capsys, ["dict-test", *GADGET, "--samples", "50", "--seed", "1",
+                                     "--config", str(cfg)])
+        assert code == 0
+        ids = {r.check_id for r in _check_lines(out)}
+        assert ids and not any(i.startswith("soundness") for i in ids)
+        cfg.write_text(json.dumps({"no_average": True, "completeness_only": False}))
+        code, out, _ = _run(capsys, ["learn", "--stream", inputs["s.bin"], "--epochs", "1",
+                                     "--config", str(cfg)])
+        assert code == 0
+        assert dict(_check_lines(out)[0].params)["averaged"] == "False"
+
+    @pytest.mark.parametrize("command", ["moments", "smoothness", "niceness"])
+    def test_unread_seed_is_not_a_flag(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main(["verify", command, "--seed", "1"])
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    # flags that size the work stay on the command line, where the base argv
+    # sets them, so no draw can ask for a huge run
+    SIZING = {
+        "gen-lc": ("vertices", "edges", "k", "r", "m", "n", "d", "w-vertices", "degree"),
+        "sample": ("count", "k", "r"),
+        "reduce": ("count",),
+        "dict-test": ("samples", "k", "r"),
+        "verify moments": ("k",),
+        "verify critical-index": ("count", "dim"),
+        "verify small-ball": ("cases", "t", "trials"),
+        "verify spread": ("cases", "tau", "trials"),
+        "verify invariance": ("families",),
+        "learn": ("epochs",),
+        "decode": ("t", "trials"),
+    }
+
+    @pytest.mark.parametrize("command", [c for c in TABLE if c != "report"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_config_scalars_never_trace_back(self, inputs, command, data):
+        # any JSON scalar for a flag the config may fill gives a clean exit
+        # code, one error line on exit 2, and no temporary file; a drawn flag
+        # leaves the base argv so that the config value is the one used
+        names = [flag.name for flag in TABLE[command] if flag.required != "argv"
+                 and flag.name not in ("config", *self.SIZING.get(command, ()))]
+        overrides = data.draw(st.dictionaries(
+            st.sampled_from(names),
+            st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(-50, 50),
+                      st.sampled_from([2**64, -(2**70), math.inf, -math.inf, math.nan,
+                                       "paper", "abc", "3", "1e999", "nan"])),
+        ))
+        argv = _base(inputs)[command]
+        for name in overrides:
+            argv = _without(argv, name)
+        _assert_clean_exit([*command.split(), *argv, "--config", "c.json"],
+                           {"c.json": json.dumps(overrides).encode()})
+
+
+def _assert_clean_exit(argv, files):
+    """main(argv) in a fresh directory holding `files` (name -> bytes) exits
+    0, 1 or 2, with one error line on 2, and leaves no temporary file."""
+    err, cwd = io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        for name, content in files.items():
+            (Path(work) / name).write_bytes(content)
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert not [name for name in os.listdir(work) if name.endswith(".tmp")]
+    assert code in (0, 1, 2)
+    assert code != 2 or (err.getvalue().startswith("error: ")
+                         and err.getvalue().count("\n") == 1)
+
+
+def _hostile(good: bytes, other: bytes):
+    """Truncations, byte overwrites and splices of a valid file: `good`
+    spliced with itself or with `other`, a valid file of another shape."""
+    return st.one_of(
+        st.integers(0, len(good) - 1).map(lambda n: good[:n]),
+        st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(0, 255)),
+                 min_size=1, max_size=6).map(
+            lambda edits: bytes(
+                dict(edits).get(i, byte) for i, byte in enumerate(good))),
+        st.tuples(st.sampled_from([good, other]), st.integers(0, len(good)),
+                  st.integers(0, len(other))).map(
+            lambda s: good[:s[1]] + s[0][min(s[2], len(s[0])):]),
+    )
+
+
+class TestHostileFiles:
+    """Damaged inputs end in exit 0, 1 or 2 with no traceback (main raises
+    nothing) and leave no temporary file."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("hostile")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen-lc", "--kind", "projection", "--vertices", "5", "--edges", "6",
+                         "--k", "3", "--m", "4", "--n", "2", "--d", "2", "--seed", "2",
+                         "--out", str(work / "p.lc")]) == 0
+            for name, r, count in (("a.bin", "2", "12"), ("b.bin", "3", "5")):
+                assert main(["sample", *GADGET, "--r", r, "--count", count, "--seed", "1",
+                             "--out", str(work / name), "--records", str(work / f"{name}.rec")]
+                            ) == 0
+        write_halfspace(Halfspace.from_grid(np.linspace(-1, 1, 20).reshape(5, 4), 0.5),
+                        str(work / "a.hs"))
+        write_halfspace(Halfspace.from_grid(np.ones((2, 3)), 1.0), str(work / "b.hs"))
+        return {p.name: p.read_bytes() for p in work.iterdir()}, str(work / "p.lc")
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_stream_through_learn(self, files, data):
+        blobs, _ = files
+        content = data.draw(_hostile(blobs["a.bin"], blobs["b.bin"]))
+        _assert_clean_exit(["learn", "--stream", "s.bin", "--epochs", "1", "--out", "h.hs"],
+                           {"s.bin": content})
+
+    @given(data=st.data(), command=st.sampled_from(["decode", "niceness"]))
+    @settings(max_examples=100, deadline=None)
+    def test_halfspace_through_decode_and_niceness(self, files, data, command):
+        blobs, instance = files
+        content = data.draw(_hostile(blobs["a.hs"], blobs["b.hs"]))
+        argv = {
+            "decode": ["decode", "--halfspace", "h.hs", "--instance", instance, "--seed", "1",
+                       "--trials", "2", "--out", "out.lab"],
+            "niceness": ["verify", "niceness", "--halfspace", "h.hs", "--instance", instance,
+                         "--tau", "0.5"],
+        }[command]
+        _assert_clean_exit(argv, {"h.hs": content})
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_records_through_report(self, files, data):
+        blobs, _ = files
+        content = data.draw(_hostile(blobs["a.bin.rec"], blobs["b.bin.rec"]))
+        _assert_clean_exit(["report", "r.rec", "r.rec"], {"r.rec": content})
