@@ -38,6 +38,8 @@ from .core import (
     PURPOSE_AUX,
     AtomicFile,
     CursorRng,
+    StreamReader,
+    chunk_rows,
     purpose_stream,
 )
 from .concentration import (
@@ -64,7 +66,6 @@ from .harness import (
     LearnerConfig,
     agreement,
     fold_record_files,
-    load_examples,
     make_record,
     negated_rate,
     perceptron_train,
@@ -134,9 +135,9 @@ class Flag(NamedTuple):
     `kind` is int, float (finite), path, choice, switch, rational (a number
     or 'paper', kept as the string given) or files (report's positional
     list).  `range` is the allowed range as printed in errors and --help:
-    ">= 1", "> 0", "(0, 1]", "[0, 2^64)", or a choice's "a|b".  A required
-    row must get a value from the command line or --config; "argv" means the
-    parser requires it on the command line.
+    ">= 1", "> 0", "(0, 1]", "[0.01, 1]", "[0, 2^64)", or a choice's
+    "a|b".  A required row must get a value from the command line or
+    --config; "argv" means the parser requires it on the command line.
     """
 
     name: str
@@ -159,13 +160,18 @@ _KINDS = {
 }
 
 
+# the largest decimal exponent a rational flag's text may carry; every
+# finite float prints within it
+_MAX_EXPONENT = 400
+
+
 def _need(spec: str) -> str:
     return "in " + spec if spec.startswith(("(", "[")) else spec
 
 
-def _bound(text: str) -> int:
+def _bound(text: str) -> Fraction:
     base, _, exp = text.partition("^")
-    return int(base) ** int(exp or 1)
+    return Fraction(base) ** int(exp or 1)
 
 
 def _within(value, spec: str) -> bool:
@@ -204,9 +210,18 @@ def _convert(flag: Flag, value, text: bool):
                 raise ValueError
         elif kind == "rational" and value != "paper":
             value = str(value)
+            # Fraction(text) costs the square of its decimal exponent
+            _, _, exp = value.lower().partition("e")
+            if exp and abs(int(exp)) > _MAX_EXPONENT:
+                raise CliError(
+                    f"--{name} must be a number with a decimal exponent in "
+                    f"[-{_MAX_EXPONENT}, {_MAX_EXPONENT}], got {value!r}"
+                )
             number = Fraction(value)
         elif kind == "choice" and value not in flag.range.split("|"):
             raise ValueError
+    except CliError:
+        raise
     except (ValueError, OverflowError):
         want = _KINDS[kind][1] or f"one of {flag.range}"
         raise CliError(f"--{name} must be {want}, got {value!r}") from None
@@ -706,11 +721,13 @@ def _cmd_learn(p: dict) -> int:
         shuffle_seed=p["seed"],
         averaged=not p["no_average"],
     )
-    bits, labels, rows, cols = load_examples(stream)
-    h = perceptron_train((bits, labels), cfg, rows, cols)
-    if p["out"]:
+    reader = StreamReader(stream)
+    hdr = reader.header
+    chunk = chunk_rows(hdr.bits_per_example)
+    h = perceptron_train(reader.read_batches(chunk), cfg, hdr.rows, hdr.cols)
+    rep = agreement(h, reader.read_batches(chunk))
+    if p["out"]:  # after both passes, since --out may name the stream
         write_halfspace(h, p["out"])
-    rep = agreement(h, [(bits, labels)])
     trivial = max(rep.n1, rep.n0) / rep.count
     echo = {
         "stream": stream, "epochs": cfg.epochs, "rate": cfg.rate,
@@ -860,7 +877,9 @@ _COMMANDS = {
     ),
     "verify spread": (
         _cmd_verify_spread, "tail spread and noise mass lower bounds for regular vectors",
-        (_SEED, _size("cases", 20), _rate("gamma", 0.2), _rate("tau", 0.2),
+        (_SEED, _size("cases", 20), _rate("gamma", 0.2),
+         Flag("tau", "float", 0.2, range="[0.01, 1]",
+              help="regularity; each case's vector has ceil((2/tau)^2) + 1 coordinates"),
          _size("trials", 20000), *_COMMON),
     ),
     "verify invariance": (

@@ -33,6 +33,7 @@ from .core import (
     PURPOSE_MC,
     PURPOSE_NOISE,
     PURPOSE_X,
+    chunk_rows,
     purpose_stream,
     threshold_bits,
     uniform_threshold,
@@ -42,10 +43,6 @@ from .moments import apply_noise
 from .stats import Interval, wilson_interval
 
 SUBSET_GUARD_T = 24
-
-# target words per sampled chunk; keeps peak memory near 32 MB
-_CHUNK_WORDS = 1 << 22
-
 
 # ---------------------------------------------------------------------------
 # geometric vectors and subset sums
@@ -219,7 +216,7 @@ def _interval_hits(
         raise ValueError(f"weight length {w.size} does not match source dim {n}")
     x_stream = purpose_stream(stream_id, PURPOSE_X)
     noise_stream = purpose_stream(stream_id, PURPOSE_NOISE)
-    chunk = max(1, _CHUNK_WORDS // max(1, n))
+    chunk = chunk_rows(n)
     hits = 0
     done = 0
     while done < trials:
@@ -366,7 +363,7 @@ def noise_mass_estimate(
     n = arr.size
     sq = arr * arr
     stream = purpose_stream(stream_id, PURPOSE_MC)
-    chunk = max(1, _CHUNK_WORDS // max(1, n))
+    chunk = chunk_rows(n)
     hits = 0
     done = 0
     threshold = gamma / 2.0

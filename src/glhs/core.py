@@ -13,6 +13,8 @@ per-bit draws (Bernoulli bits and replacement noise, one word per bit):
 it works through rows in blocks of _THRESHOLD_BLOCK = 2^15 words, and
 because each row owns its counter addresses its output does not depend on
 block boundaries.
+Batch samplers and stream passes take `chunk_rows(width)` rows at a time,
+CHUNK_CELLS = 2^22 bit cells, so no command holds a full-size bit matrix.
 
 Streams of labeled examples are stored in a small binary format (magic
 ``GLHS``).  In memory a batch of examples is a uint8 bit matrix of shape
@@ -143,6 +145,17 @@ def uniform_threshold(q) -> np.ndarray:
     return np.clip(t, 0.0, 2.0**53).astype(np.uint64)
 
 
+# Bit cells per chunk of rows wherever a batch is drawn or streamed (the
+# samplers, `learn`'s passes, the Monte-Carlo estimators): a chunk's bit
+# matrix is 4 MB whatever the row width.
+CHUNK_CELLS = 1 << 22
+
+
+def chunk_rows(width: int) -> int:
+    """Rows of `width` bits per chunk: CHUNK_CELLS cells, at least one row."""
+    return max(1, CHUNK_CELLS // max(width, 1))
+
+
 # Counter words per row block of `threshold_bits`: its buffers and the
 # finalizer's scratch stay in L2 together.
 _THRESHOLD_BLOCK = 1 << 15
@@ -213,11 +226,6 @@ def purpose_stream(stream_id: int, purpose: int) -> int:
     return (stream_id << 3) | purpose
 
 
-# Swaps per batch of words in `CursorRng.shuffle`: small enough that its index
-# lists stay a few kB next to the list being shuffled.
-_SHUFFLE_BLOCK = 256
-
-
 class CursorRng:
     """Sequential reader over one stream of counter-addressed words.
 
@@ -258,16 +266,15 @@ class CursorRng:
     def shuffle(self, items: list) -> list:
         """Fisher-Yates shuffle, in place; also returns the list.
 
-        Swap i = n-1, ..., 1 takes j = randint(i + 1) from the next word.  The
-        words are drawn _SHUFFLE_BLOCK swaps at a time, with the same float
-        arithmetic as `randint`, so only the swaps run one by one.
+        Swap i = n-1, ..., 1 takes j = randint(i + 1) from the next word.  All
+        n-1 words are drawn at once, with the same float arithmetic as
+        `randint`, so only the swaps run one by one.
         """
-        for top in range(len(items) - 1, 0, -_SHUFFLE_BLOCK):
-            span = np.arange(top, max(top - _SHUFFLE_BLOCK, 0), -1)
-            u = self.uniforms(span.size)
-            picks = np.minimum((u * (span + 1)).astype(np.int64), span)
-            for i, j in zip(range(top, top - span.size, -1), picks.tolist()):
-                items[i], items[j] = items[j], items[i]
+        span = np.arange(len(items) - 1, 0, -1)
+        u = self.uniforms(span.size)
+        picks = np.minimum((u * (span + 1)).astype(np.int64), span)
+        for i, j in zip(span.tolist(), picks.tolist()):
+            items[i], items[j] = items[j], items[i]
         return items
 
 
@@ -442,38 +449,55 @@ class StreamWriter:
 
 
 class StreamReader:
-    """Reads a GLHS example stream with full-length validation up front."""
+    """Reads a GLHS example stream a chunk of records at a time.
+
+    Opening decodes the header and checks the file's length against it; the
+    body is not held.  `read_batches` reads the records from the file as it
+    was opened, and raises CorruptionError if the path now names another
+    file or the file has changed.
+    """
 
     def __init__(self, path: str):
         self.path = path
         with open(path, "rb") as fh:
-            blob = fh.read()
-        self.header, self._body_offset = _decode_header(blob)
-        body = len(blob) - self._body_offset
+            self._stat = os.fstat(fh.fileno())
+            head = fh.read(_HEADER_SIZE)
+            if len(head) == _HEADER_SIZE:  # then the metadata, at most the whole file
+                meta_len = struct.unpack_from("<I", head, _HEADER_SIZE - 4)[0]
+                head += fh.read(min(meta_len, self._stat.st_size))
+        self.header, self._body_offset = _decode_header(head)
+        body = self._stat.st_size - self._body_offset
         expected = self.header.count * self.header.record_size
         if body != expected:
             raise CorruptionError(
                 f"stream body is {body} bytes, header implies {expected}"
             )
-        self._blob = blob
 
     def __len__(self) -> int:
         return self.header.count
 
     def read_batches(self, chunk: int = 4096) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (bits (n, rows*cols) uint8, labels (n,) uint8) chunks."""
+        """Yield (bits (n, rows*cols) uint8, labels (n,) uint8) chunks.
+
+        The generator keeps no reference to a bit matrix it has yielded, so a
+        consumer that drops each one before asking for the next holds one.
+        """
         rs = self.header.record_size
         dim = self.header.bits_per_example
-        raw = np.frombuffer(
-            self._blob, dtype=np.uint8, offset=self._body_offset
-        ).reshape(self.header.count, rs) if self.header.count else np.zeros(
-            (0, rs), dtype=np.uint8
-        )
-        for start in range(0, self.header.count, chunk):
-            block = raw[start : start + chunk]
-            bits = np.unpackbits(block[:, :-1], axis=1, count=dim, bitorder="little")
-            labels = block[:, -1].copy()
-            if not np.isin(labels, (0, 1)).all():
-                raise CorruptionError("label byte must be 0 or 1")
-            yield bits, labels
-
+        count = self.header.count
+        with open(self.path, "rb") as fh:
+            now = os.fstat(fh.fileno())
+            if any(getattr(now, key) != getattr(self._stat, key)
+                   for key in ("st_dev", "st_ino", "st_size", "st_mtime_ns")):
+                raise CorruptionError(f"stream {self.path} changed since it was opened")
+            fh.seek(self._body_offset)
+            for start in range(0, count, chunk):
+                rows = min(chunk, count - start)
+                data = fh.read(rows * rs)
+                if len(data) != rows * rs:
+                    raise CorruptionError("stream body is shorter than its header implies")
+                block = np.frombuffer(data, dtype=np.uint8).reshape(rows, rs)
+                labels = block[:, -1].copy()
+                if not np.isin(labels, (0, 1)).all():
+                    raise CorruptionError("label byte must be 0 or 1")
+                yield np.unpackbits(block[:, :-1], axis=1, count=dim, bitorder="little"), labels

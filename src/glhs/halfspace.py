@@ -486,7 +486,8 @@ def _decay_chain(
             f"|w_({i + 1})| = {mags[r, i]:.6g} below the critical index"
         ),
     )
-    stride = (4.0 / (tau * tau)) * math.log(1.0 / tau)
+    # tau^2 underflows to 0 below tau ~ 1.5e-162, where the stride is unbounded
+    stride = (4.0 / (tau * tau)) * math.log(1.0 / tau) if tau * tau else math.inf
     if tau <= 1.0 / 3.0 and stop - 1 > stride:
 
         def spread(i0: int, i1: int) -> np.ndarray:

@@ -1,24 +1,26 @@
 """Hypothesis evaluation, a perceptron probe, and the grid-test experiment.
 
 Examples are one batch form throughout: a uint8 bit matrix (n, rows*cols)
-and a uint8 label vector (n,).  `load_examples` is the only stream entry
-point; it reads a whole stream as one batch, one unpackbits of the body.
+and a uint8 label vector (n,).  Both consumers of examples take an
+iterable of such batches, so a stream is read chunk by chunk
+(`StreamReader.read_batches`), and the samplers draw `chunk_rows` rows
+(2^22 bit cells) at a time: no step holds a whole unpacked stream.
 
-`agreement` counts exact matches between a hypothesis and an iterable of
-such batches and reports the rate with a Wilson interval plus the
-conditional means E[h | b] whose balanced combination obeys the
-half-plus-half-gap identity.  `perceptron_train` is a deterministic
-averaged-perceptron probe: the hardness construction predicts that no
-efficient learner beats the trivial rate by much on sound instances, so its
-results are reported comparatively rather than asserted against theory
-constants.  It trains on the bit matrix directly: while mistakes are rare
-it scans ahead, summing the weights over each row's set bits to find the
-next mistake, and it updates only the coordinates a row sets.  Every
-decision and every weight is bit-identical to the plain per-example loop
-over float rows (see its docstring).
+`agreement` counts exact matches between a hypothesis and the batches and
+reports the rate with a Wilson interval plus the conditional means
+E[h | b] whose balanced combination obeys the half-plus-half-gap identity.
+`perceptron_train` is a deterministic averaged-perceptron probe: the
+hardness construction predicts that no efficient learner beats the trivial
+rate by much on sound instances, so its results are reported comparatively
+rather than asserted against theory constants.  It holds the examples
+packed eight bits per byte; while mistakes are rare it scans ahead, summing
+the weights over each row's set bits to find the next mistake, and it
+updates only the coordinates a row sets.  Every decision and every weight
+is bit-identical to the plain per-example loop over float rows (see its
+docstring).
 
 `run_experiment` executes the two plans of the dictatorship test on fresh
-grid samples, DEFAULT_CHUNK at a time: completeness (the dictator OR
+grid samples, `chunk_rows` at a time: completeness (the dictator OR
 against its closed form) and soundness (the majority probe's gap).  It
 emits one CheckRecord per check; records serialize to single tab-separated
 text lines so report files can be folded by concatenation.
@@ -33,7 +35,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import CursorRng, PURPOSE_LEARN, StreamReader, StreamWriter, purpose_stream
+from .core import CursorRng, PURPOSE_LEARN, StreamWriter, chunk_rows, purpose_stream
 from .halfspace import Disjunction, Halfspace
 from .labelcover import LabelCoverInstance
 from .moments import ColumnMixture, column_sum_pmf
@@ -49,7 +51,6 @@ from .stats import Interval, binomial_sigma, wilson_interval
 Hypothesis = Union[Halfspace, Disjunction]
 Batch = tuple[np.ndarray, np.ndarray]  # bits (n, dim) uint8, labels (n,) uint8
 
-DEFAULT_CHUNK = 8192
 SIGMA_RULE = 4.0  # experiment tolerances are this many binomial sigmas
 
 
@@ -157,6 +158,7 @@ def agreement(hypothesis: Hypothesis, batches: Iterable[Batch]) -> AgreementRepo
         ones = labels == 1
         n1 += int(ones.sum())
         hits1 += int(preds[ones].sum())
+        del bits  # before the next batch is made
     if count == 0:
         raise ValueError("no examples to evaluate")
     return AgreementReport(
@@ -198,18 +200,6 @@ class LearnerConfig:
             )
 
 
-def load_examples(path: str) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(bits, labels, rows, cols) of a whole stream, read as one batch.
-
-    One unpackbits of the body, so the unpacked examples are held once.
-    """
-    reader = StreamReader(path)
-    hdr = reader.header
-    empty = (np.zeros((0, hdr.bits_per_example), np.uint8), np.zeros(0, np.uint8))
-    bits, labels = next(reader.read_batches(max(len(reader), 1)), empty)
-    return bits, labels, hdr.rows, hdr.cols
-
-
 # Scan-ahead walk of `perceptron_train`.  Stretches where mistakes come
 # closer together than _SCAN_MIN_RUN steps run one example at a time,
 # _STEP_WINDOW rows per window.  A scan covers at most _SCAN_MAX rows, and at
@@ -223,49 +213,97 @@ _SCAN_MAX = 2048
 _STEP_WINDOW = 64
 _BLOCK_CELLS = 1 << 18
 
+# row b holds the eight bits of byte value b as floats, least significant first
+_BYTE_FLOATS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.float64)
 
-def _active_indices(bits: np.ndarray) -> np.ndarray:
+
+def _pack_examples(batches: Iterable[Batch]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(packed rows, labels, dim) of every example of every batch.
+
+    Each batch is checked and packed eight bits per byte, least significant
+    first, as it arrives, so only one unpacked batch is held at a time.  The
+    packed matrix grows in place (a realloc), so it is never held twice.
+    """
+    packed, tags, dim = np.empty((0, 0), np.uint8), [], None
+    for bits, labels in batches:
+        bits = np.asarray(bits, dtype=np.uint8)
+        labels = np.asarray(labels, dtype=np.uint8)
+        if bits.ndim != 2 or labels.shape != (bits.shape[0],) or dim not in (None, bits.shape[1]):
+            raise ValueError("expected (bits (n, dim), labels (n,)) batches of one width")
+        if bits.max(initial=0) > 1 or labels.max(initial=0) > 1:
+            raise ValueError("training bits and labels must be 0 or 1")
+        dim, lo = bits.shape[1], packed.shape[0]
+        packed.resize((lo + labels.size, (dim + 7) // 8), refcheck=False)
+        packed[lo:] = np.packbits(bits, axis=1, bitorder="little")
+        tags.append(labels)
+        del bits  # before the next batch is made
+    if packed.shape[0] == 0:
+        raise ValueError("no training examples")
+    return packed, np.concatenate(tags), dim
+
+
+def _float_rows(packed: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
+    """The float64 (m, dim) rows of m packed bit rows, one table lookup per byte.
+
+    `out` is a (>= m, bytes, 8) float64 buffer the lookup writes to (with
+    mode "clip", which no byte index reaches, `take` writes it directly
+    rather than through a temporary).  The result is C-contiguous and equal
+    to ``bits.astype(np.float64)`` of the unpacked rows.
+    """
+    m = packed.shape[0]
+    x = np.take(_BYTE_FLOATS, packed, axis=0, out=out[:m], mode="clip").reshape(m, -1)
+    return x if x.shape[1] == dim else np.ascontiguousarray(x[:, :dim])
+
+
+def _active_indices(packed: np.ndarray, dim: int) -> np.ndarray:
     """(n, width) columns of each row's set bits, ascending, padded with dim.
 
+    `packed` holds the rows eight bits per byte, least significant first.
     width is the largest row count of set bits (at least 1), and the index
     type is the narrowest unsigned one that holds dim, so the matrix never
     outweighs the float copy it replaces.  Rows are indexed _BLOCK_CELLS
-    cells at a time, which keeps the temporaries that size; within a block
-    the zero bytes are skipped eight at a time through a uint64 view.
+    bits at a time, which keeps the temporaries that size; within a block
+    only the nonzero bytes are unpacked.
     """
-    n, dim = bits.shape
-    counts = np.bitwise_count(np.packbits(bits, axis=1)).sum(axis=1, dtype=np.intp)
+    n, nbytes = packed.shape
+    step = max(1, _BLOCK_CELLS // max(8 * nbytes, 1))
+    counts = np.zeros(n, dtype=np.intp)
+    for lo in range(0, n, step):
+        counts[lo : lo + step] = np.bitwise_count(packed[lo : lo + step]).sum(axis=1)
     width = max(int(counts.max(initial=0)), 1)
     active = np.full((n, width), dim, dtype=np.min_scalar_type(dim))
-    step = max(1, _BLOCK_CELLS // max(dim, 1))
     for lo in range(0, n, step):
-        flat = np.ascontiguousarray(bits[lo : lo + step]).reshape(-1).view(bool)
-        head = flat.size - flat.size % 8
-        words = np.flatnonzero(flat[:head].view(np.uint64))
-        word, byte = np.nonzero(flat[:head].reshape(-1, 8)[words])
-        pos = np.concatenate([words[word] * 8 + byte, head + np.flatnonzero(flat[head:])])
-        row, col = np.divmod(pos, dim)
+        flat = np.ascontiguousarray(packed[lo : lo + step]).reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        byte, bit = np.nonzero(
+            np.unpackbits(flat[nonzero][:, None], axis=1, bitorder="little")
+        )
+        row, col = np.divmod(nonzero[byte], nbytes)
         c = counts[lo : lo + step]
-        active[lo + row, np.arange(pos.size) - (np.cumsum(c) - c)[row]] = col
+        active[lo + row, np.arange(byte.size) - (np.cumsum(c) - c)[row]] = col * 8 + bit
     return active
 
 
 def perceptron_train(
-    examples: Batch,
+    batches: Iterable[Batch],
     cfg: LearnerConfig = LearnerConfig(),
     rows: int | None = None,
     cols: int | None = None,
 ) -> Halfspace:
     """Train a halfspace on {0,1} features with a bias folded into theta.
 
-    The grid shape is rows x cols, or one row when it is not given.
+    The examples are every row of an iterable of (bits, labels) batches, in
+    order; the grid shape is rows x cols, or one row when it is not given.
 
     Mistake-driven updates on the +-1 margin, visiting examples in an order
     reshuffled each epoch from cfg.shuffle_seed.  With `averaged` the
     returned weights are the average over all per-step states (computed via
     the weighted-update identity, so only mistakes touch the accumulators).
 
-    The examples stay a uint8 bit matrix and no float copy of them is made.
+    The examples are held packed eight bits per byte (`_pack_examples`),
+    an eighth of the unpacked bit matrix, and no float copy of them is made.
     A step decides by the sign of ``x @ w + bias`` (ties count as +1) for its
     float row x: one BLAS dot per row, the same routine as ``x.dot(w)``.  The
     walk goes through each epoch's order in windows and reaches the same
@@ -274,42 +312,35 @@ def perceptron_train(
 
     - Scan (mistakes _SCAN_MIN_RUN or more steps apart): the margins of the
       next rows under the current weights come from one gather-and-sum of w
-      over each row's set bits (`_active_indices`); the walk jumps to the
-      first mistake and updates there.  With integer weights (an integer
-      rate and the constant schedule) every partial sum of both the scan and
-      the dot is an exact integer, so the two margins are equal.  Otherwise
-      each is within gamma_(dim+1) * (|w|_1 + |bias|) of the exact margin,
-      gamma_m = m u / (1 - m u) < (dim+2) u with u = 2^-53, in whatever order
-      it adds.  A row whose scanned |margin| is at most 2 (dim+2) u
-      (|w|_1 + |bias|) is therefore decided by its own dot, one row at a time
-      (a batched ``rows @ w`` is a gemv, which adds in another order); on
-      every other row both signs agree.
+      over each row's set bits (`_active_indices`, built at the first scan);
+      the walk jumps to the first mistake and updates there.  With integer
+      weights (an integer rate and the constant schedule) every partial sum
+      of both the scan and the dot is an exact integer, so the two margins
+      are equal.  Otherwise each is within gamma_(dim+1) * (|w|_1 + |bias|)
+      of the exact margin, gamma_m = m u / (1 - m u) < (dim+2) u with
+      u = 2^-53, in whatever order it adds.  A row whose scanned |margin| is
+      at most 2 (dim+2) u (|w|_1 + |bias|) is therefore decided by its own
+      dot, one row at a time (a batched ``rows @ w`` is a gemv, which adds in
+      another order); on every other row both signs agree.
     - Step (mistakes closer together): per-example steps on the float rows
-      of the next _STEP_WINDOW rows, built for that window only.
+      of the next _STEP_WINDOW rows, built for that window only
+      (`_float_rows`).
 
     An update adds delta = eta * label to w and step * delta to u.  The scan
     adds them on the row's set bits only: the dense update adds a signed zero
     elsewhere, which changes no entry because w and u never hold -0.0, so the
     weights are the same floats either way and so is the averaging identity.
     """
-    bits = np.asarray(examples[0], dtype=np.uint8)
-    labels = np.asarray(examples[1], dtype=np.uint8)
-    if bits.ndim != 2 or labels.shape != (bits.shape[0],):
-        raise ValueError("expected (bits (n, dim), labels (n,)) arrays")
-    if bits.shape[0] == 0:
-        raise ValueError("no training examples")
-    if bits.max(initial=0) > 1 or labels.max() > 1:
-        raise ValueError("training bits and labels must be 0 or 1")
+    packed, labels, dim = _pack_examples(batches)
     if rows is None or cols is None:
-        rows, cols = 1, bits.shape[1]
-    if rows * cols != bits.shape[1]:
-        raise ValueError(
-            f"grid {rows}x{cols} does not match feature width {bits.shape[1]}"
-        )
-    n, dim = bits.shape
+        rows, cols = 1, dim
+    if rows * cols != dim:
+        raise ValueError(f"grid {rows}x{cols} does not match feature width {dim}")
+    n = labels.size
     positive = labels == 1
     t = (labels.astype(np.float64) * 2.0 - 1.0).tolist()
     active = None  # built at the first scan
+    rows_buf = np.empty((_STEP_WINDOW, packed.shape[1], 8))  # one window's float rows
 
     # slot dim is the target of the index padding and is kept at zero
     w_pad = np.zeros(dim + 1)
@@ -331,7 +362,7 @@ def perceptron_train(
         while p < n:
             if run < _SCAN_MIN_RUN:
                 window = order[p : p + _STEP_WINDOW]
-                x = bits[window].astype(np.float64)
+                x = _float_rows(packed[window], dim, rows_buf)
                 mistakes = 0
                 for j, (i, xi) in enumerate(zip(window.tolist(), x)):
                     margin = xi.dot(w) + bias
@@ -347,7 +378,7 @@ def perceptron_train(
                 continue
 
             if active is None:
-                active = _active_indices(bits)
+                active = _active_indices(packed, dim)
                 scan_rows = max(1, _BLOCK_CELLS // active.shape[1])
             window = order[p : p + min(2 * run, _SCAN_MAX, scan_rows)]
             margins = w_pad[active[window]].sum(axis=1)
@@ -362,7 +393,7 @@ def perceptron_train(
             for c in np.flatnonzero(suspect).tolist():
                 if unsure is not None and unsure[c]:
                     i = int(window[c])
-                    margin = bits[i].astype(np.float64).dot(w) + bias
+                    margin = _float_rows(packed[i : i + 1], dim, rows_buf)[0].dot(w) + bias
                     if (1.0 if margin >= 0.0 else -1.0) == t[i]:
                         continue
                 j = c
@@ -488,11 +519,11 @@ def write_dict_test_stream(
     meta = _spec_meta(spec, "dict-test", master_seed, stream_id)
     if extra_meta:
         meta += " " + extra_meta
+    step = chunk_rows(spec.dim)
     with StreamWriter(path, spec.k, spec.r, meta=meta) as out:
-        for start in range(0, count, DEFAULT_CHUNK):
-            n = min(DEFAULT_CHUNK, count - start)
-            bits, labels = dict_test_batch(spec, master_seed, stream_id, start, n)
-            out.append_batch(bits, labels)
+        for start in range(0, count, step):
+            n = min(step, count - start)
+            out.append_batch(*dict_test_batch(spec, master_seed, stream_id, start, n))
 
 
 def write_reduction_stream(
@@ -515,11 +546,11 @@ def write_reduction_stream(
     )
     if extra_meta:
         meta += " " + extra_meta
+    step = chunk_rows(inst.num_vertices * cols)
     with StreamWriter(path, inst.num_vertices, cols, meta=meta) as out:
-        for start in range(0, count, DEFAULT_CHUNK):
-            n = min(DEFAULT_CHUNK, count - start)
-            bits, labels = sampler(inst, spec, master_seed, stream_id, start, n)
-            out.append_batch(bits, labels)
+        for start in range(0, count, step):
+            n = min(step, count - start)
+            out.append_batch(*sampler(inst, spec, master_seed, stream_id, start, n))
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +705,10 @@ def _plan_params(plan: ExperimentPlan, **extra) -> dict:
 
 
 def _plan_batches(plan: ExperimentPlan) -> Iterator[Batch]:
-    """The plan's examples, drawn DEFAULT_CHUNK at a time."""
-    for start in range(0, plan.samples, DEFAULT_CHUNK):
-        n = min(DEFAULT_CHUNK, plan.samples - start)
+    """The plan's examples, drawn `chunk_rows` at a time."""
+    step = chunk_rows(plan.spec.dim)
+    for start in range(0, plan.samples, step):
+        n = min(step, plan.samples - start)
         yield dict_test_batch(plan.spec, plan.master_seed, 0, start, n)
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glhs import harness
+from glhs import cli, core
 from glhs.cli import _COMMANDS, main
 from glhs.core import AtomicFile, StreamReader
 from glhs.halfspace import Halfspace, read_halfspace, write_halfspace
@@ -355,8 +356,9 @@ class TestLearnAndDecode:
                 opened.append(path)
                 super().__init__(path)
 
-        # learn trains on its stream and reports agreement on the same batch
-        monkeypatch.setattr(harness, "StreamReader", CountingReader)
+        # learn opens its stream once: it trains on the reader's chunks and
+        # reports agreement on a second pass over the same reader
+        monkeypatch.setattr(cli, "StreamReader", CountingReader)
         h_path = tmp_path / "learned.hs"
         code, out, _ = _run(
             capsys,
@@ -370,6 +372,17 @@ class TestLearnAndDecode:
         assert opened == [str(stream)]
         h = read_halfspace(str(h_path))
         assert (h.rows, h.cols) == (12, 2)
+
+    def test_learn_may_overwrite_its_stream(self, capsys, tmp_path):
+        # the halfspace is written after both passes over the stream
+        stream = tmp_path / "train.stream"
+        assert main(["sample", *GADGET, "--gamma", "0.03125", "--r", "2", "--count", "300",
+                     "--seed", "11", "--out", str(stream)]) == 0
+        capsys.readouterr()
+        code, _, err = _run(capsys, ["learn", "--stream", str(stream), "--epochs", "2",
+                                     "--out", str(stream)])
+        assert code == 0 and err == ""
+        assert (read_halfspace(str(stream)).rows, read_halfspace(str(stream)).cols) == (12, 2)
 
     def test_decode_recovers_the_planted_labeling(self, capsys, tmp_path):
         inst_path = tmp_path / "u.lc"
@@ -398,6 +411,63 @@ class TestLearnAndDecode:
         assert recs["decode.matches-planted"].status == "pass"
         decoded = read_labeling(str(decoded_path))
         assert np.array_equal(decoded.assignment, lab.assignment)
+
+
+class TestChunkSize:
+    """Stream commands give the same bytes and stdout whatever the cell
+    budget per chunk: every row owns its counter addresses."""
+
+    @pytest.fixture(scope="class")
+    def unique(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("unique") / "u.lc")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen-lc", "--kind", "unique", "--vertices", "5", "--edges", "6",
+                         "--k", "3", "--r", "4", "--seed", "2", "--out", path]) == 0
+        return path
+
+    def _runs(self, capsys, tmp_path, monkeypatch, argv, width, budgets):
+        """(exit code, stdout, stderr, output files) of argv under each budget,
+        in rows of `width` bits per chunk (None: the default budget)."""
+        runs = []
+        for rows in budgets:
+            if rows is not None:
+                monkeypatch.setattr(core, "CHUNK_CELLS", rows * width)
+            work = tmp_path / str(rows)
+            work.mkdir()
+            monkeypatch.chdir(work)
+            code, out, err = _run(capsys, argv)
+            runs.append((code, out, err, sorted((p.name, p.read_bytes()) for p in work.iterdir())))
+        return runs
+
+    @pytest.mark.parametrize("command", ["sample", "reduce-projection", "reduce-unique",
+                                         "dict-test"])
+    def test_samplers_ignore_the_chunk_size(self, capsys, tmp_path, monkeypatch, inputs,
+                                            unique, command):
+        reduce = ["reduce", "--k", "3", "--eps", "0.5", "--p", "0.25", "--gamma", "0.25",
+                  "--completeness-only", "--count", "30", "--seed", "9", "--out", "o.bin"]
+        argv, width = {
+            "sample": (["sample", *GADGET, "--gamma", "0.03125", "--r", "2", "--count", "30",
+                        "--seed", "5", "--out", "o.bin"], 24),
+            "reduce-projection": ([*reduce, "--instance", inputs["p.lc"]], 20),
+            "reduce-unique": ([*reduce, "--instance", unique], 20),
+            "dict-test": (["dict-test", *GADGET, "--gamma", "0.03125", "--r", "1",
+                           "--samples", "30", "--seed", "3"], 12),
+        }[command]
+        runs = self._runs(capsys, tmp_path, monkeypatch, argv, width, (None, 1, 7))
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("schedule", [[], ["--rate", "0.3", "--schedule", "inverse"]])
+    def test_learn_ignores_the_chunk_size(self, capsys, tmp_path, monkeypatch, schedule):
+        # 12 x 3 = 36 bits a row, not a multiple of 8
+        stream = str(tmp_path / "train.bin")
+        assert main(["sample", *GADGET, "--gamma", "0.03125", "--r", "3", "--count", "300",
+                     "--seed", "5", "--out", stream]) == 0
+        capsys.readouterr()
+        argv = ["learn", "--stream", stream, "--epochs", "3", "--out", "h.hs", *schedule]
+        runs = self._runs(capsys, tmp_path, monkeypatch, argv, 36, (None, 7))
+        assert runs[0][0] == 0 and runs[0][3][0][0] == "h.hs"
+        assert runs[1] == runs[0]
 
 
 class TestReportFolding:
@@ -462,6 +532,39 @@ class TestConfigFile:
 
 
 class TestHostileInput:
+    @pytest.mark.parametrize("route", ["argv", "config"])
+    @pytest.mark.parametrize("tau", ["1e-200", "1e-4"])
+    def test_spread_tau_has_a_floor(self, capsys, tmp_path, monkeypatch, route, tau):
+        # a case's vector has ceil((2/tau)^2) + 1 coordinates: 1e-4 would ask
+        # for 4e8 of them, and 1e-200 overflows
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "spread", "--cases", "1", "--trials", "10", "--seed", "1"]
+        if route == "argv":
+            argv += ["--tau", tau]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"tau": float(tau)}))
+            argv += ["--config", "c.json"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tau must be in [0.01, 1]") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("route", ["argv", "config"])
+    @pytest.mark.parametrize("text", ["1e-999999999", "1E+999999999", "0.5e-401"])
+    def test_rational_exponents_are_bounded(self, capsys, tmp_path, monkeypatch, route, text):
+        # Fraction(text) costs the square of the exponent: these would hang
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "moments", "--k", "16", "--p", "0.25"]
+        if route == "argv":
+            argv += ["--eps", text]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"eps": text}))
+            argv += ["--config", "c.json"]
+        start = time.perf_counter()
+        code, out, err = _run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: --eps must be ") and err.count("\n") == 1
+
     @pytest.fixture
     def instance(self, capsys, tmp_path):
         path = tmp_path / "p.lc"
@@ -748,7 +851,7 @@ def _without(argv, name):
 
 def _bound(text):
     base, _, exp = text.partition("^")
-    return Fraction(int(base) ** int(exp or 1))
+    return Fraction(base) ** int(exp or 1)
 
 
 def _outside(flag):

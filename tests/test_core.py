@@ -260,6 +260,22 @@ class TestCursorRng:
         assert rng.shuffle(list(range(n))) == expected
         assert rng.index == ref.index == 2**40 + max(n - 1, 0)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 20000])
+    def test_shuffle_matches_the_blocked_draw(self, n):
+        # the earlier form drew its words 256 swaps at a time; the cursor is
+        # contiguous, so one draw of all n-1 words gives the same swaps
+        rng = CursorRng(8, 3, index=99)
+        ref = CursorRng(8, 3, index=99)
+        expected = list(range(n))
+        for top in range(n - 1, 0, -256):
+            span = np.arange(top, max(top - 256, 0), -1)
+            u = ref.uniforms(span.size)
+            picks = np.minimum((u * (span + 1)).astype(np.int64), span)
+            for i, j in zip(range(top, top - span.size, -1), picks.tolist()):
+                expected[i], expected[j] = expected[j], expected[i]
+        assert rng.shuffle(list(range(n))) == expected
+        assert rng.index == ref.index
+
     def test_bernoulli_rate(self):
         rng = CursorRng(17, 4)
         hits = sum(rng.bernoulli(0.25) for _ in range(4000))
@@ -436,6 +452,20 @@ class TestStreamFormat:
         path.write_bytes(blob[:-1])
         with pytest.raises(CorruptionError):
             StreamReader(str(path))
+
+    @pytest.mark.parametrize("change", ["replace", "truncate"])
+    def test_a_stream_changed_after_opening_is_rejected(self, tmp_path, change):
+        # the reader holds only the header and reads the records later
+        path = tmp_path / "s.glhs"
+        self._write(path, 1, 8, 4)
+        reader = StreamReader(str(path))
+        if change == "replace":
+            self._write(tmp_path / "t.glhs", 1, 8, 4)
+            os.replace(tmp_path / "t.glhs", path)
+        else:
+            path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CorruptionError, match="changed since it was opened"):
+            list(reader.read_batches())
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "s.glhs"

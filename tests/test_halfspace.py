@@ -508,6 +508,13 @@ class TestGeometricDecay:
         with pytest.raises(ValueError, match="critical index"):
             check_geometric_decay([1.0, 1.0, 1.0, 1.0], tau=0.6, l=2)
 
+    @pytest.mark.parametrize("tau", [2.9073303515915243e-182, 1e-300, 5e-324])
+    def test_tau_whose_square_underflows(self, tau):
+        # tau^2 is 0 in float64: the spread link's stride is unbounded, so
+        # that link is vacuous rather than a division by zero
+        w = [3.0 ** -i for i in range(10)]
+        assert check_geometric_decay(w, tau=tau, l=4)
+
     def test_third_link_holds_strictly_below_critical(self):
         # alternating-ish decay: passes the norm chain but position 1 violates
         # tau*sigma <= |w| only at or past the critical index, never before

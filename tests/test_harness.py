@@ -1,5 +1,7 @@
 """Agreement counting, learner probe, closed forms, records, experiment plans."""
 
+import contextlib
+import io
 import tracemalloc
 from fractions import Fraction
 
@@ -8,14 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glhs.core import PURPOSE_LEARN, CursorRng, StreamReader, StreamWriter, purpose_stream
+from glhs import core
+from glhs.cli import main
+from glhs.core import (
+    PURPOSE_LEARN,
+    CursorRng,
+    StreamReader,
+    StreamWriter,
+    chunk_rows,
+    purpose_stream,
+)
 from glhs.halfspace import Disjunction, Halfspace
 from glhs.labelcover import gen_planted_projection, gen_planted_unique
 from glhs.moments import build_pair, column_sum_pmf
 from glhs.reduction import dict_test_batch, or_acceptance_closed_form
 from glhs.reduction import TestSpec as Spec  # plain import trips pytest collection
 from glhs.harness import (
-    DEFAULT_CHUNK,
     AgreementReport,
     CheckRecord,
     ExperimentPlan,
@@ -26,7 +36,6 @@ from glhs.harness import (
     fold_record_files,
     hypothesis_id,
     linear_statistic_gap_exact,
-    load_examples,
     majority_halfspace,
     majority_threshold,
     make_record,
@@ -139,10 +148,9 @@ class TestAgreement:
         from_arrays = agreement(h, [(bits, labels)])
         assert from_file.matches == from_arrays.matches
         assert from_file.n1 == from_arrays.n1
-        loaded, loaded_labels, rows, cols = load_examples(str(path))
-        assert np.array_equal(loaded, bits) and np.array_equal(loaded_labels, labels)
-        assert (rows, cols) == (spec.k, spec.r)
         reader = StreamReader(str(path))
+        [(loaded, loaded_labels)] = list(reader.read_batches(64))
+        assert np.array_equal(loaded, bits) and np.array_equal(loaded_labels, labels)
         assert reader.header.rows == spec.k
         assert reader.header.cols == spec.r
         assert reader.header.count == 64
@@ -194,67 +202,68 @@ class TestPerceptron:
     def test_learns_a_separable_dictator(self):
         bits, labels = self._separable()
         final = perceptron_train(
-            (bits, labels), LearnerConfig(epochs=20, averaged=False)
+            [(bits, labels)], LearnerConfig(epochs=20, averaged=False)
         )
         assert agreement(final, [(bits, labels)]).rate == 1.0
-        averaged = perceptron_train((bits, labels), LearnerConfig(epochs=20))
+        averaged = perceptron_train([(bits, labels)], LearnerConfig(epochs=20))
         assert agreement(averaged, [(bits, labels)]).rate >= 0.9
 
     def test_training_is_deterministic(self):
         bits, labels = self._separable()
         cfg = LearnerConfig(epochs=3, shuffle_seed=11)
-        a = perceptron_train((bits, labels), cfg)
-        b = perceptron_train((bits, labels), cfg)
+        a = perceptron_train([(bits, labels)], cfg)
+        b = perceptron_train([(bits, labels)], cfg)
         assert np.array_equal(a.weights, b.weights)
         assert a.theta == b.theta
-        c = perceptron_train((bits, labels), LearnerConfig(epochs=3, shuffle_seed=12))
+        c = perceptron_train([(bits, labels)], LearnerConfig(epochs=3, shuffle_seed=12))
         assert not np.array_equal(a.weights, c.weights)
 
     def test_grid_shape_handling(self):
         bits, labels = self._separable()
-        h = perceptron_train((bits, labels), LearnerConfig(epochs=1), rows=2, cols=3)
+        h = perceptron_train([(bits, labels)], LearnerConfig(epochs=1), rows=2, cols=3)
         assert (h.rows, h.cols) == (2, 3)
-        flat = perceptron_train((bits, labels), LearnerConfig(epochs=1))
+        flat = perceptron_train([(bits, labels)], LearnerConfig(epochs=1))
         assert (flat.rows, flat.cols) == (1, 6)
         with pytest.raises(ValueError, match="does not match feature width"):
-            perceptron_train((bits, labels), LearnerConfig(epochs=1), rows=2, cols=4)
+            perceptron_train([(bits, labels)], LearnerConfig(epochs=1), rows=2, cols=4)
 
     def test_stream_grid_shape_is_inherited(self, tmp_path):
         spec = _matched_spec(r=2)
         path = tmp_path / "train.stream"
         write_dict_test_stream(str(path), spec, 50, SEED)
-        bits, labels, rows, cols = load_examples(str(path))
-        h = perceptron_train((bits, labels), LearnerConfig(epochs=1), rows, cols)
+        reader = StreamReader(str(path))
+        hdr = reader.header
+        h = perceptron_train(reader.read_batches(7), LearnerConfig(epochs=1), hdr.rows, hdr.cols)
         assert (h.rows, h.cols) == (spec.k, spec.r)
 
     def test_unaveraged_final_state(self):
         bits, labels = self._separable()
         plain = perceptron_train(
-            (bits, labels), LearnerConfig(epochs=5, averaged=False)
+            [(bits, labels)], LearnerConfig(epochs=5, averaged=False)
         )
-        avg = perceptron_train((bits, labels), LearnerConfig(epochs=5, averaged=True))
+        avg = perceptron_train([(bits, labels)], LearnerConfig(epochs=5, averaged=True))
         assert not np.array_equal(plain.weights, avg.weights)
 
     def test_empty_training_set(self, tmp_path):
         with pytest.raises(ValueError, match="no training examples"):
-            perceptron_train((np.zeros((0, 3), dtype=np.uint8), np.zeros(0, dtype=np.uint8)))
+            perceptron_train([(np.zeros((0, 3), dtype=np.uint8), np.zeros(0, dtype=np.uint8))])
         path = tmp_path / "empty.stream"
         with StreamWriter(str(path), 2, 3):
             pass
-        bits, labels, rows, cols = load_examples(str(path))
-        assert bits.shape == (0, 6) and labels.shape == (0,)
+        reader = StreamReader(str(path))
+        assert list(reader.read_batches()) == []
         with pytest.raises(ValueError, match="no training examples"):
-            perceptron_train((bits, labels), LearnerConfig(), rows, cols)
+            perceptron_train(reader.read_batches(), LearnerConfig(), 2, 3)
 
     def test_rejects_non_binary_input(self):
         bits, labels = self._separable()
         bits[3, 2] = 2
         with pytest.raises(ValueError, match="0 or 1"):
-            perceptron_train((bits, labels))
+            perceptron_train([(bits, labels)])
         bits, labels = self._separable()
         labels[5] = 2
         with pytest.raises(ValueError, match="0 or 1"):
-            perceptron_train((bits, labels))
+            perceptron_train([(bits, labels)])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="epochs"):
@@ -337,7 +346,7 @@ class TestPerceptronOracle:
         cfg = LearnerConfig(
             epochs=4, rate=rate, schedule=schedule, shuffle_seed=2, averaged=averaged
         )
-        got = perceptron_train((bits, labels), cfg)
+        got = perceptron_train([(bits, labels)], cfg)
         want = _dense_reference(bits, labels, cfg)
         assert got.weights.tobytes() == want.weights.tobytes()
         assert np.float64(got.theta).tobytes() == np.float64(want.theta).tobytes()
@@ -349,7 +358,7 @@ class TestPerceptronOracle:
         bits = (rnd.random_sample(shape) < 0.1).astype(np.uint8)
         if shape[0]:
             bits[-1] = 0
-        active = _active_indices(bits)
+        active = _active_indices(np.packbits(bits, axis=1, bitorder="little"), shape[1])
         assert active.shape[1] == max(1, bits.sum(axis=1).max(initial=0))
         for i in range(shape[0]):
             got = active[i][active[i] < shape[1]]
@@ -368,26 +377,45 @@ class TestPerceptronOracle:
             labels = bits[:, 0].copy()
         tracemalloc.start()
         try:
-            perceptron_train((bits, labels), LearnerConfig(epochs=3))
+            perceptron_train([(bits, labels)], LearnerConfig(epochs=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * bits.nbytes
 
     def test_stream_is_unpacked_once(self, tmp_path):
-        # more rows than one read chunk (DEFAULT_CHUNK); a list of chunks plus
-        # their concatenation would hold the unpacked stream twice
-        bits, labels = _wide_sparse_stream(n=DEFAULT_CHUNK + 500, dim=3200)
+        # more rows than one read chunk; a list of unpacked chunks plus their
+        # concatenation would hold the unpacked stream twice
+        bits, labels = _wide_sparse_stream(n=8692, dim=3200)
         path = tmp_path / "wide.stream"
         with StreamWriter(str(path), 1, 3200) as out:
             out.append_batch(bits, labels)
         tracemalloc.start()
         try:
-            perceptron_train(load_examples(str(path))[:2], LearnerConfig(epochs=1))
+            reader = StreamReader(str(path))
+            perceptron_train(reader.read_batches(chunk_rows(3200)), LearnerConfig(epochs=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * bits.nbytes
+
+    def test_learn_holds_no_unpacked_stream(self, tmp_path, monkeypatch):
+        # learn reads its stream a chunk at a time and keeps the examples
+        # packed, n*dim/8 bytes; with chunks of 2^20 cells the 4000 rows span
+        # 13 of them
+        bits, labels = _wide_sparse_stream(n=4000, dim=3200)
+        path = tmp_path / "wide.stream"
+        with StreamWriter(str(path), 1, 3200) as out:
+            out.append_batch(bits, labels)
+        monkeypatch.setattr(core, "CHUNK_CELLS", 1 << 20)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["learn", "--stream", str(path), "--epochs", "3"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bits.nbytes / 2
 
 
 class TestMatrixSumPmf:
