@@ -43,7 +43,6 @@ from .halfspace import (
     drop_top,
     read_halfspace,
     regularizing_prefix,
-    sgn,
     top_indices,
     truncate,
     write_halfspace,
@@ -119,6 +118,6 @@ from .harness import (
     write_dict_test_stream,
     write_reduction_stream,
 )
-from .stats import Interval, binomial_sigma, wilson_interval
+from .stats import binomial_sigma
 
 __version__ = "0.1.0"

@@ -460,6 +460,11 @@ def _cmd_verify_moments(p: dict) -> int:
     return _emit(p, records, echo)
 
 
+def _no_failures(check_id: str, echo: dict, failures: int) -> CheckRecord:
+    """A verify check that passes when no case failed."""
+    return make_record(check_id, echo, failures, "== 0 failures", failures == 0)
+
+
 def _random_decaying_vector(rng: CursorRng, dim: int, ratio: float) -> np.ndarray:
     """Magnitudes shrink by at least `ratio` per step; random signs."""
     mags = []
@@ -499,14 +504,10 @@ def _cmd_verify_critical_index(p: dict) -> int:
         minimality_checked += len(cut)
         minimal_fail += int(np.count_nonzero(~rest.is_regular | longer.is_regular))
     records = [
-        make_record(
-            "critical-index.decay-chain", echo, chain_fail, "== 0 failures",
-            chain_fail == 0,
-        ),
-        make_record(
+        _no_failures("critical-index.decay-chain", echo, chain_fail),
+        _no_failures(
             "critical-index.prefix-minimality",
-            {**echo, "checked": minimality_checked},
-            minimal_fail, "== 0 failures", minimal_fail == 0,
+            {**echo, "checked": minimality_checked}, minimal_fail,
         ),
     ]
     return _emit(p, records, echo)
@@ -538,14 +539,8 @@ def _cmd_verify_small_ball(p: dict) -> int:
         if not est.passed:
             ball_fail += 1
     records = [
-        make_record(
-            "small-ball.unique-point", echo, unique_fail, "== 0 failures",
-            unique_fail == 0,
-        ),
-        make_record(
-            "small-ball.noisy-mass", echo, ball_fail, "== 0 failures",
-            ball_fail == 0,
-        ),
+        _no_failures("small-ball.unique-point", echo, unique_fail),
+        _no_failures("small-ball.noisy-mass", echo, ball_fail),
     ]
     return _emit(p, records, echo)
 
@@ -583,14 +578,8 @@ def _cmd_verify_spread(p: dict) -> int:
         if not mass.passed:
             mass_fail += 1
     records = [
-        make_record(
-            "spread.interval-bound", echo, spread_fail, "== 0 failures",
-            spread_fail == 0,
-        ),
-        make_record(
-            "spread.noise-mass-floor", echo, mass_fail, "== 0 failures",
-            mass_fail == 0,
-        ),
+        _no_failures("spread.interval-bound", echo, spread_fail),
+        _no_failures("spread.noise-mass-floor", echo, mass_fail),
     ]
     return _emit(p, records, echo)
 
@@ -619,7 +608,7 @@ def _cmd_verify_invariance(p: dict) -> int:
             [0.4 * (rng.uniform() - 0.5) for _ in range(m)] for _ in range(rr)
         ]
         theta = rng.uniform() - 0.5
-        quartic = invariance_gap(fam_a, fam_b, blocks, theta, QUARTIC, QUARTIC.k_bound)
+        quartic = invariance_gap(fam_a, fam_b, blocks, theta, QUARTIC)
         if not quartic.passed:
             quartic_fail += 1
         worst_excess = max(worst_excess, quartic.gap - quartic.bound)
@@ -633,28 +622,18 @@ def _cmd_verify_invariance(p: dict) -> int:
         for i, step in enumerate(steps):
             if abs(step) > per_step * sum(abs(c) for c in blocks[i]) ** 4 + 1e-9:
                 hybrid_fail += 1
-        signed = quartic.expect_b - quartic.expect_a
-        if abs(sum(steps) - signed) > 1e-9:
+        if sum(steps) != quartic.expect_b - quartic.expect_a:  # exact telescoping
             hybrid_fail += 1
-        sgn = sgn_gap_bound(fam_a, fam_b, blocks, theta, alpha=0.2)
-        if not sgn.passed:
+        if not sgn_gap_bound(fam_a, fam_b, blocks, theta, alpha=0.2).passed:
             sgn_fail += 1
     records = [
-        make_record(
+        _no_failures(
             "invariance.quartic", {**echo, "worst_excess": f"{worst_excess:.3e}"},
-            quartic_fail, "== 0 failures", quartic_fail == 0,
+            quartic_fail,
         ),
-        make_record(
-            "invariance.cubic-exact-zero", echo, cubic_nonzero, "== 0 failures",
-            cubic_nonzero == 0,
-        ),
-        make_record(
-            "invariance.hybrid-steps", echo, hybrid_fail, "== 0 failures",
-            hybrid_fail == 0,
-        ),
-        make_record(
-            "invariance.sgn-gap", echo, sgn_fail, "== 0 failures", sgn_fail == 0
-        ),
+        _no_failures("invariance.cubic-exact-zero", echo, cubic_nonzero),
+        _no_failures("invariance.hybrid-steps", echo, hybrid_fail),
+        _no_failures("invariance.sgn-gap", echo, sgn_fail),
     ]
     return _emit(p, records, echo)
 

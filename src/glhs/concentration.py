@@ -13,18 +13,22 @@ Two families of checks live here:
    noisy linear form lands in any fixed interval [a, b] is bounded by
    4(b-a)/sqrt(gamma) + 4 tau/sqrt(gamma) + 2 exp(-gamma^2 / (2 tau^2)).
 
-Monte Carlo estimators are deterministic given (master_seed, stream_id) and
-chunk their work without changing the stream (absolute row indices address
-the counter blocks).  Base distributions come from a small adversarial
-catalog: the bounds quantify over every distribution, so tests probe point
-masses and biased or uniform product laws.
+The three Monte Carlo estimators (small-ball, spread, noise mass) take one
+route: each states a row test over draws addressed by absolute row index,
+`_estimate` counts its hits `chunk_rows` rows at a time, and all three
+return an `Estimate`, which carries the bound, the side it bounds from and
+a slack of four binomial standard deviations.  They are deterministic given
+(master_seed, stream_id), and the chunking never moves a draw.  Base
+distributions come from a small adversarial catalog: the bounds quantify
+over every distribution, so tests probe point masses and biased or uniform
+product laws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .core import (
 )
 from .halfspace import critical_index
 from .moments import apply_noise
-from .stats import Interval, wilson_interval
+from .stats import binomial_sigma
 
 SUBSET_GUARD_T = 24
 
@@ -182,51 +186,78 @@ def uniform_bits(dim: int) -> ProductBits:
 
 
 @dataclass(frozen=True)
-class TailEstimate:
-    """An empirical interval probability next to its claimed bound."""
+class Estimate:
+    """An empirical probability next to the bound a lemma claims for it.
+
+    `upper` says which side the bound is on; the check allows `slack`, four
+    binomial standard deviations at the estimate plus 4/trials.
+    """
 
     estimate: float
     bound: float
     trials: int
-    successes: int
-    interval: Interval
     slack: float
+    upper: bool
 
     @property
     def passed(self) -> bool:
-        return self.estimate <= self.bound + self.slack
+        if self.upper:
+            return self.estimate <= self.bound + self.slack
+        return self.estimate >= self.bound - self.slack
 
 
-def _mc_slack(estimate: float, trials: int, sigma: float = 4.0) -> float:
-    return sigma * math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials) + sigma / trials
+# hits_of(start, rows): the hit mask of rows start .. start + rows - 1
+RowTest = Callable[[int, int], np.ndarray]
 
 
-def _interval_hits(
-    w: np.ndarray,
-    source: BitSource,
-    gamma: float,
-    a: float,
-    b: float,
-    trials: int,
-    master_seed: int,
-    stream_id: int,
-) -> int:
-    n = source.dim
-    if w.size != n:
-        raise ValueError(f"weight length {w.size} does not match source dim {n}")
+def _estimate(hits_of: RowTest, width: int, trials: int, bound: float, upper: bool) -> Estimate:
+    """Count the rows `hits_of(start, rows)` marks, chunk_rows(width) at a time.
+
+    Rows are drawn at absolute indices, so the chunking never moves a draw.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    chunk = chunk_rows(width)
+    hits = sum(
+        int(np.count_nonzero(hits_of(start, min(chunk, trials - start))))
+        for start in range(0, trials, chunk)
+    )
+    est = hits / trials
+    slack = 4.0 * binomial_sigma(est, trials) + 4.0 / trials
+    return Estimate(estimate=est, bound=bound, trials=trials, slack=slack, upper=upper)
+
+
+def _interval_hits(w: np.ndarray, source: BitSource, gamma: float, a: float, b: float,
+                   master_seed: int, stream_id: int) -> RowTest:
+    """The row test `<w, y> in [a, b]` for noisy draws y of `source`."""
+    if w.size != source.dim:
+        raise ValueError(f"weight length {w.size} does not match source dim {source.dim}")
     x_stream = purpose_stream(stream_id, PURPOSE_X)
     noise_stream = purpose_stream(stream_id, PURPOSE_NOISE)
-    chunk = chunk_rows(n)
-    hits = 0
-    done = 0
-    while done < trials:
-        rows = min(chunk, trials - done)
-        bits = source.sample_bits(rows, master_seed, x_stream, start=done)
-        noisy = apply_noise(bits, gamma, master_seed, noise_stream, start=done)
-        margins = noisy @ w
-        hits += int(np.count_nonzero((margins >= a) & (margins <= b)))
-        done += rows
-    return hits
+
+    def hits_of(start: int, rows: int) -> np.ndarray:
+        bits = source.sample_bits(rows, master_seed, x_stream, start=start)
+        margins = apply_noise(bits, gamma, master_seed, noise_stream, start=start) @ w
+        return (margins >= a) & (margins <= b)
+
+    return hits_of
+
+
+def _require_rate(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"noise rate must be in (0, 1], got {gamma}")
+
+
+def _require_regular_unit(w: Sequence[float] | np.ndarray, tau: float) -> np.ndarray:
+    """w as an array, after checking it is a tau-regular unit vector."""
+    arr = np.asarray(w, dtype=np.float64)
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"w must be a unit vector, got norm {norm!r}")
+    c_tau = critical_index(arr, tau).c_tau
+    if c_tau != 1:
+        raise ValueError(f"w must be tau-regular (critical index 1), got {c_tau}")
+    return arr
 
 
 def noisy_small_ball(
@@ -237,7 +268,7 @@ def noisy_small_ball(
     trials: int,
     master_seed: int,
     stream_id: int = 0,
-) -> TailEstimate:
+) -> Estimate:
     """Estimate Pr[<w, y> in theta +- m/6] against the (1-gamma/2)^T bound.
 
     y is a draw from `source` with each bit independently replaced by a fair
@@ -246,31 +277,17 @@ def noisy_small_ball(
     noise reaches any fixed point with probability at most (1-gamma/2)^T.
     """
     arr = np.asarray(w, dtype=np.float64)
-    mags = require_geometric(arr)
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"noise rate must be in (0, 1], got {gamma}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    half = mags[-1] / 6.0
-    hits = _interval_hits(
-        arr, source, gamma, theta - half, theta + half, trials, master_seed, stream_id
+    half = require_geometric(arr)[-1] / 6.0
+    _require_rate(gamma)
+    hits_of = _interval_hits(
+        arr, source, gamma, theta - half, theta + half, master_seed, stream_id
     )
-    est = hits / trials
-    bound = (1.0 - gamma / 2.0) ** arr.size
-    return TailEstimate(
-        estimate=est,
-        bound=bound,
-        trials=trials,
-        successes=hits,
-        interval=wilson_interval(hits, trials),
-        slack=_mc_slack(est, trials),
-    )
+    return _estimate(hits_of, arr.size, trials, (1.0 - gamma / 2.0) ** arr.size, upper=True)
 
 
 def spread_bound(gamma: float, tau: float, length: float) -> float:
     """4|b-a|/sqrt(gamma) + 4 tau/sqrt(gamma) + 2 exp(-gamma^2/(2 tau^2))."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"noise rate must be in (0, 1], got {gamma}")
+    _require_rate(gamma)
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     if length < 0.0:
@@ -289,47 +306,13 @@ def spread_estimate(
     trials: int,
     master_seed: int,
     stream_id: int = 0,
-) -> TailEstimate:
+) -> Estimate:
     """Estimate Pr[<w, y> in [a, b]] for a tau-regular unit vector w."""
-    arr = np.asarray(w, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"w must be a unit vector, got norm {norm!r}")
-    report = critical_index(arr, tau)
-    if report.c_tau != 1:
-        raise ValueError(
-            f"w must be tau-regular (critical index 1), got {report.c_tau}"
-        )
+    arr = _require_regular_unit(w, tau)
     if not a <= b:
         raise ValueError(f"interval endpoints out of order: [{a}, {b}]")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    hits = _interval_hits(arr, source, gamma, a, b, trials, master_seed, stream_id)
-    est = hits / trials
-    return TailEstimate(
-        estimate=est,
-        bound=spread_bound(gamma, tau, b - a),
-        trials=trials,
-        successes=hits,
-        interval=wilson_interval(hits, trials),
-        slack=_mc_slack(est, trials),
-    )
-
-
-@dataclass(frozen=True)
-class NoiseMassEstimate:
-    """Empirical Pr[sum w_i^2 z_i >= gamma/2] next to its claimed lower bound."""
-
-    estimate: float
-    lower_bound: float
-    trials: int
-    successes: int
-    interval: Interval
-    slack: float
-
-    @property
-    def passed(self) -> bool:
-        return self.estimate >= self.lower_bound - self.slack
+    hits_of = _interval_hits(arr, source, gamma, a, b, master_seed, stream_id)
+    return _estimate(hits_of, arr.size, trials, spread_bound(gamma, tau, b - a), upper=True)
 
 
 def noise_mass_estimate(
@@ -339,48 +322,23 @@ def noise_mass_estimate(
     trials: int,
     master_seed: int,
     stream_id: int = 0,
-) -> NoiseMassEstimate:
+) -> Estimate:
     """The squared-weight mass hit by noise concentrates above gamma/2.
 
     z_i are the per-bit replacement indicators (independent Bernoulli(gamma));
     for a tau-regular unit vector the mass sum w_i^2 z_i has mean gamma and
     fourth-power range sum at most tau^2, so it falls below gamma/2 with
     probability at most 2 exp(-gamma^2/(2 tau^2)) (one factor of 2 to spare).
+    The bound is a lower one: 1 - 2 exp(-gamma^2/(2 tau^2)).
     """
-    arr = np.asarray(w, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"w must be a unit vector, got norm {norm!r}")
-    report = critical_index(arr, tau)
-    if report.c_tau != 1:
-        raise ValueError(
-            f"w must be tau-regular (critical index 1), got {report.c_tau}"
-        )
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"noise rate must be in (0, 1], got {gamma}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    n = arr.size
+    arr = _require_regular_unit(w, tau)
+    _require_rate(gamma)
     sq = arr * arr
     stream = purpose_stream(stream_id, PURPOSE_MC)
-    chunk = chunk_rows(n)
-    hits = 0
-    done = 0
-    threshold = gamma / 2.0
-    indicators = ProductBits(rates=(gamma,) * n)
-    while done < trials:
-        rows = min(chunk, trials - done)
-        z = indicators.sample_bits(rows, master_seed, stream, start=done)
-        mass = z @ sq
-        hits += int(np.count_nonzero(mass >= threshold))
-        done += rows
-    est = hits / trials
+    indicators = ProductBits(rates=(gamma,) * arr.size)
+
+    def hits_of(start: int, rows: int) -> np.ndarray:
+        return indicators.sample_bits(rows, master_seed, stream, start=start) @ sq >= gamma / 2.0
+
     bound = 1.0 - 2.0 * math.exp(-(gamma * gamma) / (2.0 * tau * tau))
-    return NoiseMassEstimate(
-        estimate=est,
-        lower_bound=bound,
-        trials=trials,
-        successes=hits,
-        interval=wilson_interval(hits, trials),
-        slack=_mc_slack(est, trials),
-    )
+    return _estimate(hits_of, arr.size, trials, bound, upper=False)

@@ -331,7 +331,10 @@ def _decode_header(blob: bytes) -> tuple[StreamHeader, int]:
         raise FormatError(f"unknown coordinate-order tag {order}")
     if len(blob) < _HEADER_SIZE + meta_len:
         raise CorruptionError("stream truncated inside header metadata")
-    meta = blob[_HEADER_SIZE : _HEADER_SIZE + meta_len].decode("utf-8")
+    try:
+        meta = blob[_HEADER_SIZE : _HEADER_SIZE + meta_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"header metadata is not UTF-8: {exc}") from None
     header = StreamHeader(rows=rows, cols=cols, count=count, meta=meta, order_tag=order)
     return header, _HEADER_SIZE + meta_len
 
@@ -454,7 +457,7 @@ class StreamReader:
     Opening decodes the header and checks the file's length against it; the
     body is not held.  `read_batches` reads the records from the file as it
     was opened, and raises CorruptionError if the path now names another
-    file or the file has changed.
+    file or the file has changed.  Every FormatError names the path.
     """
 
     def __init__(self, path: str):
@@ -465,12 +468,15 @@ class StreamReader:
             if len(head) == _HEADER_SIZE:  # then the metadata, at most the whole file
                 meta_len = struct.unpack_from("<I", head, _HEADER_SIZE - 4)[0]
                 head += fh.read(min(meta_len, self._stat.st_size))
-        self.header, self._body_offset = _decode_header(head)
+        try:
+            self.header, self._body_offset = _decode_header(head)
+        except FormatError as exc:
+            raise type(exc)(f"stream {path}: {exc}") from None
         body = self._stat.st_size - self._body_offset
         expected = self.header.count * self.header.record_size
         if body != expected:
             raise CorruptionError(
-                f"stream body is {body} bytes, header implies {expected}"
+                f"stream {path}: body is {body} bytes, header implies {expected}"
             )
 
     def __len__(self) -> int:
@@ -495,9 +501,11 @@ class StreamReader:
                 rows = min(chunk, count - start)
                 data = fh.read(rows * rs)
                 if len(data) != rows * rs:
-                    raise CorruptionError("stream body is shorter than its header implies")
+                    raise CorruptionError(
+                        f"stream {self.path}: body is shorter than its header implies"
+                    )
                 block = np.frombuffer(data, dtype=np.uint8).reshape(rows, rs)
                 labels = block[:, -1].copy()
                 if not np.isin(labels, (0, 1)).all():
-                    raise CorruptionError("label byte must be 0 or 1")
+                    raise CorruptionError(f"stream {self.path}: label byte must be 0 or 1")
                 yield np.unpackbits(block[:, :-1], axis=1, count=dim, bitorder="little"), labels

@@ -49,11 +49,6 @@ from .core import AtomicFile, FormatError
 _BLOCK_CELLS = 1 << 18
 
 
-def sgn(t: float) -> int:
-    """Global sign convention: 1 iff t >= 0, else -1."""
-    return 1 if t >= 0 else -1
-
-
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -531,8 +526,15 @@ def write_halfspace(h: Halfspace, path: str) -> None:
 
 
 def read_halfspace(path: str) -> Halfspace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    """Parse a `write_halfspace` file; every FormatError names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_halfspace([ln.rstrip("\n") for ln in fh if ln.strip()])
+    except ValueError as exc:  # UnicodeDecodeError and Halfspace's own checks included
+        raise FormatError(f"halfspace record {path}: {exc}") from None
+
+
+def _parse_halfspace(lines: list[str]) -> Halfspace:
     if not lines or not lines[0].startswith(_HS_MAGIC):
         raise FormatError(f"not a halfspace record: missing {_HS_MAGIC} header")
     version = lines[0][len(_HS_MAGIC):].strip()
@@ -546,14 +548,11 @@ def read_halfspace(path: str) -> Halfspace:
         raise FormatError(f"unknown coordinate order {fields.get('order')!r}")
     missing = [key for key in ("rows", "cols", "theta", "weights") if key not in fields]
     if missing:
-        raise FormatError(f"halfspace record {path} lacks {', '.join(missing)}")
-    try:
-        rows = int(fields["rows"])
-        cols = int(fields["cols"])
-        theta = float(fields["theta"])
-        weights = np.asarray([float(v) for v in fields["weights"].split()])
-    except ValueError as exc:
-        raise FormatError(f"halfspace record {path}: {exc}") from exc
+        raise FormatError(f"lacks {', '.join(missing)}")
+    rows = int(fields["rows"])
+    cols = int(fields["cols"])
+    theta = float(fields["theta"])
+    weights = np.asarray([float(v) for v in fields["weights"].split()])
     if rows < 1 or cols < 1 or weights.size != rows * cols:
         raise FormatError(
             f"weight count {weights.size} does not match {rows}x{cols}"

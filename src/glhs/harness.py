@@ -7,8 +7,8 @@ iterable of such batches, so a stream is read chunk by chunk
 (2^22 bit cells) at a time: no step holds a whole unpacked stream.
 
 `agreement` counts exact matches between a hypothesis and the batches and
-reports the rate with a Wilson interval plus the conditional means
-E[h | b] whose balanced combination obeys the half-plus-half-gap identity.
+reports the rate plus the conditional means E[h | b] whose balanced
+combination obeys the half-plus-half-gap identity.
 `perceptron_train` is a deterministic averaged-perceptron probe: the
 hardness construction predicts that no efficient learner beats the trivial
 rate by much on sound instances, so its results are reported comparatively
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import CursorRng, PURPOSE_LEARN, StreamWriter, chunk_rows, purpose_stream
+from .core import CursorRng, FormatError, PURPOSE_LEARN, StreamWriter, chunk_rows, purpose_stream
 from .halfspace import Disjunction, Halfspace
 from .labelcover import LabelCoverInstance
 from .moments import ColumnMixture, column_sum_pmf
@@ -46,7 +46,7 @@ from .reduction import (
     or_acceptance_closed_form,
     ug_reduce_batch,
 )
-from .stats import Interval, binomial_sigma, wilson_interval
+from .stats import binomial_sigma
 
 Hypothesis = Union[Halfspace, Disjunction]
 Batch = tuple[np.ndarray, np.ndarray]  # bits (n, dim) uint8, labels (n,) uint8
@@ -104,10 +104,6 @@ class AgreementReport:
     @property
     def rate(self) -> float:
         return self.matches / self.count
-
-    @property
-    def interval(self) -> Interval:
-        return wilson_interval(self.matches, self.count)
 
     @property
     def cond_mean1(self) -> float:
@@ -605,12 +601,15 @@ def parse_record(line: str) -> CheckRecord:
     if len(fields) != 6 or fields[0] != "check":
         raise ValueError(f"not a check record: {line!r}")
     _, check_id, params_text, stat_text, target, status = fields
-    params = tuple(
-        tuple(item.split("=", 1)) for item in params_text.split(",") if item
-    )
+    params = []
+    for item in filter(None, params_text.split(",")):
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"params item {item!r} has no '='")
+        params.append((key, value))
     return CheckRecord(
         check_id=check_id,
-        params=params,  # type: ignore[arg-type]
+        params=tuple(params),
         statistic=float(stat_text),
         target=target,
         status=status,
@@ -618,12 +617,21 @@ def parse_record(line: str) -> CheckRecord:
 
 
 def read_records(path: str) -> list[CheckRecord]:
-    """Parse check lines; blank lines and '#' comments (config echoes) skip."""
+    """Parse check lines; blank lines and '#' comments (config echoes) skip.
+
+    A malformed line raises FormatError naming the file and the line.
+    """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip() and not line.startswith("#"):
-                records.append(parse_record(line))
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip() and not line.startswith("#"):
+                    records.append(parse_record(line))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"record file {path} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"record file {path}, line {lineno}: {exc}") from None
     return records
 
 

@@ -13,14 +13,17 @@ four vanishing derivatives at both ends.  Its certified fourth-derivative
 bound C/lam^4 plus the worst window mass c(alpha) of the linear form give
 the testable bound gap <= (C/alpha^4) * sum ||l_i||_1^4 + 2 c(alpha).
 
-Two arithmetic paths coexist.  The float path convolves per-ensemble value
-distributions with exact-duplicate merging.  The exact path, used where
-tests assert literal equality (a cubic Psi gap is zero, not small), needs
-only the raw moments E[l^j] for j <= deg Psi: it computes each block's
-moments from its support rows in Fractions and combines independent blocks
-by the binomial sum rule, so its cost grows with the number of blocks, not
-with the number of atoms of l.  Gadget-column marginals always enter as
-exact ensembles (Fraction rows), so either path can read them.
+Each quantity has one arithmetic route.  Everything about a polynomial Psi
+(the gap against its bound, the cubic gap, the hybrid steps) needs only the
+raw moments E[l^j] for j <= deg Psi: each block's moments come from its
+support rows in Fractions and independent blocks combine by the binomial sum
+rule, so the cost grows with the number of blocks, not with the number of
+atoms of l, a cubic gap is zero rather than small, and the hybrid steps sum
+to the signed gap exactly.  Float rows enter the same route through the
+exact values of their floats.  The 0/1 sign statistic is not a polynomial,
+so `sgn_gap_bound` alone convolves per-block value distributions (floats,
+exact duplicates merged) to read Pr[l >= theta] and the window masses.
+Gadget-column marginals always enter as exact ensembles (Fraction rows).
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational as _RationalABC
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,7 +80,7 @@ class Ensemble:
         if abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {float(total)!r}, expected 1")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(
             _is_exact(p) and all(_is_exact(v) for v in vals)
@@ -124,23 +128,12 @@ def first_moment_mismatch(
 
 @dataclass(frozen=True)
 class EnsembleFamily:
-    """Independent ensembles; the product of support sizes is guarded."""
+    """Independent ensembles."""
 
     ensembles: tuple[Ensemble, ...]
 
-    def __post_init__(self):
-        points = math.prod(len(e.support) for e in self.ensembles) if self.ensembles else 1
-        if points > ENUM_GUARD_POINTS:
-            raise GuardError(
-                f"product support has {points} points; guard is {ENUM_GUARD_POINTS}"
-            )
-
     def __len__(self) -> int:
         return len(self.ensembles)
-
-    @property
-    def exact(self) -> bool:
-        return all(e.exact for e in self.ensembles)
 
 
 def family(*ensembles: Ensemble) -> EnsembleFamily:
@@ -298,51 +291,38 @@ def _check_blocks(fam: EnsembleFamily, blocks: Sequence[Sequence[Number]]) -> No
             )
 
 
-def _block_dist_float(ens: Ensemble, block) -> tuple[np.ndarray, np.ndarray]:
-    w = np.asarray([float(v) for v in block])
-    vals = np.asarray(
-        [math.fsum(float(x) * wi for x, wi in zip(row, w)) for _, row in ens.support]
-    )
-    probs = np.asarray([float(p) for p, _ in ens.support])
-    return _merge_float(vals, probs)
-
-
 def _merge_float(vals: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     atoms, inverse = np.unique(vals, return_inverse=True)
     mass = np.bincount(inverse, weights=probs, minlength=atoms.size)
     return atoms, mass
 
 
-def _convolve_float(
-    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    av, ap = a
-    bv, bp = b
-    sums = (av[:, None] + bv[None, :]).reshape(-1)
-    mass = (ap[:, None] * bp[None, :]).reshape(-1)
-    return _merge_float(sums, mass)
-
-
 def linear_form_distribution(
     fam: EnsembleFamily, blocks: Sequence[Sequence[Number]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and probabilities of l(x) = sum_i <l_i, x_i> (float path)."""
+    """Atoms and probabilities of l(x) = sum_i <l_i, x_i>, in floats.
+
+    The sign statistic's route: per-block value distributions are convolved
+    one block at a time, exact duplicates merged.  The product of the support
+    sizes, which bounds the atom count, is guarded.
+    """
     _check_blocks(fam, blocks)
-    acc = (np.zeros(1), np.ones(1))
+    points = math.prod(len(e.support) for e in fam.ensembles)
+    if points > ENUM_GUARD_POINTS:
+        raise GuardError(f"product support has {points} points; guard is {ENUM_GUARD_POINTS}")
+    atoms, mass = np.zeros(1), np.ones(1)
     for ens, block in zip(fam.ensembles, blocks):
-        acc = _convolve_float(acc, _block_dist_float(ens, block))
-    return acc
-
-
-def expect_psi(
-    fam: EnsembleFamily,
-    blocks: Sequence[Sequence[Number]],
-    theta: float,
-    psi: Callable,
-) -> float:
-    """Exact E[Psi(l(x) - theta)] by enumeration of the product support."""
-    atoms, probs = linear_form_distribution(fam, blocks)
-    return float(np.dot(probs, np.asarray(psi(atoms - theta), dtype=np.float64)))
+        w = [float(v) for v in block]
+        block_atoms, block_mass = _merge_float(
+            np.asarray([math.fsum(float(x) * wi for x, wi in zip(row, w))
+                        for _, row in ens.support]),
+            np.asarray([float(p) for p, _ in ens.support]),
+        )
+        atoms, mass = _merge_float(
+            (atoms[:, None] + block_atoms[None, :]).reshape(-1),
+            (mass[:, None] * block_mass[None, :]).reshape(-1),
+        )
+    return atoms, mass
 
 
 def _block_raw_moments(ens: Ensemble, block, degree: int) -> list[Fraction]:
@@ -366,6 +346,17 @@ def _add_independent(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     ]
 
 
+def _shift_moments(theta: Number, degree: int) -> list[Fraction]:
+    """Raw moments of the constant -theta."""
+    shift = -Fraction(theta)
+    return [shift**j for j in range(degree + 1)]
+
+
+def _psi_of(psi: PolyPsi, moments: list[Fraction]) -> Fraction:
+    """E[Psi(X)] from the raw moments of X."""
+    return sum((Fraction(c) * m for c, m in zip(psi.coeffs, moments)), Fraction(0))
+
+
 def expect_psi_exact(
     fam: EnsembleFamily,
     blocks: Sequence[Sequence[Number]],
@@ -375,11 +366,10 @@ def expect_psi_exact(
     """Exact E[Psi(l(x) - theta)] for a polynomial Psi, by moment propagation."""
     _check_blocks(fam, blocks)
     degree = len(psi.coeffs) - 1
-    shift = -Fraction(theta)
-    moments = [shift**j for j in range(degree + 1)]
+    moments = _shift_moments(theta, degree)
     for ens, block in zip(fam.ensembles, blocks):
         moments = _add_independent(moments, _block_raw_moments(ens, block, degree))
-    return sum((Fraction(c) * m for c, m in zip(psi.coeffs, moments)), Fraction(0))
+    return _psi_of(psi, moments)
 
 
 def sum_l1_fourth(blocks: Sequence[Sequence[Number]]) -> float:
@@ -395,12 +385,17 @@ def sum_l1_fourth(blocks: Sequence[Sequence[Number]]) -> float:
 def _require_matching(
     fam_a: EnsembleFamily, fam_b: EnsembleFamily, degree: int
 ) -> None:
+    """Each distinct (A_i, B_i) pair is checked once, at its first index."""
     if len(fam_a) != len(fam_b):
         raise ValueError(
             f"family sizes differ: {len(fam_a)} vs {len(fam_b)}"
         )
-    for i, (a, b) in enumerate(zip(fam_a.ensembles, fam_b.ensembles)):
-        bad = first_moment_mismatch(a, b, degree)
+    checked = set()
+    for i, pair in enumerate(zip(fam_a.ensembles, fam_b.ensembles)):
+        if pair in checked:
+            continue
+        checked.add(pair)
+        bad = first_moment_mismatch(*pair, degree)
         if bad is not None:
             raise ValueError(
                 f"ensembles at index {i} disagree on the degree-{len(bad)} "
@@ -410,9 +405,9 @@ def _require_matching(
 
 @dataclass(frozen=True)
 class GapResult:
-    expect_a: float
-    expect_b: float
-    gap: float
+    expect_a: Fraction
+    expect_b: Fraction
+    gap: Fraction
     bound: float
     sum_l1_4: float
 
@@ -425,24 +420,24 @@ def invariance_gap(
     fam_a: EnsembleFamily,
     fam_b: EnsembleFamily,
     blocks: Sequence[Sequence[Number]],
-    theta: float,
-    psi: Callable,
-    k_bound: float,
+    theta: Number,
+    psi: PolyPsi,
 ) -> GapResult:
     """|E_A Psi(l - theta) - E_B Psi(l - theta)| against K * sum ||l_i||_1^4.
 
-    Requires per-index degree-3 moment matching; the violating multiset is
-    named on failure.
+    K is psi.k_bound; the expectations and the gap are exact.  Requires
+    per-index degree-3 moment matching; the violating multiset is named on
+    failure.
     """
     _require_matching(fam_a, fam_b, 3)
-    ea = expect_psi(fam_a, blocks, theta, psi)
-    eb = expect_psi(fam_b, blocks, theta, psi)
+    ea = expect_psi_exact(fam_a, blocks, theta, psi)
+    eb = expect_psi_exact(fam_b, blocks, theta, psi)
     s = sum_l1_fourth(blocks)
     return GapResult(
         expect_a=ea,
         expect_b=eb,
         gap=abs(ea - eb),
-        bound=k_bound * s,
+        bound=psi.k_bound * s,
         sum_l1_4=s,
     )
 
@@ -465,10 +460,10 @@ def hybrid_steps(
     fam_a: EnsembleFamily,
     fam_b: EnsembleFamily,
     blocks: Sequence[Sequence[Number]],
-    theta: float,
-    psi: Callable,
-) -> list[float]:
-    """Signed per-index swap gaps; they telescope to E_B - E_A.
+    theta: Number,
+    psi: PolyPsi,
+) -> list[Fraction]:
+    """Exact signed per-index swap gaps; they sum to E_B - E_A exactly.
 
     Step i swaps ensemble i from A to B while indices below i already use B
     and indices above still use A.  Each step is bounded by
@@ -476,32 +471,22 @@ def hybrid_steps(
     """
     _check_blocks(fam_a, blocks)
     _check_blocks(fam_b, blocks)
-    r = len(fam_a)
-    a_dists = [
-        _block_dist_float(e, b) for e, b in zip(fam_a.ensembles, blocks)
-    ]
-    b_dists = [
-        _block_dist_float(e, b) for e, b in zip(fam_b.ensembles, blocks)
-    ]
-    unit = (np.zeros(1), np.ones(1))
-    prefix_b = [unit]
-    for i in range(r):
-        prefix_b.append(_convolve_float(prefix_b[-1], b_dists[i]))
-    suffix_a = [unit]
-    for i in reversed(range(r)):
-        suffix_a.append(_convolve_float(suffix_a[-1], a_dists[i]))
-    suffix_a.reverse()  # suffix_a[i] = conv of a_dists[i:]
-
-    def _expect(dist: tuple[np.ndarray, np.ndarray]) -> float:
-        atoms, probs = dist
-        return float(np.dot(probs, np.asarray(psi(atoms - theta), dtype=np.float64)))
-
+    degree = len(psi.coeffs) - 1
+    a_moms = [_block_raw_moments(e, b, degree) for e, b in zip(fam_a.ensembles, blocks)]
+    b_moms = [_block_raw_moments(e, b, degree) for e, b in zip(fam_b.ensembles, blocks)]
+    prefix_b = [_shift_moments(theta, degree)]  # -theta plus the B blocks below i
+    for moms in b_moms:
+        prefix_b.append(_add_independent(prefix_b[-1], moms))
+    suffix_a = [_shift_moments(0, degree)]
+    for moms in reversed(a_moms):
+        suffix_a.append(_add_independent(moms, suffix_a[-1]))
+    suffix_a.reverse()  # suffix_a[i]: the A blocks from i on
     steps = []
-    for i in range(r):
-        rest = _convolve_float(prefix_b[i], suffix_a[i + 1])
-        with_a = _expect(_convolve_float(rest, a_dists[i]))
-        with_b = _expect(_convolve_float(rest, b_dists[i]))
-        steps.append(with_b - with_a)
+    for i, (a, b) in enumerate(zip(a_moms, b_moms)):
+        rest = _add_independent(prefix_b[i], suffix_a[i + 1])
+        # the sum rule is bilinear, so the swap acts through B_i - A_i
+        swap = [mb - ma for ma, mb in zip(a, b)]
+        steps.append(_psi_of(psi, _add_independent(rest, swap)))
     return steps
 
 

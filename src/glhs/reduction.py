@@ -63,7 +63,6 @@ from .moments import (
     sample_columns_at,
     apply_noise,
 )
-from .stats import Interval, wilson_interval
 
 @dataclass(frozen=True)
 class TestSpec:
@@ -390,7 +389,6 @@ def _draw_labeling(
 @dataclass(frozen=True)
 class DecodeReport:
     weak_rate: float
-    interval: Interval
     trials: int
     edges: int
 
@@ -417,7 +415,6 @@ def weak_sat_rate_of_decoder(
     n = spec.trials * inst.num_edges
     return DecodeReport(
         weak_rate=total / n,
-        interval=wilson_interval(total, n),
         trials=spec.trials,
         edges=inst.num_edges,
     )

@@ -581,7 +581,7 @@ def test_invariance_bounds_on_exhaustive_micro_families():
         ]
         theta = rng.uniform() - 0.5
 
-        quartic = invariance_gap(fam_a, fam_b, blocks, theta, QUARTIC, QUARTIC.k_bound)
+        quartic = invariance_gap(fam_a, fam_b, blocks, theta, QUARTIC)
         if not quartic.passed:
             quartic_fail += 1
         worst_excess = max(worst_excess, quartic.gap - quartic.bound)
@@ -881,6 +881,8 @@ _STDOUT_DIGESTS = {
     "verify-critical-index-tau": "c0399af79d8509972b90555cce7cf81b1768f27304603f4fc4dd7432adce82c7",
     "verify-niceness": "1fb37067844edce4994ebc01ac4a36458945302f0874a56e95709a35c3f84e7b",
     "verify-niceness-beta": "3b802c2a524bf0d13e21e55ca826d900dee15ee4a24025a4182c3420cc3ffba2",
+    "verify-spread": "996b4d8d5824d07371e50a1d79c6cf11cc816c44f205c75a4e81ec8999ce1fd6",
+    "verify-small-ball": "ef4787bf0bbda59f7fdd1cd63b1eda8ac3d3bb7073fe4b41c268f1e7f104acb3",
 }
 
 
@@ -997,6 +999,12 @@ def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch, capsys)
         "verify-niceness-beta": [
             "verify", "niceness", "--instance", proj_inst,
             "--halfspace", "learn-projection-a.out", "--tau", "0.6", "--beta", "1.5",
+        ],
+        "verify-spread": [
+            "verify", "spread", "--cases", "4", "--trials", "5000", "--seed", "0",
+        ],
+        "verify-small-ball": [
+            "verify", "small-ball", "--cases", "4", "--trials", "5000", "--seed", "0",
         ],
     }
     for name, argv in checked_runs.items():

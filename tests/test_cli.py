@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import struct
 import tempfile
 import time
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from glhs import cli, core
 from glhs.cli import _COMMANDS, main
-from glhs.core import AtomicFile, StreamReader
+from glhs.core import AtomicFile, FormatError, StreamReader
 from glhs.halfspace import Halfspace, read_halfspace, write_halfspace
 from glhs.harness import make_record, parse_record, read_records
 from glhs.labelcover import (
@@ -685,6 +686,41 @@ class TestHostileInput:
             assert err.startswith("error:") and "cols" in err
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("content, names", [
+        (b"check\ta\tb=1,c\t1\tx\tpass\n", ["line 1", "'c' has no '='"]),
+        (b"# echo\n\ncheck\ta\tb=1\tzz\tx\tpass\n", ["line 3", "'zz'"]),
+        (b"check\ta\tb=1\t1\tx\tpass\n\xff\n", ["not UTF-8"]),
+    ])
+    def test_bad_record_line_names_file_and_line(self, capsys, tmp_path, content, names):
+        path = tmp_path / "r.rec"
+        path.write_bytes(content)
+        code, stdout, err = _run(capsys, ["report", str(path)])
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: record file {path}") and err.count("\n") == 1
+        assert all(name in err for name in names)
+
+    @pytest.mark.parametrize("content, names", [
+        (b"GLHS-HS 1\nrows 1\ncols 2\ntheta 0\nweights 1 inf\n", ["finite"]),
+        (b"GLHS-HS 1\nrows 1\ncols 1\ntheta 0\nweights 1 2\n", ["1x1"]),
+        (b"\xffGLHS-HS 1\n", ["utf-8"]),
+    ])
+    def test_bad_halfspace_names_the_file(self, capsys, tmp_path, instance, content, names):
+        path = tmp_path / "h.hs"
+        path.write_bytes(content)
+        code, _, err = _run(capsys, ["verify", "niceness", "--instance", str(instance),
+                                     "--halfspace", str(path), "--tau", "0.5"])
+        assert code == 2
+        assert err.startswith(f"error: halfspace record {path}: ") and err.count("\n") == 1
+        assert all(name in err for name in names)
+
+    def test_stream_metadata_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "s.bin"
+        path.write_bytes(_V1_STREAM.replace(b"meta", b"\xffeta"))
+        code, _, err = _run(capsys, ["learn", "--stream", str(path), "--epochs", "1"])
+        assert code == 2
+        assert err.startswith(f"error: stream {path}: header metadata is not UTF-8")
+
     @pytest.mark.parametrize("command", ["niceness", "decode", "reduce"])
     def test_instance_without_edges(self, capsys, tmp_path, command):
         inst, hs, out = (str(tmp_path / name) for name in ("e.lc", "h.hs", "out"))
@@ -1064,6 +1100,29 @@ def _hostile(good: bytes, other: bytes):
     )
 
 
+# a version-1 GLHS stream: 2 rows x 3 cols, 2 examples, metadata "meta"
+_V1_STREAM = (
+    struct.pack("<4sBIIBQI", b"GLHS", 1, 2, 3, 0, 2, 4) + b"meta"
+    + bytes([0b101010, 1, 0b010101, 0])
+)
+
+
+def _read_whole_stream(path: str) -> list:
+    return list(StreamReader(path).read_batches(3))
+
+
+def _parses_or_format_error(parse, content: bytes) -> None:
+    """parse(path) of a file holding `content` succeeds or raises a
+    FormatError that names the path."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "f")
+        Path(path).write_bytes(content)
+        try:
+            parse(path)
+        except FormatError as exc:
+            assert path in str(exc)
+
+
 class TestHostileFiles:
     """Damaged inputs end in exit 0, 1 or 2 with no traceback (main raises
     nothing) and leave no temporary file."""
@@ -1104,6 +1163,34 @@ class TestHostileFiles:
                          "--tau", "0.5"],
         }[command]
         _assert_clean_exit(argv, {"h.hs": content})
+
+    def test_version_one_seed_is_valid(self, tmp_path):
+        (tmp_path / "v1.bin").write_bytes(_V1_STREAM)
+        [(bits, labels)] = _read_whole_stream(str(tmp_path / "v1.bin"))
+        assert bits.tolist() == [[0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0]]
+        assert labels.tolist() == [1, 0]
+
+    @given(data=st.data(), seed=st.sampled_from(["a.bin", "v1"]))
+    @settings(max_examples=300, deadline=None)
+    def test_stream_reader_parses_or_raises_format_error(self, files, data, seed):
+        blobs, _ = files
+        good = _V1_STREAM if seed == "v1" else blobs["a.bin"]
+        content = data.draw(_hostile(good, blobs["b.bin"]))
+        _parses_or_format_error(_read_whole_stream, content)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_halfspace_reader_parses_or_raises_format_error(self, files, data):
+        blobs, _ = files
+        _parses_or_format_error(read_halfspace, data.draw(_hostile(blobs["a.hs"], blobs["b.hs"])))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_record_reader_parses_or_raises_format_error(self, files, data):
+        blobs, _ = files
+        content = data.draw(_hostile(blobs["a.bin.rec"], blobs["b.bin.rec"]))
+        # a parsed record must print again, as `report` prints it
+        _parses_or_format_error(lambda p: [rec.line() for rec in read_records(p)], content)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

@@ -245,7 +245,7 @@ class TestNoiseMass:
         )
         assert abs(est.estimate - exact) <= est.slack
         assert est.passed
-        assert exact >= est.lower_bound
+        assert exact >= est.bound
 
     def test_rejects_bad_inputs(self):
         n = 16
@@ -255,3 +255,31 @@ class TestNoiseMass:
         with pytest.raises(ValueError):
             noise_mass_estimate(w, 1.5, 0.3, 10, 0)
 
+
+
+class TestCounterAddresses:
+    """Each estimator's hit count at fixed seeds, under the default chunk
+    budget and under 7-row chunks: draws are addressed by absolute row, so
+    neither the estimator code nor the chunking may move a count."""
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_hit_counts_are_pinned(self, monkeypatch, rows):
+        from glhs import core
+
+        if rows is not None:
+            monkeypatch.setattr(core, "CHUNK_CELLS", rows * 25)
+        u = np.ones(25) / 5.0
+        ests = [
+            noisy_small_ball(
+                [9.0, -3.0, 1.0, 0.3], ProductBits(rates=(0.2, 0.7, 0.5, 0.9)),
+                0.3, 9.0, 3001, 5, stream_id=2,
+            ),
+            # the interval [3.3, 3.7] holds no float tie of the margins k/5
+            spread_estimate(
+                u, ProductBits(rates=(0.8,) * 25), 0.4, 3.3, 3.7, 0.25, 3001, 7,
+                stream_id=1,
+            ),
+            noise_mass_estimate(u, 0.4, 0.25, 3001, 9, stream_id=3),
+        ]
+        assert [round(e.estimate * e.trials) for e in ests] == [35, 979, 2975]
+        assert all(e.trials == 3001 and e.passed for e in ests)

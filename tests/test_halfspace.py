@@ -20,7 +20,6 @@ from glhs.halfspace import (
     drop_top,
     read_halfspace,
     regularizing_prefix,
-    sgn,
     top_indices,
     truncate,
     write_halfspace,
@@ -96,11 +95,25 @@ def _oracle_decay_chain(mags, tails, tau, limit, third_limit, slack):
     return DecayCheck(True)
 
 
+def sgn(t: float) -> int:
+    """The global sign convention: 1 iff t >= 0, else -1."""
+    return 1 if t >= 0 else -1
+
+
 class TestSgn:
     def test_zero_maps_to_plus_one(self):
         assert sgn(0.0) == 1
         assert sgn(1e-300) == 1
         assert sgn(-1e-300) == -1
+
+    def test_evaluate_follows_the_convention(self):
+        # margins <w, x> - theta of 0, 0, -1e-300 and +1e-300
+        h = Halfspace.from_grid(np.array([[1.0, -1.0]]), 0.0)
+        bits = np.array([[0, 0], [1, 1]], dtype=np.uint8)
+        assert h.evaluate(bits).tolist() == [(sgn(0.0) + 1) // 2] * 2
+        for theta in (1e-300, -1e-300):
+            got = Halfspace.from_grid(np.zeros((1, 2)), theta).evaluate(bits[:1])
+            assert got.tolist() == [(sgn(-theta) + 1) // 2]
 
 
 class TestHalfspace:

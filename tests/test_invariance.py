@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from glhs.cli import _MICRO_GADGETS
+from glhs.core import GuardError
 from glhs.moments import build_pair, marginal_pmf, marginal_pmf_rational, solve_d0_weights
 from glhs.invariance import (
     C_PHI,
@@ -14,7 +16,6 @@ from glhs.invariance import (
     Ensemble,
     PolyPsi,
     ensemble_from_pmf,
-    expect_psi,
     expect_psi_exact,
     family,
     first_moment_mismatch,
@@ -30,6 +31,12 @@ from glhs.invariance import (
 )
 
 K, EPS, P = 12, "0.82", "0.25"
+
+
+def expect_psi(fam, blocks, theta, psi):
+    """Float oracle: E[Psi(l - theta)] over the enumerated atoms of l."""
+    atoms, probs = linear_form_distribution(fam, blocks)
+    return float(np.dot(probs, psi(atoms - theta)))
 
 
 def _matched_families(m, r):
@@ -224,7 +231,7 @@ class TestInvarianceGap:
     def test_quartic_gap_within_bound(self):
         fam_a, fam_b = _matched_families(2, 3)
         blocks = [[0.2, -0.3], [0.1, 0.25], [0.15, 0.05]]
-        res = invariance_gap(fam_a, fam_b, blocks, 0.2, QUARTIC, QUARTIC.k_bound)
+        res = invariance_gap(fam_a, fam_b, blocks, 0.2, QUARTIC)
         assert res.passed
         assert res.gap == pytest.approx(abs(res.expect_a - res.expect_b))
         assert res.bound == pytest.approx(24.0 * sum_l1_fourth(blocks))
@@ -257,7 +264,7 @@ class TestInvarianceGap:
             ensemble_from_pmf([0.5, 0.5, 0.0, 0.0], 2),
         )
         with pytest.raises(ValueError, match="degree"):
-            invariance_gap(fam_a, bad, [[0.1, 0.1], [0.1, 0.1]], 0.0, QUARTIC, 24.0)
+            invariance_gap(fam_a, bad, [[0.1, 0.1], [0.1, 0.1]], 0.0, QUARTIC)
 
     def test_eighteen_incommensurate_blocks_are_exact(self):
         # the product support has 2^18 distinct atoms; moment propagation
@@ -266,6 +273,17 @@ class TestInvarianceGap:
         fams = family(*([ens] * 18))
         blocks = [[Fraction(1, 997 + i)] for i in range(18)]
         assert invariance_gap_exact(fams, fams, blocks, Fraction(0), QUARTIC) == 0
+
+    def test_only_the_float_convolution_is_guarded(self):
+        # 2^24 product points: past the enumeration guard, but the exact
+        # route's cost grows with the 24 blocks only
+        ens = ensemble_from_pmf([Fraction(1, 2), Fraction(1, 2)], 1)
+        fam = family(*([ens] * 24))
+        blocks = [[Fraction(1, 997 + i)] for i in range(24)]
+        assert invariance_gap(fam, fam, blocks, Fraction(0), QUARTIC).gap == 0
+        assert sum(hybrid_steps(fam, fam, blocks, 0, QUARTIC)) == 0
+        with pytest.raises(GuardError, match="16777216 points"):
+            sgn_gap_bound(fam, fam, blocks, 0.0, 0.2)
 
     def test_exact_route_matches_brute_force_enumeration(self):
         d0, d1 = build_pair(K, EPS, P)
@@ -321,6 +339,94 @@ class TestHybridSteps:
         for step, block in zip(steps, blocks):
             l1 = sum(abs(v) for v in block)
             assert abs(step) <= (QUARTIC.k_bound / 12.0) * l1**4 + 1e-9
+
+
+class TestExactRouteAgainstTheFloatOracle:
+    """The exact quartic route against float enumeration of the product
+    support, on the gadgets `verify invariance` uses.  Plain marginals are
+    degree-4 matched, so their quartic gaps vanish; conditioned marginals of
+    four variables match to degree 3 only and give nonzero gaps and steps."""
+
+    def _families(self, gadget, conditioned):
+        d0, d1 = build_pair(*gadget)
+        if conditioned:
+            e_a, e_b = (conditioned_marginal_ensemble(d, 4) for d in (d1, d0))
+        else:
+            e_a, e_b = (mixture_marginal_ensemble(d, 3) for d in (d1, d0))
+        return [e_a] * 3, [e_b] * 3
+
+    def _oracle_close(self, exact, approx, scale):
+        # a difference of float expectations carries their rounding, so
+        # gaps and steps are held to 1e-12 of the expectations' magnitude
+        assert abs(float(exact) - approx) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("gadget", _MICRO_GADGETS)
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_gap_and_steps_match_enumeration(self, gadget, conditioned):
+        a, b = self._families(gadget, conditioned)
+        rng = np.random.default_rng(len(a[0].support) + int(gadget[0]))
+        blocks = [list(0.4 * (rng.uniform(size=a[0].vars_count) - 0.5)) for _ in a]
+        theta = float(rng.uniform() - 0.5)
+        res = invariance_gap(family(*a), family(*b), blocks, theta, QUARTIC)
+        ea = expect_psi(family(*a), blocks, theta, QUARTIC)
+        eb = expect_psi(family(*b), blocks, theta, QUARTIC)
+        scale = max(abs(ea), abs(eb))
+        assert float(res.expect_a) == pytest.approx(ea, rel=1e-12)
+        assert float(res.expect_b) == pytest.approx(eb, rel=1e-12)
+        self._oracle_close(res.gap, abs(ea - eb), scale)
+        assert (res.gap != 0) == conditioned
+        steps = hybrid_steps(family(*a), family(*b), blocks, theta, QUARTIC)
+        for i, step in enumerate(steps):
+            # step i: the hybrid with B below i+1 minus the one with B below i
+            after = expect_psi(family(*b[: i + 1], *a[i + 1 :]), blocks, theta, QUARTIC)
+            before = expect_psi(family(*b[:i], *a[i:]), blocks, theta, QUARTIC)
+            self._oracle_close(step, after - before, scale)
+        assert sum(steps) == res.expect_b - res.expect_a
+        assert sum(steps) == -invariance_gap_exact(family(*a), family(*b), blocks, theta, QUARTIC)
+
+    def test_steps_sum_exactly_to_the_signed_gap(self):
+        d0, d1 = build_pair(K, EPS, P)
+        sizes = (4, 2, 3, 4)
+        fam_a = family(*(conditioned_marginal_ensemble(d0, m) for m in sizes))
+        fam_b = family(*(conditioned_marginal_ensemble(d1, m) for m in sizes))
+        blocks = [[0.3, -0.1, 0.2, 0.05], [0.25, -0.15], [0.1, 0.2, -0.3], [0.2] * 4]
+        psi = PolyPsi(coeffs=(1, -0.5, 2, 0.25, 3))
+        steps = hybrid_steps(fam_a, fam_b, blocks, 0.15, psi)
+        assert all(isinstance(step, Fraction) for step in steps)
+        assert sum(steps) == -invariance_gap_exact(fam_a, fam_b, blocks, 0.15, psi)
+        assert sum(steps) != 0
+
+
+class TestMatchingCheck:
+    def test_mismatch_is_reported_at_its_own_index(self):
+        d0, d1 = build_pair(K, EPS, P)
+        e0, e1 = (mixture_marginal_ensemble(d, 2) for d in (d0, d1))
+        bad = ensemble_from_pmf([Fraction(1, 2), Fraction(1, 2), 0, 0], 2)
+        blocks = [[0.1, 0.2]] * 4
+        # the matched pair repeats before and after; the (e0, bad) pair at
+        # index 2 is new, even though e0 was seen at indices 0 and 1
+        fam_a = family(e0, e0, e0, e0)
+        fam_b = family(e1, e1, bad, e1)
+        for check in (
+            lambda: invariance_gap(fam_a, fam_b, blocks, 0.0, QUARTIC),
+            lambda: invariance_gap_exact(fam_a, fam_b, blocks, 0, QUARTIC),
+            lambda: sgn_gap_bound(fam_a, fam_b, blocks, 0.0, 0.2),
+        ):
+            with pytest.raises(ValueError, match="at index 2 disagree on the degree-1"):
+                check()
+
+    def test_a_repeated_pair_is_checked_once(self, monkeypatch):
+        from glhs import invariance
+
+        calls = []
+        real = invariance.first_moment_mismatch
+        monkeypatch.setattr(
+            invariance, "first_moment_mismatch",
+            lambda a, b, degree: calls.append((a, b)) or real(a, b, degree),
+        )
+        fam_a, fam_b = _matched_families(2, 5)
+        invariance_gap(fam_a, fam_b, [[0.1, 0.2]] * 5, 0.0, QUARTIC)
+        assert len(calls) == 1
 
 
 class TestSignStatistic:

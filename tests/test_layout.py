@@ -2,9 +2,11 @@
 the benchmark's tracer wraps exists.
 
 A name defined at the top level of a `glhs` module other than `__init__`
-must be referenced, outside its own definition, by a library module other
-than `__init__` or by the acceptance tests.  A helper that only unit tests
-call belongs in those tests.
+must have a user.  In its own module any load outside its definition counts.
+Elsewhere (a library module other than `__init__`, or the acceptance tests)
+the name counts only when it is imported or reached as an attribute, so a
+local variable that happens to share the name does not.  A helper that only
+unit tests call belongs in those tests.
 
 `perfbench/tracer.py` wraps glhs functions and methods by name, so renaming
 or deleting one of them breaks the benchmark; the second guard fails first.
@@ -31,25 +33,30 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def _references(node: ast.AST) -> set[str]:
-    """Names read and attribute names accessed anywhere under node."""
+def _references(node: ast.AST, loads: bool) -> set[str]:
+    """Names imported and attribute names accessed anywhere under node, plus
+    the names read there when `loads` is set."""
     found = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            found.add(sub.id)
+        if isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
         elif isinstance(sub, ast.Attribute):
             found.add(sub.attr)
+        elif loads and isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.id)
     return found
 
 
 def test_every_library_name_has_a_user():
     bodies = {path: ast.parse(path.read_text(encoding="utf-8")).body for path in USERS}
-    refs = {path: [_references(stmt) for stmt in body] for path, body in bodies.items()}
+    imported = {path: _references(ast.Module(body, []), loads=False)
+                for path, body in bodies.items()}
     unused = []
     for path in MODULES:
-        elsewhere = set().union(*(r for user, rs in refs.items() if user != path for r in rs))
+        elsewhere = set().union(*(names for user, names in imported.items() if user != path))
+        refs = [_references(stmt, loads=True) for stmt in bodies[path]]
         for i, stmt in enumerate(bodies[path]):
-            own = set().union(*(r for j, r in enumerate(refs[path]) if j != i))
+            own = set().union(*(r for j, r in enumerate(refs) if j != i))
             unused += [
                 f"{path.stem}.{name}"
                 for name in _defined_names(stmt)

@@ -395,7 +395,6 @@ class TestDecoder:
         assert report.weak_rate == 1.0
         assert report.trials == 8
         assert report.edges == 12
-        assert report.interval.lo <= 1.0 <= report.interval.hi
 
     def test_grid_shape_must_match(self):
         inst, _ = gen_planted_unique(8, 12, 3, 4, seed=4)
