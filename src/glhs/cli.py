@@ -26,6 +26,7 @@ error explains which weight fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -905,7 +906,9 @@ def _help(flag: Flag) -> str:
     return f"{flag.help} [{facts}]".lstrip()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="glhs",
         description="Gadget distributions, projection instances, halfspace "

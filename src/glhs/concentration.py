@@ -17,8 +17,13 @@ The three Monte Carlo estimators (small-ball, spread, noise mass) take one
 route: each states a row test over draws addressed by absolute row index,
 `_estimate` counts its hits `chunk_rows` rows at a time, and all three
 return an `Estimate`, which carries the bound, the side it bounds from and
-a slack of four binomial standard deviations.  They are deterministic given
-(master_seed, stream_id), and the chunking never moves a draw.  Base
+a slack of four binomial standard deviations.  Every row test decides its
+linear form against its threshold through `halfspace.exact_margins`, the
+one exact-sign route, over the stored float64 weights and thresholds: the
+count is that of the exact comparisons, not of float sums whose rounding
+depends on how many rows BLAS multiplies at once.  So the estimators are
+deterministic given (master_seed, stream_id), and the chunking moves
+neither a draw nor a decision.  Base
 distributions come from a small adversarial catalog: the bounds quantify
 over every distribution, so tests probe point masses and biased or uniform
 product laws.
@@ -42,7 +47,7 @@ from .core import (
     threshold_bits,
     uniform_threshold,
 )
-from .halfspace import critical_index
+from .halfspace import critical_index, exact_margins
 from .moments import apply_noise
 from .stats import binomial_sigma
 
@@ -229,7 +234,12 @@ def _estimate(hits_of: RowTest, width: int, trials: int, bound: float, upper: bo
 
 def _interval_hits(w: np.ndarray, source: BitSource, gamma: float, a: float, b: float,
                    master_seed: int, stream_id: int) -> RowTest:
-    """The row test `<w, y> in [a, b]` for noisy draws y of `source`."""
+    """The row test `<w, y> in [a, b]` for noisy draws y of `source`.
+
+    Both ends are decided by one `exact_margins` call, whose sign is exact,
+    zero included: a row is a hit iff <w, y> - a >= 0 and <w, y> - b <= 0
+    over the stored floats.
+    """
     if w.size != source.dim:
         raise ValueError(f"weight length {w.size} does not match source dim {source.dim}")
     x_stream = purpose_stream(stream_id, PURPOSE_X)
@@ -237,8 +247,9 @@ def _interval_hits(w: np.ndarray, source: BitSource, gamma: float, a: float, b: 
 
     def hits_of(start: int, rows: int) -> np.ndarray:
         bits = source.sample_bits(rows, master_seed, x_stream, start=start)
-        margins = apply_noise(bits, gamma, master_seed, noise_stream, start=start) @ w
-        return (margins >= a) & (margins <= b)
+        y = apply_noise(bits, gamma, master_seed, noise_stream, start=start)
+        above_a, above_b = exact_margins(y, w, (a, b))
+        return (above_a >= 0) & (above_b <= 0)
 
     return hits_of
 
@@ -329,7 +340,9 @@ def noise_mass_estimate(
     for a tau-regular unit vector the mass sum w_i^2 z_i has mean gamma and
     fourth-power range sum at most tau^2, so it falls below gamma/2 with
     probability at most 2 exp(-gamma^2/(2 tau^2)) (one factor of 2 to spare).
-    The bound is a lower one: 1 - 2 exp(-gamma^2/(2 tau^2)).
+    The bound is a lower one: 1 - 2 exp(-gamma^2/(2 tau^2)).  The test
+    sum w_i^2 z_i >= gamma/2 is decided exactly over the stored squares
+    fl(w_i * w_i) and fl(gamma/2).
     """
     arr = _require_regular_unit(w, tau)
     _require_rate(gamma)
@@ -338,7 +351,8 @@ def noise_mass_estimate(
     indicators = ProductBits(rates=(gamma,) * arr.size)
 
     def hits_of(start: int, rows: int) -> np.ndarray:
-        return indicators.sample_bits(rows, master_seed, stream, start=start) @ sq >= gamma / 2.0
+        z = indicators.sample_bits(rows, master_seed, stream, start=start)
+        return exact_margins(z, sq, gamma / 2.0) >= 0
 
     bound = 1.0 - 2.0 * math.exp(-(gamma * gamma) / (2.0 * tau * tau))
     return _estimate(hits_of, arr.size, trials, bound, upper=False)

@@ -5,12 +5,16 @@ Coordinates are laid out as a (rows, cols) grid flattened row-major: entry
 convention is global: sgn(t) = 1 iff t >= 0, so a zero weight vector with a
 nonpositive threshold evaluates to the constant 1.
 
-`Halfspace.evaluate` is the exact sign of <w, x> - theta under that
-convention, not the sign of some float rounding of it: rows are multiplied
-in float64 a block of _BLOCK_CELLS cells at a time, and a row whose float
-margin lies within the rounding bound of zero is summed exactly (see
-`Halfspace.margin`).  Beyond a few (n,) arrays, evaluation allocates only
-that block (one row, when a row is wider than the block), whatever n is.
+`exact_margins` is the one route that tests a linear form on bit rows
+against a threshold: `Halfspace.evaluate` and the Monte-Carlo estimators of
+`glhs.concentration` all decide through it.  It gives the exact sign of
+<w, x> - theta over the stored float64 weights and threshold, not the sign
+of some float rounding of it: rows are multiplied in float64 a block of
+_BLOCK_CELLS cells at a time, and a row whose float margin lies within the
+rounding bound of zero is summed exactly.  Beyond a few (n,) arrays, it
+allocates only that block (one row, when a row is wider than the block),
+whatever n is.  The perceptron's own step is the one other sign test on bit
+rows; its float `x.dot(w)` defines the trained weights.
 
 The tail-structure tools operate on the multiset of weight magnitudes sorted
 in decreasing order (ties broken by ascending original index so every
@@ -45,7 +49,7 @@ from .core import AtomicFile, FormatError
 
 
 # Rows of a batch are converted to float64 and multiplied this many cells at
-# a time, so `Halfspace.margin` never holds a float copy of a whole batch.
+# a time, so `exact_margins` never holds a float copy of a whole batch.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -102,47 +106,65 @@ class Halfspace:
             raise IndexError(f"row {row} out of range [0, {self.rows})")
         return self.weights[row * self.cols : (row + 1) * self.cols]
 
-    def margin(self, bits: np.ndarray) -> np.ndarray:
-        """<w, x> - theta for one flat bit vector or a batch (n, dim); exact sign.
-
-        The bits keep their dtype; rows are converted to float64 _BLOCK_CELLS
-        cells at a time into one scratch block and multiplied there.  A block
-        product minus theta is within gamma_(dim+1) (|w|_1 + |theta|) of the
-        exact margin, gamma_m = m u / (1 - m u) < (dim+2) u with u = 2^-53, in
-        whatever order BLAS adds.  A row whose |margin| is at most twice that,
-        2 (dim+2) u (|w|_1 + |theta|), is replaced by the correctly rounded
-        exact margin, `math.fsum` over w on its set bits and -theta.  Every
-        other row has the exact sign, which is also the sign of any other
-        float evaluation within that bound (one gemv over the whole batch, for
-        one).  When w is integral and |w|_1 < 2^53, every partial sum of
-        <w, x> is an exact integer and the one rounded subtraction of theta
-        keeps its sign, so no row is recomputed.
-        """
-        x = np.asarray(bits)
-        if x.ndim == 0 or x.shape[-1] != self.dim:
-            raise ValueError(f"expected {self.dim} bits, got shape {x.shape}")
-        n = math.prod(x.shape[:-1])
-        flat = x.reshape(n, self.dim)
-        w = self.weights
-        out = np.empty(n)
-        step = max(1, _BLOCK_CELLS // max(self.dim, 1))
-        block = np.empty((min(step, n), self.dim))
-        for lo in range(0, n, step):
-            rows = block[: min(step, n - lo)]
-            np.copyto(rows, flat[lo : lo + step])
-            np.matmul(rows, w, out=out[lo : lo + rows.shape[0]])
-        out -= self.theta
-        norm = float(np.abs(w).sum())
-        if not (norm < 2.0**53 and np.array_equal(w, np.trunc(w))):
-            bound = 2 * (self.dim + 2) * 2.0**-53 * (norm + abs(self.theta))
-            for i in np.flatnonzero(np.abs(out) <= bound).tolist():
-                out[i] = math.fsum(w[np.flatnonzero(flat[i])].tolist() + [-self.theta])
-        return out.reshape(x.shape[:-1])[()]
-
     def evaluate(self, bits: np.ndarray) -> np.ndarray:
         """0/1 prediction(s): 1 iff <w, x> >= theta, decided exactly."""
-        m = self.margin(bits)
-        return (m >= 0).astype(np.uint8)
+        return (exact_margins(bits, self.weights, self.theta) >= 0).astype(np.uint8)
+
+
+def rounding_bound(dim: int, norm: float) -> float:
+    """2 (dim+2) u norm, u = 2^-53: twice the error of a float <w, x> - theta.
+
+    With norm = |w|_1 + |theta|, a float64 evaluation of <w, x> - theta over
+    dim bits, in any order of addition, is within gamma_(dim+1) norm of the
+    exact value, gamma_m = m u / (1 - m u) < (dim+2) u.
+    """
+    return 2 * (dim + 2) * 2.0**-53 * norm
+
+
+def exact_margins(bits: np.ndarray, w: np.ndarray, theta) -> np.ndarray:
+    """<w, x> - theta for one flat bit vector or a batch (n, dim); exact sign.
+
+    The one route that tests a linear form on bit rows against a threshold.
+    It decides over the stored float64 w and theta, not over the reals they
+    approximate: with w = fl(1/5) per coordinate, 18 set bits sum exactly to
+    more than fl(3.6), though their float sums may round onto it.  The sign, zero
+    included, is exact, so `>= 0` and `<= 0` are both exact tests.  theta
+    may also be a sequence of k thresholds, which share one product: the
+    result then has a leading axis of k, one set of margins per threshold.
+
+    The bits keep their dtype; rows are converted to float64 _BLOCK_CELLS
+    cells at a time into one scratch block and multiplied there.  A row whose
+    float margin is within `rounding_bound` of zero is replaced by the
+    correctly rounded exact margin, `math.fsum` over w on its set bits and
+    -theta.  Every other row has the exact sign, which is also the sign of
+    any other float evaluation within that bound (one gemv over the whole
+    batch, for one), so no decision depends on the block size or on the
+    order in which BLAS adds.  When w is integral and |w|_1 < 2^53, every
+    partial sum of <w, x> is an exact integer and the one rounded
+    subtraction of theta keeps its sign, so no row is recomputed.
+    """
+    x = np.asarray(bits)
+    dim = w.size
+    if x.ndim == 0 or x.shape[-1] != dim:
+        raise ValueError(f"expected {dim} bits, got shape {x.shape}")
+    n = math.prod(x.shape[:-1])
+    flat = x.reshape(n, dim)
+    products = np.empty(n)
+    step = max(1, _BLOCK_CELLS // max(dim, 1))
+    block = np.empty((min(step, n), dim))
+    for lo in range(0, n, step):
+        rows = block[: min(step, n - lo)]
+        np.copyto(rows, flat[lo : lo + step])
+        np.matmul(rows, w, out=products[lo : lo + rows.shape[0]])
+    thetas = np.asarray(theta, dtype=np.float64)
+    out = products - thetas.reshape(-1, 1)
+    norm = float(np.abs(w).sum())
+    if not (norm < 2.0**53 and np.array_equal(w, np.trunc(w))):
+        for margins, t in zip(out, thetas.reshape(-1).tolist()):
+            bound = rounding_bound(dim, norm + abs(t))
+            for i in np.flatnonzero(np.abs(margins) <= bound).tolist():
+                margins[i] = math.fsum(w[np.flatnonzero(flat[i])].tolist() + [-t])
+    return out.reshape(thetas.shape + x.shape[:-1])[()]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .core import CursorRng, FormatError, PURPOSE_LEARN, StreamWriter, chunk_rows, purpose_stream
-from .halfspace import Disjunction, Halfspace
+from .halfspace import Disjunction, Halfspace, rounding_bound
 from .labelcover import LabelCoverInstance
 from .moments import ColumnMixture, column_sum_pmf
 from .reduction import (
@@ -383,7 +383,7 @@ def perceptron_train(
             norm = float(np.abs(w).sum()) + abs(bias)
             unsure = None
             if not (integral and norm <= 2.0**53):
-                unsure = np.abs(margins) <= 2 * (dim + 2) * 2.0**-53 * norm
+                unsure = np.abs(margins) <= rounding_bound(dim, norm)
                 suspect |= unsure
             j = -1  # the first mistake in the window
             for c in np.flatnonzero(suspect).tolist():

@@ -441,7 +441,7 @@ class TestChunkSize:
         return runs
 
     @pytest.mark.parametrize("command", ["sample", "reduce-projection", "reduce-unique",
-                                         "dict-test"])
+                                         "dict-test", "verify-spread", "verify-small-ball"])
     def test_samplers_ignore_the_chunk_size(self, capsys, tmp_path, monkeypatch, inputs,
                                             unique, command):
         reduce = ["reduce", "--k", "3", "--eps", "0.5", "--p", "0.25", "--gamma", "0.25",
@@ -453,6 +453,11 @@ class TestChunkSize:
             "reduce-unique": ([*reduce, "--instance", unique], 20),
             "dict-test": (["dict-test", *GADGET, "--gamma", "0.03125", "--r", "1",
                            "--samples", "30", "--seed", "3"], 12),
+            # tau 0.5: 17 coordinates a vector
+            "verify-spread": (["verify", "spread", "--cases", "2", "--tau", "0.5",
+                               "--trials", "300", "--seed", "7", "--records", "o.rec"], 17),
+            "verify-small-ball": (["verify", "small-ball", "--cases", "3", "--t", "8",
+                                   "--trials", "300", "--seed", "7", "--records", "o.rec"], 8),
         }[command]
         runs = self._runs(capsys, tmp_path, monkeypatch, argv, width, (None, 1, 7))
         assert runs[0][0] == 0 and runs[0][1]

@@ -280,6 +280,66 @@ class TestCounterAddresses:
                 stream_id=1,
             ),
             noise_mass_estimate(u, 0.4, 0.25, 3001, 9, stream_id=3),
+            # 18 fl(1/5) lie exactly above fl(3.6), but their float sums round
+            # onto it, in a way that depends on the chunk's row count
+            spread_estimate(
+                u, ProductBits(rates=(0.8,) * 25), 0.4, 3.2, 3.6, 0.25, 3001, 7,
+                stream_id=1,
+            ),
         ]
-        assert [round(e.estimate * e.trials) for e in ests] == [35, 979, 2975]
+        assert [round(e.estimate * e.trials) for e in ests] == [35, 979, 2975, 955]
         assert all(e.trials == 3001 and e.passed for e in ests)
+
+
+def _lattice_unit(signs, twos):
+    """A unit vector of multiples of 1/5: `twos` entries of 2/5, the rest
+    1/5 (25 - 4 twos of them), signed by `signs`; tau-regular for tau 1/2."""
+    k = np.array([2.0] * twos + [1.0] * (25 - 4 * twos))
+    return k * np.resize(signs, k.size) / 5.0
+
+
+class TestLatticeTies:
+    """Weights, interval ends and gamma/2 on the weights' lattices, so float
+    sums land on a threshold often; every count is the same under the
+    default budget and under 7-row chunks."""
+
+    @given(
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=25),
+        st.integers(0, 6),
+        st.integers(-3, 3),
+        st.integers(0, 2),
+        st.integers(1, 12),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_counts_ignore_the_chunk_size(self, signs, twos, lo, span, j, seed):
+        from glhs import core
+
+        w = _lattice_unit(signs, twos)
+        lo += round(5 * 0.7 * w.sum())  # near the mean of <w, y>, in fifths
+        sq = w[-1] * w[-1]  # the stored square of 1/5
+        geometric = np.array([27.0, -9.0, 3.0, -1.0]) / 5.0
+        sums = subset_sums(geometric)
+        runs = [
+            (w.size, lambda: spread_estimate(
+                w, ProductBits(rates=(0.8,) * w.size), 0.4, lo / 5.0, (lo + span) / 5.0,
+                0.5, 200, seed)),
+            # gamma/2 = j fl(1/5)^2, the mass of j noisy coordinates of weight 1/5
+            (w.size, lambda: noise_mass_estimate(w, 2 * j * sq, 0.5, 200, seed)),
+            # the interval theta -+ (1/5)/6 starts near the subset sum sums[j]
+            (4, lambda: noisy_small_ball(
+                geometric, ProductBits(rates=(0.3, 0.5, 0.6, 0.9)), 0.3,
+                sums[j] + 1.0 / 30.0, 200, seed)),
+        ]
+
+        def counts(rows):
+            with pytest.MonkeyPatch.context() as mp:
+                found = []
+                for width, run in runs:
+                    if rows is not None:
+                        mp.setattr(core, "CHUNK_CELLS", rows * width)
+                    est = run()
+                    found.append(round(est.estimate * est.trials))
+                return found
+
+        assert counts(7) == counts(None)

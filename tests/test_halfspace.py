@@ -1,6 +1,7 @@
 """Halfspaces, disjunctions, and magnitude-tail structure."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from glhs.halfspace import (
     check_geometric_decay,
     critical_index,
     drop_top,
+    exact_margins,
     read_halfspace,
     regularizing_prefix,
     top_indices,
@@ -28,6 +30,15 @@ from glhs.halfspace import (
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+# multiples of 1/5: fl(k/5) is inexact, so float sums of such weights round
+# onto a threshold on the same lattice far more often than arbitrary floats
+lattice_floats = st.integers(-12, 12).map(lambda k: k / 5.0)
+
+
+def _fraction_sign(w, theta, bits):
+    """Oracle: 1 iff the sum of Fraction(w_i) over set bits >= Fraction(theta)."""
+    return [int(sum((Fraction(float(v)) for v, b in zip(w, row) if b), Fraction(0))
+                >= Fraction(float(theta))) for row in bits]
 
 
 def _oracle_critical_index(w, tau):
@@ -130,18 +141,41 @@ class TestHalfspace:
             h.weights[0] = 5.0
 
     @given(
-        hnp.arrays(np.float64, st.integers(1, 16), elements=finite_floats),
-        finite_floats,
+        st.one_of(
+            hnp.arrays(np.float64, st.integers(1, 16), elements=finite_floats),
+            hnp.arrays(np.float64, st.integers(1, 16), elements=lattice_floats),
+        ),
+        st.one_of(finite_floats, lattice_floats),
         st.integers(0, 2**32),
     )
     @settings(max_examples=60, deadline=None)
     def test_evaluate_is_the_margin_sign(self, w, theta, seed):
         h = Halfspace(weights=w, theta=theta, rows=1, cols=w.size)
         bits = np.random.default_rng(seed).integers(0, 2, size=(8, w.size), dtype=np.uint8)
-        margins = h.margin(bits)
+        margins = exact_margins(bits, h.weights, h.theta)
         evals = h.evaluate(bits)
         assert np.allclose(margins, bits @ w - theta)
         assert np.array_equal(evals, (margins >= 0).astype(np.uint8))
+        assert evals.tolist() == _fraction_sign(w, theta, bits)
+
+    @given(
+        hnp.arrays(np.float64, st.integers(1, 30), elements=lattice_floats),
+        st.integers(-30, 30),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_ties_match_the_fraction_oracle(self, w, k, seed):
+        # theta = k/5 on the weights' lattice: exact ties and float sums that
+        # round onto theta are both common
+        theta = k / 5.0
+        bits = np.random.default_rng(seed).integers(0, 2, size=(64, w.size), dtype=np.uint8)
+        margins = exact_margins(bits, w, theta)
+        assert (margins >= 0).astype(int).tolist() == _fraction_sign(w, theta, bits)
+        # the sign is exact at zero too, so `<= 0` is the mirrored exact test
+        assert (margins <= 0).astype(int).tolist() == _fraction_sign(-w, -theta, bits)
+        # several thresholds share one product, each decided as on its own
+        both = exact_margins(bits, w, (theta, theta + 0.2))
+        assert np.array_equal(both, [margins, exact_margins(bits, w, theta + 0.2)])
 
     def test_margin_accepts_single_row(self):
         h = Halfspace.from_grid(np.array([[1.0, -1.0]]), theta=0.0)
@@ -187,7 +221,7 @@ class TestBlockedEvaluation:
         h = Halfspace.from_grid(rnd.standard_normal((200, 16)), 0.37)
         bits = _sparse_rows(n, h.dim, seed=n)
         assert np.array_equal(h.evaluate(bits), _gemv_reference(h, bits))
-        assert np.allclose(h.margin(bits), bits @ h.weights - h.theta)
+        assert np.allclose(exact_margins(bits, h.weights, h.theta), bits @ h.weights - h.theta)
 
     def test_row_wider_than_the_block(self):
         dim = _BLOCK_CELLS + 5
@@ -211,7 +245,7 @@ class TestBlockedEvaluation:
         ones = np.ones(3, dtype=np.uint8)
         assert int(h.evaluate(ones)) == 1
         assert h.evaluate(np.tile(ones, (5, 1))).tolist() == [1] * 5
-        assert h.margin(ones) == 0.5
+        assert exact_margins(ones, h.weights, h.theta) == 0.5
 
 
 class TestDisjunction:
