@@ -474,8 +474,8 @@ def linear_statistic_gap_exact(spec: TestSpec, coeffs: Sequence[float]) -> Fract
     matches first moments, so the difference is coeff-sum times an exact
     zero.
     """
-    m1 = spec.d1.noisy(spec.gamma).moment_of_size_exact(1)
-    m0 = spec.d0.noisy(spec.gamma).moment_of_size_exact(1)
+    m1 = spec.d1.noisy(spec.gamma).moment_of_size(1)
+    m0 = spec.d0.noisy(spec.gamma).moment_of_size(1)
     total = Fraction(0)
     for c in coeffs:
         total += Fraction(str(float(c)))
@@ -484,7 +484,7 @@ def linear_statistic_gap_exact(spec: TestSpec, coeffs: Sequence[float]) -> Fract
 
 def centered_threshold(spec: TestSpec, weights: np.ndarray) -> float:
     """theta equal to the common expected margin (same under both labels)."""
-    base = spec.d0.noisy(spec.gamma).moment_of_size(1)
+    base = float(spec.d0.noisy(spec.gamma).moment_of_size(1))
     return float(np.sum(weights)) * base
 
 

@@ -13,16 +13,18 @@ four vanishing derivatives at both ends.  Its certified fourth-derivative
 bound C/lam^4 plus the worst window mass c(alpha) of the linear form give
 the testable bound gap <= (C/alpha^4) * sum ||l_i||_1^4 + 2 c(alpha).
 
-Each quantity has one arithmetic route.  Everything about a polynomial Psi
-(the gap against its bound, the cubic gap, the hybrid steps) needs only the
-raw moments E[l^j] for j <= deg Psi: each block's moments come from its
-support rows in Fractions and independent blocks combine by the binomial sum
-rule, so the cost grows with the number of blocks, not with the number of
-atoms of l, a cubic gap is zero rather than small, and the hybrid steps sum
-to the signed gap exactly.  Float rows enter the same route through the
-exact values of their floats.  The 0/1 sign statistic is not a polynomial,
-so `sgn_gap_bound` alone convolves per-block value distributions (floats,
-exact duplicates merged) to read Pr[l >= theta] and the window masses.
+Each quantity has one arithmetic route, and it is exact wherever the
+quantity is a polynomial in the support rows.  An ensemble's moments are
+Fractions.  Everything about a polynomial Psi (the gap against its bound,
+the cubic gap, the hybrid steps) needs only the raw moments E[l^j] for
+j <= deg Psi: each block's moments come from its support rows in Fractions
+and independent blocks combine by the binomial sum rule, so the cost grows
+with the number of blocks, not with the number of atoms of l, a cubic gap
+is zero rather than small, and the hybrid steps sum to the signed gap
+exactly.  Float rows enter these moments through the exact values of their
+floats.  The 0/1 sign statistic is not a polynomial, so `sgn_gap_bound`
+alone convolves per-block value distributions (floats, exact duplicates
+merged) to read Pr[l >= theta] and the window masses.
 Gadget-column marginals always enter as exact ensembles (Fraction rows).
 """
 
@@ -32,8 +34,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from numbers import Rational as _RationalABC
 from typing import Sequence
 
 import numpy as np
@@ -46,16 +46,14 @@ ENUM_GUARD_POINTS = 10_000_000
 Number = float | Fraction
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, _RationalABC) and not isinstance(value, float)
-
-
 @dataclass(frozen=True)
 class Ensemble:
     """A finite joint distribution of `vars_count` variables in [-1, 1].
 
     support holds (probability, value tuple) rows; probabilities sum to 1.
-    Rows may carry Fractions throughout, enabling exact expectations.
+    Rows may carry Fractions or floats.  Every moment is an exact Fraction;
+    a float enters through the exact value it stores, not the decimal it
+    prints as.
     """
 
     vars_count: int
@@ -80,33 +78,18 @@ class Ensemble:
         if abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {float(total)!r}, expected 1")
 
-    @cached_property
-    def exact(self) -> bool:
-        return all(
-            _is_exact(p) and all(_is_exact(v) for v in vals)
-            for p, vals in self.support
-        )
-
-    def moment(self, multiset: Sequence[int]) -> Number:
-        """E[prod_{i in multiset} x_i]; indices may repeat."""
+    def moment(self, multiset: Sequence[int]) -> Fraction:
+        """E[prod_{i in multiset} x_i] exactly; indices may repeat."""
         for i in multiset:
             if not 0 <= i < self.vars_count:
                 raise ValueError(f"variable index {i} out of range")
-        if self.exact:
-            acc = Fraction(0)
-            for p, vals in self.support:
-                term = Fraction(p)
-                for i in multiset:
-                    term *= Fraction(vals[i])
-                acc += term
-            return acc
-        terms = []
+        acc = Fraction(0)
         for p, vals in self.support:
-            term = float(p)
+            term = Fraction(p)
             for i in multiset:
-                term *= float(vals[i])
-            terms.append(term)
-        return math.fsum(terms)
+                term *= Fraction(vals[i])
+            acc += term
+        return acc
 
 
 def first_moment_mismatch(
@@ -121,7 +104,7 @@ def first_moment_mismatch(
         for multiset in itertools.combinations_with_replacement(
             range(a.vars_count), size
         ):
-            if abs(float(a.moment(multiset)) - float(b.moment(multiset))) > tol:
+            if abs(a.moment(multiset) - b.moment(multiset)) > tol:
                 return multiset
     return None
 

@@ -11,10 +11,12 @@ reweighting solves a 4x4 linear system whose closed form is
 
 All weights are solved in exact rational arithmetic (floats are read as the
 decimal literal they print as), so boundary-feasible parameter sets come out
-exactly on the boundary instead of within float noise of it.  Closed-form
-moments, the all-zeros probabilities, and a brute-force enumeration oracle
-live here, along with deterministic column samplers and the per-bit
-replacement-noise channel.
+exactly on the boundary instead of within float noise of it.  The
+closed-form moments are exact too: every moment is a Fraction, so the D0/D1
+gap through degree four is an exact zero, noiseless or noisy, and any
+nonzero gap is an error.  The float brute-force enumeration oracle checks
+them.  The all-zeros probabilities (float closed forms), deterministic
+column samplers and the per-bit replacement-noise channel also live here.
 
 Column n owns the counter words [n*(k+2), (n+1)*(k+2)) (component word, hot
 word, one word per Bernoulli bit), and noised row r owns [r*(L+2), ...).  A
@@ -85,12 +87,7 @@ class ExactlyOne:
     kind = KIND_EXACTLY_ONE
     rate: float = 0.0  # no independent bits: sample_columns_at draws none for it
 
-    def moment(self, s: int, k: int) -> float:
-        if s == 0:
-            return 1.0
-        return 1.0 / k if s == 1 else 0.0
-
-    def moment_exact(self, s: int, k: int) -> Fraction:
+    def moment(self, s: int, k: int) -> Fraction:
         if s == 0:
             return Fraction(1)
         return Fraction(1, k) if s == 1 else Fraction(0)
@@ -113,10 +110,7 @@ class Bernoulli:
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"bernoulli rate must be in [0, 1], got {self.rate}")
 
-    def moment(self, s: int, k: int) -> float:
-        return self.rate ** s
-
-    def moment_exact(self, s: int, k: int) -> Fraction:
+    def moment(self, s: int, k: int) -> Fraction:
         return self.rate_exact ** s
 
     def prob_all_zero(self, k: int, gamma: float = 0.0) -> float:
@@ -181,29 +175,15 @@ class ColumnMixture:
         g = as_fraction(gamma)
         return replace(self, gamma_exact=1 - (1 - self.gamma_exact) * (1 - g))
 
-    def _clean_moment(self, t: int) -> float:
-        if t == 0:
-            return 1.0
-        return math.fsum(
-            w * c.moment(t, self.k) for w, c in zip(self.weights, self.components)
-        )
-
-    def moment_of_size(self, s: int) -> float:
+    def moment_of_size(self, s: int) -> Fraction:
         """E[prod of s distinct coordinates], identical for every such set."""
-        g = self.gamma
-        return math.fsum(
-            math.comb(s, t) * (1.0 - g) ** t * (g / 2.0) ** (s - t) * self._clean_moment(t)
-            for t in range(s + 1)
-        )
-
-    def moment_of_size_exact(self, s: int) -> Fraction:
         g = self.gamma_exact
         return sum(
             math.comb(s, t)
             * (1 - g) ** t
             * (g / 2) ** (s - t)
             * sum(
-                w * c.moment_exact(t, self.k)
+                w * c.moment(t, self.k)
                 for w, c in zip(self.weights_exact, self.components)
             )
             for t in range(s + 1)
@@ -374,8 +354,8 @@ def build_pair(k: int, eps: Rational, p: Rational) -> tuple[ColumnMixture, Colum
         components=(bernoulli(0),) + bern,
     )
     gap = moment_gap(d0, d1, 4)
-    if gap > 1e-9:
-        raise ArithmeticError(f"constructed pair has moment gap {gap:.3e}")
+    if gap:
+        raise ArithmeticError(f"constructed pair has moment gap {float(gap):.3e}")
     return d0, d1
 
 
@@ -419,13 +399,13 @@ def _distinct_coords(dist: ColumnMixture, coords: Iterable[int]) -> frozenset[in
     return frozenset(out)
 
 
-def exact_moment(dist: ColumnMixture, coords: Iterable[int]) -> float:
-    """E[prod_{i in coords} x_i] in closed form; repeats collapse (bits are 0/1)."""
+def exact_moment(dist: ColumnMixture, coords: Iterable[int]) -> Fraction:
+    """E[prod_{i in coords} x_i] exactly, in closed form; repeats collapse (bits are 0/1)."""
     return dist.moment_of_size(len(_distinct_coords(dist, coords)))
 
 
-def moment_gap(d0: ColumnMixture, d1: ColumnMixture, degree: int) -> float:
-    """max_{1<=s<=degree} |E_D0 - E_D1| over s distinct coordinates."""
+def moment_gap(d0: ColumnMixture, d1: ColumnMixture, degree: int) -> Fraction:
+    """max_{1<=s<=degree} |E_D0 - E_D1| over s distinct coordinates, exactly."""
     if d0.k != d1.k:
         raise ValueError(f"sources have different arity: {d0.k} vs {d1.k}")
     if degree < 1:

@@ -90,9 +90,9 @@ class TestSpec:
             raise ValueError(f"noise rate must be in [0, 1], got {self.gamma}")
         if not self.completeness_only:
             gap = moment_gap(self.d0, self.d1, 4)
-            if gap > 1e-9:
+            if gap:
                 raise ValueError(
-                    f"gadget pair mismatches moments up to degree 4 (gap {gap:.3g}); "
+                    f"gadget pair mismatches moments up to degree 4 (gap {float(gap):.3g}); "
                     "set completeness_only for one-sided use"
                 )
 
@@ -519,7 +519,7 @@ def truncation_shift(
     dropped = block - kept
     grid = h.grid().copy()
     grid[vertex] = kept
-    m1 = exact_moment(spec.d0, [0])
+    m1 = float(exact_moment(spec.d0, [0]))
     per_coord = (1.0 - spec.gamma) * m1 + spec.gamma / 2.0
     shift = edge_incidence_fraction(inst, vertex) * per_coord * float(dropped.sum())
     return Halfspace.from_grid(grid, h.theta - shift), shift

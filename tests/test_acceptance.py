@@ -875,7 +875,7 @@ _STDOUT_DIGESTS = {
     "learn-projection": "e6ce8a3281c2f60e8d2cf4e61a752c3fd50c4dac01521730c8dc856c6dfb17aa",
     "decode": "878d6635b34cb43344145006407175dfd3fd373284e693bf47efa2cd1154f973",
     "dict-test": "1d7424396d9cd3be8d618f89d449469f86aba7477695537e69a601ddd9351a9c",
-    "verify-moments": "9951b22b4248f199efa34d28c22aa575ec558393faf6dbf87438eef5fe857c69",
+    "verify-moments": "8aef0d0422ceac8e178f0027e85c4104b58ffc0c77bd91a32ccc8779780048c1",
     "verify-invariance": "d9fbf262e753e3efb4abfcca428f5ad41aed3d39f5e812565e9896ce2364b496",
     "verify-critical-index": "f5a9da256f63dda1df51db8ccc3c7fc95a41bf0544216cd90ef59d2bea352c41",
     "verify-critical-index-tau": "c0399af79d8509972b90555cce7cf81b1768f27304603f4fc4dd7432adce82c7",

@@ -309,7 +309,7 @@ class TestVerifyLemmas:
     def test_invariance_r_guard(self, capsys):
         code, _, err = _run(capsys, ["verify", "invariance", "--r", "9"])
         assert code == 2
-        assert "r must stay" in err
+        assert err == "error: --r must be in [1, 6], got 9\n"
 
     def test_smoothness_and_niceness(self, capsys, tmp_path):
         inst_path = tmp_path / "p.lc"

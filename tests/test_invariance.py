@@ -71,12 +71,10 @@ class TestEnsemble:
         assert ens.moment((0,)) == Fraction(3, 4)
         assert ens.moment((0, 1)) == Fraction(3, 4)
         assert ens.moment((1, 1)) == Fraction(1)
-        assert ens.exact
 
     def test_float_path(self):
         ens = Ensemble(vars_count=1, support=((0.5, (0.0,)), (0.5, (1.0,))))
-        assert not ens.exact
-        assert ens.moment((0,)) == pytest.approx(0.5)
+        assert ens.moment((0,)) == Fraction(1, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sum"):
@@ -121,7 +119,7 @@ class TestMarginalEnsembles:
             ens = mixture_marginal_ensemble(dist, 4)
             for size in (1, 2, 3, 4):
                 coords = tuple(range(size))
-                assert ens.moment(coords) == dist.moment_of_size_exact(size)
+                assert ens.moment(coords) == dist.moment_of_size(size)
 
     def test_matched_pair_gives_degree_four_matched_ensembles(self):
         d0, d1 = build_pair(K, EPS, P)
@@ -138,7 +136,7 @@ class TestMarginalEnsembles:
         # of the pair divided by the (shared) first moment
         sol = solve_d0_weights(K, EPS, P)
         got = c1.moment((0, 1, 2, 3)) - c0.moment((0, 1, 2, 3))
-        m1 = d1.moment_of_size_exact(1)
+        m1 = d1.moment_of_size(1)
         assert got == 24 * sol.b * sol.p**5 / m1
         assert got != 0
 

@@ -72,12 +72,12 @@ class TestFractions:
 class TestComponents:
     def test_component_moments(self):
         k = 10
-        assert bernoulli(0).moment_exact(0, k) == 1
-        assert bernoulli(0).moment_exact(2, k) == 0
-        assert ExactlyOne().moment_exact(1, k) == Fraction(1, k)
-        assert ExactlyOne().moment_exact(2, k) == 0
+        assert bernoulli(0).moment(0, k) == 1
+        assert bernoulli(0).moment(2, k) == 0
+        assert ExactlyOne().moment(1, k) == Fraction(1, k)
+        assert ExactlyOne().moment(2, k) == 0
         q = Fraction(1, 3)
-        assert bernoulli(q).moment_exact(3, k) == q**3
+        assert bernoulli(q).moment(3, k) == q**3
 
     def test_component_all_zero(self):
         k = 6
@@ -92,13 +92,15 @@ class TestComponents:
 
 class TestMixture:
     def test_zero_noise_closed_forms_are_the_noiseless_ones(self):
-        # float weights are the rounded exact ones, and the noise transfer at
-        # gamma = 0 keeps every float bit
+        # the exact moments at gamma = 0 are the noiseless mixture sums; the
+        # float weights are the rounded exact ones, and the float all-zeros
+        # transfer at gamma = 0 keeps every float bit
         for dist in build_pair(K, EPS, P):
+            exact_terms = list(zip(dist.weights_exact, dist.components))
+            for s in range(1, 6):
+                assert dist.moment_of_size(s) == sum(w * c.moment(s, K) for w, c in exact_terms)
             assert dist.weights == tuple(float(w) for w in dist.weights_exact)
             terms = list(zip(dist.weights, dist.components))
-            for s in range(1, 6):
-                assert dist.moment_of_size(s) == math.fsum(w * c.moment(s, K) for w, c in terms)
             assert dist.prob_all_zero() == math.fsum(w * c.prob_all_zero(K) for w, c in terms)
 
     def test_noisy_composes(self):
@@ -180,20 +182,20 @@ class TestWeightSolver:
         assert sol.total <= 1
         d0, d1 = build_pair(k, eps, p)
         for s in range(1, 5):
-            assert d0.moment_of_size_exact(s) == d1.moment_of_size_exact(s)
+            assert d0.moment_of_size(s) == d1.moment_of_size(s)
 
 
 class TestMomentMatching:
     def test_pair_moments_match_exactly_through_degree_four(self):
         d0, d1 = build_pair(K, EPS, P)
         for s in range(1, 5):
-            assert d0.moment_of_size_exact(s) == d1.moment_of_size_exact(s)
-        assert moment_gap(d0, d1, 4) <= 1e-12  # float channel roundoff only
+            assert d0.moment_of_size(s) == d1.moment_of_size(s)
+        assert moment_gap(d0, d1, 4) == 0
 
     def test_fifth_moment_splits_by_exactly_24_b_p5(self):
         sol = solve_d0_weights(K, EPS, P)
         d0, d1 = build_pair(K, EPS, P)
-        gap5 = d1.moment_of_size_exact(5) - d0.moment_of_size_exact(5)
+        gap5 = d1.moment_of_size(5) - d0.moment_of_size(5)
         assert gap5 == 24 * sol.b * sol.p**5
 
     def test_noisy_moments_still_match(self):
@@ -201,7 +203,7 @@ class TestMomentMatching:
         g = Fraction(1, 144)
         n0, n1 = d0.noisy(g), d1.noisy(g)
         for s in range(1, 5):
-            assert n0.moment_of_size_exact(s) == n1.moment_of_size_exact(s)
+            assert n0.moment_of_size(s) == n1.moment_of_size(s)
 
     def test_enumeration_oracle_agrees_with_closed_forms(self):
         d0, d1 = build_pair(K, EPS, P)
@@ -275,10 +277,10 @@ class TestDistributionShapes:
     def test_completeness_pair_is_one_sided(self):
         d0, d1 = completeness_pair(3, "0.8", "0.25")
         assert d0.prob_all_zero() == 1.0
-        assert d0.moment_of_size_exact(1) == 0
-        assert d1.moment_of_size_exact(1) > 0
+        assert d0.moment_of_size(1) == 0
+        assert d1.moment_of_size(1) > 0
         # no matching claim: gap at degree 1 is the full D1 mean
-        assert moment_gap(d0, d1, 1) == pytest.approx(float(d1.moment_of_size_exact(1)))
+        assert moment_gap(d0, d1, 1) == pytest.approx(float(d1.moment_of_size(1)))
 
 
 def _float_domain_columns(dist, master_seed, stream_id, columns):

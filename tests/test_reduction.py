@@ -1,5 +1,7 @@
 """Example samplers, acceptance closed forms, decoding, soundness audits."""
 
+from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -21,7 +23,7 @@ from glhs.labelcover import (
     gen_planted_unique,
     weak_mask,
 )
-from glhs.moments import build_pair, completeness_pair, exact_moment, marginal_pmf
+from glhs.moments import build_pair, completeness_pair, exact_moment, marginal_pmf, moment_gap
 from glhs.reduction import (
     DecoderSpec,
     collision_mass,
@@ -87,6 +89,18 @@ class TestSpecValidation:
         spec = Spec(d0=e0, d1=e1, r=2, gamma=0.0, completeness_only=True)
         assert spec.k == 3
         assert spec.dim == 6
+
+    def test_any_nonzero_moment_gap_is_rejected(self):
+        # 10^-12 of D0's mass moves from its all-zeros component to eps1
+        # (rate p = 1/4): the degree-1 moment moves by 10^-12 / 4, far below
+        # any float tolerance, and is still a mismatch
+        d0, d1 = build_pair(12, "0.82", "0.25")
+        w = d0.weights_exact
+        shift = Fraction(1, 10**12)
+        bad = replace(d0, weights_exact=(w[0] - shift, w[1] + shift) + w[2:])
+        assert moment_gap(bad, d1, 4) == Fraction(1, 4 * 10**12)
+        with pytest.raises(ValueError, match="mismatches moments"):
+            Spec(d0=bad, d1=d1, r=2, gamma=0.01)
 
     def test_decoder_spec_validation(self):
         assert DecoderSpec(t=2, tau=0.5).trials == 64
