@@ -699,9 +699,8 @@ def _cmd_learn(p: dict) -> int:
     )
     reader = StreamReader(stream)
     hdr = reader.header
-    chunk = chunk_rows(hdr.bits_per_example)
-    h = perceptron_train(reader.read_batches(chunk), cfg, hdr.rows, hdr.cols)
-    rep = agreement(h, reader.read_batches(chunk))
+    h = perceptron_train(reader, cfg, hdr.rows, hdr.cols)
+    rep = agreement(h, reader.read_batches(chunk_rows(hdr.bits_per_example)))
     if p["out"]:  # after both passes, since --out may name the stream
         write_halfspace(h, p["out"])
     trivial = max(rep.n1, rep.n0) / rep.count

@@ -409,7 +409,11 @@ class StreamWriter:
         )
 
     def append_batch(self, bits: np.ndarray, labels: np.ndarray) -> None:
-        """Append unpacked bit rows (n, rows*cols) with labels (n,)."""
+        """Append unpacked bit rows (n, rows*cols) with labels (n,).
+
+        The records are written before it returns, so a caller may refill
+        `bits` for its next chunk.
+        """
         bits = np.asarray(bits, dtype=np.uint8)
         labels = np.asarray(labels, dtype=np.uint8)
         if bits.ndim != 2 or bits.shape[1] != self.rows * self.cols:
@@ -420,7 +424,7 @@ class StreamWriter:
             raise ValueError("labels must be 0 or 1")
         packed = np.packbits(bits, axis=1, bitorder="little")
         records = np.concatenate([packed, labels[:, None]], axis=1)
-        self._fh.write(records.tobytes())
+        self._fh.write(records)  # C-contiguous: its buffer is the record bytes
         self._count += bits.shape[0]
 
     def close(self) -> None:
@@ -452,12 +456,13 @@ class StreamWriter:
 
 
 class StreamReader:
-    """Reads a GLHS example stream a chunk of records at a time.
+    """Reads a GLHS example stream from the file as it was opened.
 
     Opening decodes the header and checks the file's length against it; the
-    body is not held.  `read_batches` reads the records from the file as it
-    was opened, and raises CorruptionError if the path now names another
-    file or the file has changed.  Every FormatError names the path.
+    body is not held.  `read_batches` reads the records a chunk at a time and
+    `read_records` reads them whole, packed; each raises CorruptionError if
+    the path now names another file or the file has changed.  Every
+    FormatError names the path.
     """
 
     def __init__(self, path: str):
@@ -482,6 +487,19 @@ class StreamReader:
     def __len__(self) -> int:
         return self.header.count
 
+    def _seek_body(self, fh) -> None:
+        """Move `fh`, the path opened again, to the first record; raise if the
+        path now names another file or the file has changed."""
+        now = os.fstat(fh.fileno())
+        if any(getattr(now, key) != getattr(self._stat, key)
+               for key in ("st_dev", "st_ino", "st_size", "st_mtime_ns")):
+            raise CorruptionError(f"stream {self.path} changed since it was opened")
+        fh.seek(self._body_offset)
+
+    def _check_labels(self, labels: np.ndarray) -> None:
+        if labels.max(initial=0) > 1:
+            raise CorruptionError(f"stream {self.path}: label byte must be 0 or 1")
+
     def read_batches(self, chunk: int = 4096) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (bits (n, rows*cols) uint8, labels (n,) uint8) chunks.
 
@@ -492,11 +510,7 @@ class StreamReader:
         dim = self.header.bits_per_example
         count = self.header.count
         with open(self.path, "rb") as fh:
-            now = os.fstat(fh.fileno())
-            if any(getattr(now, key) != getattr(self._stat, key)
-                   for key in ("st_dev", "st_ino", "st_size", "st_mtime_ns")):
-                raise CorruptionError(f"stream {self.path} changed since it was opened")
-            fh.seek(self._body_offset)
+            self._seek_body(fh)
             for start in range(0, count, chunk):
                 rows = min(chunk, count - start)
                 data = fh.read(rows * rs)
@@ -506,6 +520,29 @@ class StreamReader:
                     )
                 block = np.frombuffer(data, dtype=np.uint8).reshape(rows, rs)
                 labels = block[:, -1].copy()
-                if not np.isin(labels, (0, 1)).all():
-                    raise CorruptionError(f"stream {self.path}: label byte must be 0 or 1")
+                self._check_labels(labels)
                 yield np.unpackbits(block[:, :-1], axis=1, count=dim, bitorder="little"), labels
+
+    def read_records(self) -> tuple[np.ndarray, np.ndarray]:
+        """(packed (count, bytes) uint8, labels (count,) uint8): every record, as stored.
+
+        One (count, record_size) array holds the body, and both results are
+        views of it: each row's bits packed eight per byte, least significant
+        first, then its label.  The pad bits of a row's last byte (when
+        rows*cols is not a multiple of 8) are cleared, so no set bit lies
+        past the row; `read_batches` ignores them too.
+        """
+        rs = self.header.record_size
+        dim = self.header.bits_per_example
+        body = np.empty((self.header.count, rs), dtype=np.uint8)
+        with open(self.path, "rb") as fh:
+            self._seek_body(fh)
+            if fh.readinto(body) != body.size:
+                raise CorruptionError(
+                    f"stream {self.path}: body is shorter than its header implies"
+                )
+        packed, labels = body[:, :-1], body[:, -1]
+        self._check_labels(labels)
+        if dim % 8:
+            packed[:, -1] &= (1 << dim % 8) - 1
+        return packed, labels

@@ -4,7 +4,9 @@ Examples are one batch form throughout: a uint8 bit matrix (n, rows*cols)
 and a uint8 label vector (n,).  Both consumers of examples take an
 iterable of such batches, so a stream is read chunk by chunk
 (`StreamReader.read_batches`), and the samplers draw `chunk_rows` rows
-(2^22 bit cells) at a time: no step holds a whole unpacked stream.
+(2^22 bit cells) at a time: no step holds a whole unpacked stream.  The
+perceptron, which holds its examples packed, takes a stream's records as
+stored instead.
 
 `agreement` counts exact matches between a hypothesis and the batches and
 reports the rate plus the conditional means E[h | b] whose balanced
@@ -35,7 +37,15 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import CursorRng, FormatError, PURPOSE_LEARN, StreamWriter, chunk_rows, purpose_stream
+from .core import (
+    CursorRng,
+    FormatError,
+    PURPOSE_LEARN,
+    StreamReader,
+    StreamWriter,
+    chunk_rows,
+    purpose_stream,
+)
 from .halfspace import Disjunction, Halfspace, rounding_bound
 from .labelcover import LabelCoverInstance
 from .moments import ColumnMixture, column_sum_pmf
@@ -215,13 +225,23 @@ _BYTE_FLOATS = np.unpackbits(
 ).astype(np.float64)
 
 
-def _pack_examples(batches: Iterable[Batch]) -> tuple[np.ndarray, np.ndarray, int]:
+def _pack_examples(
+    batches: Iterable[Batch] | StreamReader,
+) -> tuple[np.ndarray, np.ndarray, int]:
     """(packed rows, labels, dim) of every example of every batch.
 
-    Each batch is checked and packed eight bits per byte, least significant
-    first, as it arrives, so only one unpacked batch is held at a time.  The
-    packed matrix grows in place (a realloc), so it is never held twice.
+    Rows are packed eight bits per byte, least significant first.  A
+    `StreamReader`'s records are already packed so, and are taken as stored
+    (`read_records`): nothing is unpacked.  Otherwise each batch is checked
+    and packed as it arrives, so only one unpacked batch is held at a time,
+    and the packed matrix grows in place (a realloc), so it is never held
+    twice.
     """
+    if isinstance(batches, StreamReader):
+        packed, labels = batches.read_records()
+        if labels.size == 0:
+            raise ValueError("no training examples")
+        return packed, labels, batches.header.bits_per_example
     packed, tags, dim = np.empty((0, 0), np.uint8), [], None
     for bits, labels in batches:
         bits = np.asarray(bits, dtype=np.uint8)
@@ -283,15 +303,16 @@ def _active_indices(packed: np.ndarray, dim: int) -> np.ndarray:
 
 
 def perceptron_train(
-    batches: Iterable[Batch],
+    batches: Iterable[Batch] | StreamReader,
     cfg: LearnerConfig = LearnerConfig(),
     rows: int | None = None,
     cols: int | None = None,
 ) -> Halfspace:
     """Train a halfspace on {0,1} features with a bias folded into theta.
 
-    The examples are every row of an iterable of (bits, labels) batches, in
-    order; the grid shape is rows x cols, or one row when it is not given.
+    The examples are every row of an iterable of (bits, labels) batches, or
+    of a stream's records, in order; the grid shape is rows x cols, or one
+    row when it is not given.
 
     Mistake-driven updates on the +-1 margin, visiting examples in an order
     reshuffled each epoch from cfg.shuffle_seed.  With `averaged` the
@@ -299,7 +320,8 @@ def perceptron_train(
     the weighted-update identity, so only mistakes touch the accumulators).
 
     The examples are held packed eight bits per byte (`_pack_examples`),
-    an eighth of the unpacked bit matrix, and no float copy of them is made.
+    an eighth of the unpacked bit matrix, and no float copy of them is made;
+    a stream's are its records as stored.
     A step decides by the sign of ``x @ w + bias`` (ties count as +1) for its
     float row x: one BLAS dot per row, the same routine as ``x.dot(w)``.  The
     walk goes through each epoch's order in windows and reaches the same
@@ -512,14 +534,22 @@ def write_dict_test_stream(
     stream_id: int = 0,
     extra_meta: str = "",
 ) -> None:
+    """Write `count` grid-test examples to `path`, `chunk_rows` at a time.
+
+    Every chunk is drawn into one buffer the writer owns, so a batch handed
+    to `append_batch` is valid only until the next chunk is drawn.
+    """
     meta = _spec_meta(spec, "dict-test", master_seed, stream_id)
     if extra_meta:
         meta += " " + extra_meta
     step = chunk_rows(spec.dim)
-    with StreamWriter(path, spec.k, spec.r, meta=meta) as out:
+    buf = np.empty((min(step, count), spec.dim), dtype=np.uint8)
+    with StreamWriter(path, spec.k, spec.r, meta=meta) as writer:
         for start in range(0, count, step):
             n = min(step, count - start)
-            out.append_batch(*dict_test_batch(spec, master_seed, stream_id, start, n))
+            writer.append_batch(
+                *dict_test_batch(spec, master_seed, stream_id, start, n, out=buf[:n])
+            )
 
 
 def write_reduction_stream(
@@ -531,8 +561,13 @@ def write_reduction_stream(
     stream_id: int = 0,
     extra_meta: str = "",
 ) -> None:
-    """Unique instances use the permuted-grid sampler, general ones the
-    per-target-noise sampler; the meta line records which."""
+    """Write `count` reduction examples of `inst` to `path`, `chunk_rows` at a time.
+
+    Unique instances use the permuted-grid sampler, general ones the
+    per-target-noise sampler; the meta line records which.  As in
+    `write_dict_test_stream`, every chunk is drawn into one buffer the
+    writer owns, valid in `append_batch` only until the next chunk.
+    """
     if inst.unique:
         sampler, kind, cols = ug_reduce_batch, "ug-reduce", inst.m
     else:
@@ -543,10 +578,13 @@ def write_reduction_stream(
     if extra_meta:
         meta += " " + extra_meta
     step = chunk_rows(inst.num_vertices * cols)
-    with StreamWriter(path, inst.num_vertices, cols, meta=meta) as out:
+    buf = np.empty((min(step, count), inst.num_vertices * cols), dtype=np.uint8)
+    with StreamWriter(path, inst.num_vertices, cols, meta=meta) as writer:
         for start in range(0, count, step):
             n = min(step, count - start)
-            out.append_batch(*sampler(inst, spec, master_seed, stream_id, start, n))
+            writer.append_batch(
+                *sampler(inst, spec, master_seed, stream_id, start, n, out=buf[:n])
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,12 @@ class Ensemble:
 
 
 def first_moment_mismatch(
-    a: Ensemble, b: Ensemble, degree: int, tol: float = 1e-12
+    a: Ensemble, b: Ensemble, degree: int
 ) -> tuple[int, ...] | None:
-    """The smallest multiset (by size, then lexicographic) where moments differ."""
+    """The smallest multiset (by size, then lexicographic) where moments differ.
+
+    Moments are exact Fractions, so any difference at all is a mismatch.
+    """
     if a.vars_count != b.vars_count:
         raise ValueError(
             f"arity mismatch: {a.vars_count} vs {b.vars_count} variables"
@@ -104,7 +107,7 @@ def first_moment_mismatch(
         for multiset in itertools.combinations_with_replacement(
             range(a.vars_count), size
         ):
-            if abs(a.moment(multiset) - b.moment(multiset)) > tol:
+            if a.moment(multiset) != b.moment(multiset):
                 return multiset
     return None
 

@@ -22,7 +22,9 @@ Column n owns the counter words [n*(k+2), (n+1)*(k+2)) (component word, hot
 word, one word per Bernoulli bit), and noised row r owns [r*(L+2), ...).  A
 Bernoulli bit or dense-path noise decision tests ``(w >> 11) < ceil(q*2^53)``
 on one word w in `core.threshold_bits`, 2^15 words per block; noise takes
-w's low bit as the new value.
+w's low bit as the new value.  A column whose component has rate 0 or 1
+draws no bit words, since its test has one outcome for every word (T = 0 or
+2^53); the addresses stay reserved, so no other draw moves.
 """
 
 from __future__ import annotations
@@ -553,6 +555,8 @@ _COLUMN_BLOCK_EXTRA = 2  # component word + hot word
 # its own blocks.  Every column owns fixed counter addresses, so the output
 # does not depend on where the blocks fall.
 _BLOCK_WORDS = 1 << 17
+# the Bernoulli threshold of rate 1: every word's test (w >> 11) < T holds
+_ALWAYS = np.uint64(1 << 53)
 
 
 def column_block_size(k: int) -> int:
@@ -596,8 +600,11 @@ def sample_columns_at(
             )
             out[hot_rows, np.minimum((hw * k).astype(np.int64), k - 1)] = 1
 
-        # rate-0 rows (the all-zeros component) stay zero and draw no words
-        bern_rows = np.flatnonzero(rate_t[comp] > 0)
+        # rate-0 rows (the all-zeros component) stay zero and rate-1 rows
+        # (T = 2^53, which every word passes) are all ones: neither draws words
+        row_t = rate_t[comp]
+        out[row_t == _ALWAYS] = 1
+        bern_rows = np.flatnonzero((row_t > 0) & (row_t < _ALWAYS))
         if bern_rows.size:
             out[bern_rows] = threshold_bits(
                 master_seed, stream_id, blk[bern_rows] + np.uint64(2), k,

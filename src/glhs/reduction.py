@@ -155,12 +155,14 @@ def _grid_columns(
     master_seed: int,
     stream_id: int,
     start: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(count, k, width) noiseless grids, C-contiguous; example n owns
-    columns n*width ...
+    """(count, k, width) noiseless grids; example n owns columns n*width ...
 
     Rows with label 0 draw their columns from d0, rows with label 1 from d1,
-    at the same counter addresses either way.
+    at the same counter addresses either way.  The grids are a view of `out`
+    (a (count, k*width) uint8 array, every cell of which they fill) when it
+    is given, else a new C-contiguous array.
     """
     count = labels.size
     x_stream = purpose_stream(stream_id, PURPOSE_X)
@@ -168,7 +170,8 @@ def _grid_columns(
         np.arange(start, start + count, dtype=np.uint64)[:, None] * np.uint64(width)
         + np.arange(width, dtype=np.uint64)[None, :]
     )
-    grids = np.empty((count, spec.k, width), dtype=np.uint8)
+    shape = (count, spec.k, width)
+    grids = np.empty(shape, np.uint8) if out is None else out.reshape(shape, copy=False)
     for bit, mixture in ((0, spec.d0), (1, spec.d1)):
         rows = np.flatnonzero(labels == bit)
         if rows.size:
@@ -180,23 +183,40 @@ def _grid_columns(
     return grids
 
 
+def _zeroed_blocks(out: np.ndarray | None, count: int, vertices: int, width: int) -> np.ndarray:
+    """(count, vertices, width) zero vertex blocks: `out` zeroed, or a new array.
+
+    The blocks are a view of `out`, a (count, vertices*width) array, so the
+    sampler's bits land in it; a shape that cannot be viewed so raises
+    ValueError.
+    """
+    shape = (count, vertices, width)
+    if out is None:
+        return np.zeros(shape, dtype=np.uint8)
+    blocks = out.reshape(shape, copy=False)
+    blocks.fill(0)
+    return blocks
+
+
 def dict_test_batch(
     spec: TestSpec,
     master_seed: int,
     stream_id: int,
     start: int,
     count: int,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bits (count, k*r), labels (count,)) for absolute examples start..
 
     b uniform; columns i.i.d. from the b-side mixture; independent
     replacement noise on every bit.  Grid layout: bit (i, j) of example n is
-    bits[n, i*r + j].
+    bits[n, i*r + j].  The bits are written to `out`, a (count, k*r) uint8
+    array, when it is given, else to a new array.
     """
     if count < 1:
         return np.zeros((0, spec.dim), dtype=np.uint8), np.zeros(0, dtype=np.uint8)
     labels = _labels_for(master_seed, stream_id, start, count)
-    grids = _grid_columns(spec, labels, spec.r, master_seed, stream_id, start)
+    grids = _grid_columns(spec, labels, spec.r, master_seed, stream_id, start, out)
     noisy = apply_noise(
         grids.reshape(count, spec.dim),
         spec.gamma,
@@ -214,6 +234,7 @@ def ug_reduce_batch(
     stream_id: int,
     start: int,
     count: int,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unique-instance sampler over |V| x R grids.
 
@@ -221,7 +242,8 @@ def ug_reduce_batch(
     distribution); slot i then permutes columns by its bijection:
     target column j copies source column pi^{v_i,e}(j).  Non-edge vertex
     blocks stay zero.  With identity projections the edge rows reproduce
-    dict_test_batch byte-for-byte.
+    dict_test_batch byte-for-byte.  The bits are written to `out`, a
+    (count, |V|*R) uint8 array, when it is given (see `_zeroed_blocks`).
     """
     if not inst.unique:
         raise ValueError("sampler requires a unique instance (M = N, bijections)")
@@ -245,14 +267,14 @@ def ug_reduce_batch(
         start,
     ).reshape(count, spec.k, r)
 
-    out = np.zeros((count, inst.num_vertices, r), dtype=np.uint8)
+    blocks = _zeroed_blocks(out, count, inst.num_vertices, r)
     rows = np.arange(count)
     edge_verts = inst.edges[edge_ids]
     for s in range(inst.k):
         proj = inst.projections[edge_ids, s].astype(np.int64)
         pulled = np.take_along_axis(noisy[:, s, :], proj, axis=1)
-        out[rows, edge_verts[:, s]] = pulled
-    return out.reshape(count, inst.num_vertices * r), labels
+        blocks[rows, edge_verts[:, s]] = pulled
+    return blocks.reshape(count, inst.num_vertices * r), labels
 
 
 def lc_reduce_batch(
@@ -262,6 +284,7 @@ def lc_reduce_batch(
     stream_id: int,
     start: int,
     count: int,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """General-instance sampler over |V| x M grids.
 
@@ -269,7 +292,8 @@ def lc_reduce_batch(
     source bit pi^{v_i,e}(j) into target coordinate j, and the noise is
     applied per target coordinate after the pullback (coordinates sharing a
     source are almost identical copies, their disagreement probability
-    bounded by 2 * gamma * (1 - gamma/2)).
+    bounded by 2 * gamma * (1 - gamma/2)).  The bits are written to `out`,
+    a (count, |V|*M) uint8 array, when it is given (see `_zeroed_blocks`).
     """
     if inst.k != spec.k:
         raise ValueError(
@@ -296,11 +320,11 @@ def lc_reduce_batch(
         start,
     ).reshape(count, inst.k, inst.m)
 
-    out = np.zeros((count, inst.num_vertices, inst.m), dtype=np.uint8)
+    blocks = _zeroed_blocks(out, count, inst.num_vertices, inst.m)
     edge_verts = inst.edges[edge_ids]
     for s in range(inst.k):
-        out[rows, edge_verts[:, s]] = noisy[:, s, :]
-    return out.reshape(count, inst.num_vertices * inst.m), labels
+        blocks[rows, edge_verts[:, s]] = noisy[:, s, :]
+    return blocks.reshape(count, inst.num_vertices * inst.m), labels
 
 
 # ---------------------------------------------------------------------------

@@ -357,7 +357,7 @@ class TestLearnAndDecode:
                 opened.append(path)
                 super().__init__(path)
 
-        # learn opens its stream once: it trains on the reader's chunks and
+        # learn opens its stream once: it trains on the reader's records and
         # reports agreement on a second pass over the same reader
         monkeypatch.setattr(cli, "StreamReader", CountingReader)
         h_path = tmp_path / "learned.hs"
@@ -1116,6 +1116,20 @@ def _read_whole_stream(path: str) -> list:
     return list(StreamReader(path).read_batches(3))
 
 
+def _read_stream_records(path: str) -> None:
+    """`read_records` of a stream that parses holds what `read_batches` yields,
+    packed, and no set bit past a row."""
+    reader = StreamReader(path)
+    packed, labels = reader.read_records()
+    dim = reader.header.bits_per_example
+    batches = list(reader.read_batches(3))
+    bits = np.concatenate([b for b, _ in batches]) if batches else np.zeros((0, dim), np.uint8)
+    unpacked = np.unpackbits(packed, axis=1, bitorder="little")
+    assert np.array_equal(unpacked[:, :dim], bits)
+    assert not unpacked[:, dim:].any()
+    assert labels.tolist() == [x for _, lab in batches for x in lab.tolist()]
+
+
 def _parses_or_format_error(parse, content: bytes) -> None:
     """parse(path) of a file holding `content` succeeds or raises a
     FormatError that names the path."""
@@ -1182,6 +1196,14 @@ class TestHostileFiles:
         good = _V1_STREAM if seed == "v1" else blobs["a.bin"]
         content = data.draw(_hostile(good, blobs["b.bin"]))
         _parses_or_format_error(_read_whole_stream, content)
+
+    @given(data=st.data(), seed=st.sampled_from(["a.bin", "v1"]))
+    @settings(max_examples=150, deadline=None)
+    def test_stream_records_parse_or_raise_format_error(self, files, data, seed):
+        blobs, _ = files
+        good = _V1_STREAM if seed == "v1" else blobs["a.bin"]
+        content = data.draw(_hostile(good, blobs["b.bin"]))
+        _parses_or_format_error(_read_stream_records, content)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

@@ -321,6 +321,39 @@ class TestRecords:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptionError):
             list(StreamReader(str(path)).read_batches())
+        with pytest.raises(CorruptionError, match="label byte"):
+            StreamReader(str(path)).read_records()
+
+    @given(st.integers(1, 8), st.integers(1, 9), st.integers(0, 2**32))
+    @settings(max_examples=50, deadline=None)
+    def test_records_are_the_packed_batches(self, tmp_path_factory, rows, cols, seed):
+        path = tmp_path_factory.mktemp("rec") / "s.glhs"
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(5, rows * cols), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=5, dtype=np.uint8)
+        with StreamWriter(str(path), rows, cols) as w:
+            w.append_batch(bits, labels)
+        packed, back_labels = StreamReader(str(path)).read_records()
+        assert np.array_equal(packed, np.packbits(bits, axis=1, bitorder="little"))
+        assert np.array_equal(back_labels, labels)
+
+    def test_records_clear_the_pad_bits(self, tmp_path):
+        # 6 bits per row: the top two bits of each row's byte are padding,
+        # which read_batches ignores and read_records must not pass on
+        path = tmp_path / "s.glhs"
+        bits = np.array([[1, 0, 1, 0, 1, 1], [0, 1, 0, 0, 0, 0]], dtype=np.uint8)
+        with StreamWriter(str(path), 2, 3) as w:
+            w.append_batch(bits, np.array([1, 0], dtype=np.uint8))
+        blob = bytearray(path.read_bytes())
+        blob[-4] |= 0b11000000
+        blob[-2] |= 0b10000000
+        path.write_bytes(bytes(blob))
+        reader = StreamReader(str(path))
+        [(back, _)] = list(reader.read_batches())
+        assert np.array_equal(back, bits)
+        packed, labels = reader.read_records()
+        assert packed.tolist() == [[0b110101], [0b000010]]
+        assert labels.tolist() == [1, 0]
 
 
 class TestStreamFormat:
@@ -435,6 +468,8 @@ class TestStreamFormat:
         reader = StreamReader(str(path))
         assert len(reader) == 0
         assert [b.shape[0] for b, _ in reader.read_batches()] == []
+        packed, labels = reader.read_records()
+        assert packed.shape == (0, 2) and labels.shape == (0,)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "s.glhs"
@@ -466,6 +501,8 @@ class TestStreamFormat:
             path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(CorruptionError, match="changed since it was opened"):
             list(reader.read_batches())
+        with pytest.raises(CorruptionError, match="changed since it was opened"):
+            reader.read_records()
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "s.glhs"

@@ -2,6 +2,10 @@
 
 import contextlib
 import io
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glhs
 from glhs import core
 from glhs.cli import main
 from glhs.core import (
@@ -400,9 +405,9 @@ class TestPerceptronOracle:
         assert peak < 1.5 * bits.nbytes
 
     def test_learn_holds_no_unpacked_stream(self, tmp_path, monkeypatch):
-        # learn reads its stream a chunk at a time and keeps the examples
-        # packed, n*dim/8 bytes; with chunks of 2^20 cells the 4000 rows span
-        # 13 of them
+        # learn trains on the stream's packed records, n*(dim/8 + 1) bytes,
+        # and its agreement pass reads chunks of 2^20 cells: the 4000 rows
+        # span 13 of them
         bits, labels = _wide_sparse_stream(n=4000, dim=3200)
         path = tmp_path / "wide.stream"
         with StreamWriter(str(path), 1, 3200) as out:
@@ -416,6 +421,88 @@ class TestPerceptronOracle:
         finally:
             tracemalloc.stop()
         assert peak < bits.nbytes / 2
+
+    def test_learn_unpacks_no_training_chunk(self, tmp_path, monkeypatch):
+        # training takes the records as stored; only agreement reads batches
+        bits, labels = _wide_sparse_stream(n=300, dim=60)
+        path = tmp_path / "s.stream"
+        with StreamWriter(str(path), 6, 10) as out:
+            out.append_batch(bits, labels)
+        passes = []
+        real = StreamReader.read_batches
+
+        def counting(self, *args, **kwargs):
+            passes.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamReader, "read_batches", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["learn", "--stream", str(path), "--epochs", "2"]) == 0
+        assert len(passes) == 1
+
+    def test_learn_ignores_set_pad_bits(self, tmp_path):
+        # 6 bits per row leave two pad bits in each row's byte; the reader
+        # ignores them, so setting them changes no learned weight
+        rnd = np.random.RandomState(8)
+        bits = (rnd.random_sample((600, 6)) < 0.3).astype(np.uint8)
+        clean = tmp_path / "clean.bin"
+        with StreamWriter(str(clean), 2, 3) as out:
+            out.append_batch(bits, bits[:, 0].copy())
+        blob = bytearray(clean.read_bytes())
+        records = np.frombuffer(blob, dtype=np.uint8, offset=len(blob) - 1200).reshape(600, 2)
+        records[:, 0] |= 0b11000000  # a view of blob
+        (tmp_path / "dirty.bin").write_bytes(bytes(blob))
+        for name in ("clean", "dirty"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["learn", "--stream", str(tmp_path / f"{name}.bin"),
+                             "--epochs", "3", "--out", str(tmp_path / f"{name}.hs")]) == 0
+        assert (tmp_path / "clean.hs").read_bytes() == (tmp_path / "dirty.hs").read_bytes()
+
+
+# Runs glhs commands (argv strings) in this fresh interpreter, then prints
+# its peak resident set size in KiB.  That is VmHWM, the peak of the
+# interpreter's own address space: ru_maxrss would also count the resident
+# peak of the process it was forked from, here the test runner.
+_PEAK_RSS_SCRIPT = """
+import contextlib, io, sys
+from glhs.cli import main
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def _peak_rss_kib(workdir, *commands: str) -> int:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(glhs.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, *commands],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1])
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="reads Linux's VmHWM and pins glibc's heap behaviour",
+)
+def test_reduce_leaves_no_heap_for_learn(tmp_path):
+    # the label-cover pipeline of the benchmark: the chunks `reduce` drew must
+    # not stay in the heap under `learn`'s peak, which then matches learn run
+    # alone in a fresh interpreter
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-lc", "--kind", "projection", "--vertices", "200", "--edges", "2000",
+                     "--k", "3", "--m", "16", "--n", "8", "--d", "2", "--seed", "5",
+                     "--out", str(tmp_path / "proj.lc")]) == 0
+    reduce = ("reduce --instance proj.lc --k 3 --eps 0.5 --p 0.25 --gamma 0.1 "
+              "--completeness-only --count 20000 --seed 1 --out proj.bin")
+    learn = "learn --stream proj.bin --epochs 12 --seed 4 --out proj.hs"
+    both = _peak_rss_kib(tmp_path, reduce, learn)
+    alone = _peak_rss_kib(tmp_path, learn)
+    assert both - alone <= 2048, (both, alone)
 
 
 class TestMatrixSumPmf:
@@ -475,6 +562,48 @@ class TestMajorityClosedForms:
 
 
 class TestReductionStream:
+    @staticmethod
+    def _record_batches(monkeypatch) -> list:
+        seen = []
+        real = StreamWriter.append_batch
+
+        def recording(self, bits, labels):
+            seen.append(bits)
+            real(self, bits, labels)
+
+        monkeypatch.setattr(StreamWriter, "append_batch", recording)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["dict-test", "ug-reduce", "lc-reduce"])
+    def test_chunks_share_the_writer_buffer(self, tmp_path, monkeypatch, kind):
+        # 2^10 cells per chunk: each stream below spans three chunks or more,
+        # all drawn into one buffer, and the bytes are the one-call draw's
+        from glhs.moments import completeness_pair
+        from glhs.reduction import lc_reduce_batch, ug_reduce_batch
+
+        monkeypatch.setattr(core, "CHUNK_CELLS", 1 << 10)
+        seen = self._record_batches(monkeypatch)
+        path = str(tmp_path / "s.stream")
+        if kind == "dict-test":
+            spec = _matched_spec(r=4)
+            write_dict_test_stream(path, spec, 50, SEED)
+            want = dict_test_batch(spec, SEED, 0, 0, 50)
+        elif kind == "ug-reduce":
+            spec = _matched_spec(r=4, gamma=0.03125)
+            inst, _ = gen_planted_unique(14, 6, 12, 4, seed=2)
+            write_reduction_stream(path, inst, spec, 50, SEED)
+            want = ug_reduce_batch(inst, spec, SEED, 0, 0, 50)
+        else:
+            d0, d1 = completeness_pair(3, "0.5", "0.25")
+            spec = Spec(d0=d0, d1=d1, r=2, gamma=0.25, completeness_only=True)
+            inst, _ = gen_planted_projection(5, 6, 3, 4, 2, 2, seed=3)
+            write_reduction_stream(path, inst, spec, 120, SEED)
+            want = lc_reduce_batch(inst, spec, SEED, 0, 0, 120)
+        assert len(seen) >= 3
+        assert all(np.shares_memory(seen[0], bits) for bits in seen[1:])
+        [(bits, labels)] = list(StreamReader(path).read_batches(1000))
+        assert np.array_equal(bits, want[0]) and np.array_equal(labels, want[1])
+
     def test_unique_and_general_kinds(self, tmp_path):
         spec = _matched_spec(r=4, gamma=0.03125)
         inst, _ = gen_planted_unique(14, 6, 12, 4, seed=2)

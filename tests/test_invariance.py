@@ -104,6 +104,17 @@ class TestEnsemble:
         assert first_moment_mismatch(a, b, 3) == (0, 0)
         assert first_moment_mismatch(a, b, 1) is None
 
+    def test_any_exact_difference_is_a_mismatch(self):
+        # means 1/2 and 1/2 + 10^-13 differ, however little
+        tiny = Fraction(1, 10**13)
+        a = Ensemble(vars_count=1, support=((Fraction(1, 2), (0,)), (Fraction(1, 2), (1,))))
+        b = Ensemble(
+            vars_count=1,
+            support=((Fraction(1, 2) - tiny, (0,)), (Fraction(1, 2) + tiny, (1,))),
+        )
+        assert first_moment_mismatch(a, b, 3) == (0,)
+        assert first_moment_mismatch(a, a, 3) is None
+
 
 class TestMarginalEnsembles:
     def test_pmf_bit_convention(self):

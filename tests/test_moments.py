@@ -411,6 +411,32 @@ class TestSampling:
         assert not sample_columns(d0, 3, 1, 0, 500).any()
         assert sum(drawn) == 500
 
+    def test_rate_one_rows_draw_no_bit_words(self, monkeypatch):
+        # Bernoulli(4p) at p = 1/4 has rate 1: its rows are all ones and take
+        # only the component word, like the rate-0 rows above
+        drawn = []
+
+        def counting_words(master_seed, stream_id, idx, out=None):
+            drawn.append(np.size(idx))
+            return rng_words(master_seed, stream_id, idx, out)
+
+        _, d1 = build_pair(K, EPS, P)
+        n = 600
+        columns = np.arange(n, dtype=np.uint64)
+        want = _float_domain_columns(d1, 3, 1, columns)
+        cdf, kinds, rates = d1.sampler_tables
+        u = words_to_uniforms(rng_words(3, 1, columns * np.uint64(column_block_size(K))))
+        comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(kinds) - 1)
+        full = rates[comp] == 1.0
+        assert full.any()
+        assert want[full].all()
+        hot = int((kinds[comp] == KIND_EXACTLY_ONE).sum())
+        partial = int(((rates[comp] > 0) & (rates[comp] < 1)).sum())
+        monkeypatch.setattr(moments, "rng_words", counting_words)
+        monkeypatch.setattr(core, "rng_words", counting_words)
+        assert np.array_equal(sample_columns_at(d1, 3, 1, columns), want)
+        assert sum(drawn) == n + hot + K * partial
+
     def test_noisy_mixture_is_not_sampled_or_marginalised_exactly(self):
         _, d1 = build_pair(K, EPS, P)
         with pytest.raises(ValueError, match="apply_noise"):

@@ -313,6 +313,39 @@ class TestProjectionInstanceSampler:
             lc_reduce_batch(wrong_k, spec, SEED, 0, 0, 4)
 
 
+class TestOutBuffer:
+    """A sampler given `out` writes its bits there, over whatever it held;
+    called without one it returns a fresh array (see the chunking tests)."""
+
+    def _draw(self, kind):
+        if kind == "dict":
+            spec = _matched_spec(r=4)
+            return lambda **kw: dict_test_batch(spec, SEED, 3, 5, 17, **kw)
+        if kind == "ug":
+            spec = _matched_spec(r=4)
+            inst = _identity_unique(spec.k, spec.k + 2, spec.r)
+            return lambda **kw: ug_reduce_batch(inst, spec, SEED, 4, 5, 17, **kw)
+        spec = _onesided_spec(r=2, gamma=0.25)
+        inst, _ = gen_planted_projection(5, 6, 3, 4, 2, 2, seed=3)
+        return lambda **kw: lc_reduce_batch(inst, spec, SEED, 8, 5, 17, **kw)
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("kind", ["dict", "ug", "lc"])
+    def test_out_holds_the_same_bits(self, kind, strided):
+        draw = self._draw(kind)
+        fresh, labels = draw()
+        n, dim = fresh.shape
+        # the bytes of an earlier chunk, in a buffer or a strided view of one
+        out = np.full((n, 2 * dim) if strided else (n, dim), 7, dtype=np.uint8)
+        out = out[:, ::2] if strided else out
+        bits, again = draw(out=out)
+        assert np.shares_memory(bits, out)
+        assert np.array_equal(out, fresh)
+        assert np.array_equal(bits, fresh) and np.array_equal(again, labels)
+        with pytest.raises(ValueError):
+            draw(out=np.zeros((n, dim + 1), dtype=np.uint8))
+
+
 class TestPlantedDisjunction:
     def test_literals_follow_the_labeling(self):
         inst, lab = gen_planted_unique(8, 6, 3, 4, seed=10)
