@@ -699,7 +699,7 @@ def _cmd_learn(p: dict) -> int:
     )
     reader = StreamReader(stream)
     hdr = reader.header
-    h = perceptron_train(reader, cfg, hdr.rows, hdr.cols)
+    h = perceptron_train(reader.read_records(), cfg, hdr.rows, hdr.cols)
     rep = agreement(h, reader.read_batches(chunk_rows(hdr.bits_per_example)))
     if p["out"]:  # after both passes, since --out may name the stream
         write_halfspace(h, p["out"])

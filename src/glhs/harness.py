@@ -5,8 +5,8 @@ and a uint8 label vector (n,).  Both consumers of examples take an
 iterable of such batches, so a stream is read chunk by chunk
 (`StreamReader.read_batches`), and the samplers draw `chunk_rows` rows
 (2^22 bit cells) at a time: no step holds a whole unpacked stream.  The
-perceptron, which holds its examples packed, takes a stream's records as
-stored instead.
+perceptron, which holds its examples packed, takes a stream's packed
+records as stored (`StreamReader.read_records`) instead.
 
 `agreement` counts exact matches between a hypothesis and the batches and
 reports the rate plus the conditional means E[h | b] whose balanced
@@ -41,7 +41,6 @@ from .core import (
     CursorRng,
     FormatError,
     PURPOSE_LEARN,
-    StreamReader,
     StreamWriter,
     chunk_rows,
     purpose_stream,
@@ -225,41 +224,6 @@ _BYTE_FLOATS = np.unpackbits(
 ).astype(np.float64)
 
 
-def _pack_examples(
-    batches: Iterable[Batch] | StreamReader,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(packed rows, labels, dim) of every example of every batch.
-
-    Rows are packed eight bits per byte, least significant first.  A
-    `StreamReader`'s records are already packed so, and are taken as stored
-    (`read_records`): nothing is unpacked.  Otherwise each batch is checked
-    and packed as it arrives, so only one unpacked batch is held at a time,
-    and the packed matrix grows in place (a realloc), so it is never held
-    twice.
-    """
-    if isinstance(batches, StreamReader):
-        packed, labels = batches.read_records()
-        if labels.size == 0:
-            raise ValueError("no training examples")
-        return packed, labels, batches.header.bits_per_example
-    packed, tags, dim = np.empty((0, 0), np.uint8), [], None
-    for bits, labels in batches:
-        bits = np.asarray(bits, dtype=np.uint8)
-        labels = np.asarray(labels, dtype=np.uint8)
-        if bits.ndim != 2 or labels.shape != (bits.shape[0],) or dim not in (None, bits.shape[1]):
-            raise ValueError("expected (bits (n, dim), labels (n,)) batches of one width")
-        if bits.max(initial=0) > 1 or labels.max(initial=0) > 1:
-            raise ValueError("training bits and labels must be 0 or 1")
-        dim, lo = bits.shape[1], packed.shape[0]
-        packed.resize((lo + labels.size, (dim + 7) // 8), refcheck=False)
-        packed[lo:] = np.packbits(bits, axis=1, bitorder="little")
-        tags.append(labels)
-        del bits  # before the next batch is made
-    if packed.shape[0] == 0:
-        raise ValueError("no training examples")
-    return packed, np.concatenate(tags), dim
-
-
 def _float_rows(packed: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
     """The float64 (m, dim) rows of m packed bit rows, one table lookup per byte.
 
@@ -303,25 +267,25 @@ def _active_indices(packed: np.ndarray, dim: int) -> np.ndarray:
 
 
 def perceptron_train(
-    batches: Iterable[Batch] | StreamReader,
-    cfg: LearnerConfig = LearnerConfig(),
-    rows: int | None = None,
-    cols: int | None = None,
+    records: tuple[np.ndarray, np.ndarray],
+    cfg: LearnerConfig,
+    rows: int,
+    cols: int,
 ) -> Halfspace:
-    """Train a halfspace on {0,1} features with a bias folded into theta.
+    """Train a rows x cols halfspace on {0,1} features, bias folded into theta.
 
-    The examples are every row of an iterable of (bits, labels) batches, or
-    of a stream's records, in order; the grid shape is rows x cols, or one
-    row when it is not given.
+    `records` is (packed, labels), as `StreamReader.read_records` returns a
+    stream's: packed (n, bytes) uint8 holds each example's rows*cols bits
+    eight per byte, least significant first, with its pad bits clear, and
+    labels (n,) holds its label, 0 or 1.
 
     Mistake-driven updates on the +-1 margin, visiting examples in an order
     reshuffled each epoch from cfg.shuffle_seed.  With `averaged` the
     returned weights are the average over all per-step states (computed via
     the weighted-update identity, so only mistakes touch the accumulators).
 
-    The examples are held packed eight bits per byte (`_pack_examples`),
-    an eighth of the unpacked bit matrix, and no float copy of them is made;
-    a stream's are its records as stored.
+    The examples stay packed, an eighth of the unpacked bit matrix, and no
+    float copy of them is made.
     A step decides by the sign of ``x @ w + bias`` (ties count as +1) for its
     float row x: one BLAS dot per row, the same routine as ``x.dot(w)``.  The
     walk goes through each epoch's order in windows and reaches the same
@@ -349,11 +313,17 @@ def perceptron_train(
     elsewhere, which changes no entry because w and u never hold -0.0, so the
     weights are the same floats either way and so is the averaging identity.
     """
-    packed, labels, dim = _pack_examples(batches)
-    if rows is None or cols is None:
-        rows, cols = 1, dim
-    if rows * cols != dim:
-        raise ValueError(f"grid {rows}x{cols} does not match feature width {dim}")
+    packed, labels = records
+    dim = rows * cols
+    nbytes = (dim + 7) // 8
+    if packed.ndim != 2 or packed.shape[1] != nbytes or labels.shape != packed.shape[:1]:
+        raise ValueError(f"a {rows}x{cols} grid needs {nbytes}-byte rows, one label each")
+    if labels.size == 0:
+        raise ValueError("no training examples")
+    if labels.max() > 1:
+        raise ValueError("training labels must be 0 or 1")
+    if dim % 8 and (packed[:, -1] >> dim % 8).any():
+        raise ValueError(f"a row sets a pad bit past its {dim} bits")
     n = labels.size
     positive = labels == 1
     t = (labels.astype(np.float64) * 2.0 - 1.0).tolist()

@@ -161,8 +161,8 @@ def _grid_columns(
 
     Rows with label 0 draw their columns from d0, rows with label 1 from d1,
     at the same counter addresses either way.  The grids are a view of `out`
-    (a (count, k*width) uint8 array, every cell of which they fill) when it
-    is given, else a new C-contiguous array.
+    (a C-contiguous (count, k*width) uint8 array, every cell of which they
+    fill) when it is given, else a new C-contiguous array.
     """
     count = labels.size
     x_stream = purpose_stream(stream_id, PURPOSE_X)
@@ -171,7 +171,7 @@ def _grid_columns(
         + np.arange(width, dtype=np.uint64)[None, :]
     )
     shape = (count, spec.k, width)
-    grids = np.empty(shape, np.uint8) if out is None else out.reshape(shape, copy=False)
+    grids = np.empty(shape, np.uint8) if out is None else out.reshape(shape)
     for bit, mixture in ((0, spec.d0), (1, spec.d1)):
         rows = np.flatnonzero(labels == bit)
         if rows.size:
@@ -186,14 +186,13 @@ def _grid_columns(
 def _zeroed_blocks(out: np.ndarray | None, count: int, vertices: int, width: int) -> np.ndarray:
     """(count, vertices, width) zero vertex blocks: `out` zeroed, or a new array.
 
-    The blocks are a view of `out`, a (count, vertices*width) array, so the
-    sampler's bits land in it; a shape that cannot be viewed so raises
-    ValueError.
+    The blocks are a view of `out`, a C-contiguous (count, vertices*width)
+    array, so the sampler's bits land in it; another size raises ValueError.
     """
     shape = (count, vertices, width)
     if out is None:
         return np.zeros(shape, dtype=np.uint8)
-    blocks = out.reshape(shape, copy=False)
+    blocks = out.reshape(shape)
     blocks.fill(0)
     return blocks
 
@@ -210,8 +209,8 @@ def dict_test_batch(
 
     b uniform; columns i.i.d. from the b-side mixture; independent
     replacement noise on every bit.  Grid layout: bit (i, j) of example n is
-    bits[n, i*r + j].  The bits are written to `out`, a (count, k*r) uint8
-    array, when it is given, else to a new array.
+    bits[n, i*r + j].  The bits are written to `out`, a C-contiguous
+    (count, k*r) uint8 array, when it is given, else to a new array.
     """
     if count < 1:
         return np.zeros((0, spec.dim), dtype=np.uint8), np.zeros(0, dtype=np.uint8)

@@ -22,7 +22,6 @@ from glhs.core import (
     CursorRng,
     StreamReader,
     StreamWriter,
-    chunk_rows,
     purpose_stream,
 )
 from glhs.halfspace import Disjunction, Halfspace
@@ -197,6 +196,12 @@ class TestAgreement:
             agreement(h, [])
 
 
+def _train(bits, labels, cfg=LearnerConfig(), rows=1, cols=None):
+    """perceptron_train on in-memory bits, packed as a stream stores them."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return perceptron_train((packed, labels), cfg, rows, bits.shape[1] if cols is None else cols)
+
+
 class TestPerceptron:
     def _separable(self, n=200, seed=3):
         rnd = np.random.RandomState(seed)
@@ -206,31 +211,30 @@ class TestPerceptron:
 
     def test_learns_a_separable_dictator(self):
         bits, labels = self._separable()
-        final = perceptron_train(
-            [(bits, labels)], LearnerConfig(epochs=20, averaged=False)
-        )
+        final = _train(bits, labels, LearnerConfig(epochs=20, averaged=False))
         assert agreement(final, [(bits, labels)]).rate == 1.0
-        averaged = perceptron_train([(bits, labels)], LearnerConfig(epochs=20))
+        averaged = _train(bits, labels, LearnerConfig(epochs=20))
         assert agreement(averaged, [(bits, labels)]).rate >= 0.9
 
     def test_training_is_deterministic(self):
         bits, labels = self._separable()
         cfg = LearnerConfig(epochs=3, shuffle_seed=11)
-        a = perceptron_train([(bits, labels)], cfg)
-        b = perceptron_train([(bits, labels)], cfg)
+        a = _train(bits, labels, cfg)
+        b = _train(bits, labels, cfg)
         assert np.array_equal(a.weights, b.weights)
         assert a.theta == b.theta
-        c = perceptron_train([(bits, labels)], LearnerConfig(epochs=3, shuffle_seed=12))
+        c = _train(bits, labels, LearnerConfig(epochs=3, shuffle_seed=12))
         assert not np.array_equal(a.weights, c.weights)
 
     def test_grid_shape_handling(self):
         bits, labels = self._separable()
-        h = perceptron_train([(bits, labels)], LearnerConfig(epochs=1), rows=2, cols=3)
+        h = _train(bits, labels, LearnerConfig(epochs=1), rows=2, cols=3)
         assert (h.rows, h.cols) == (2, 3)
-        flat = perceptron_train([(bits, labels)], LearnerConfig(epochs=1))
+        flat = _train(bits, labels, LearnerConfig(epochs=1))
         assert (flat.rows, flat.cols) == (1, 6)
-        with pytest.raises(ValueError, match="does not match feature width"):
-            perceptron_train([(bits, labels)], LearnerConfig(epochs=1), rows=2, cols=4)
+        # 9 bits take two bytes a row; the records hold one
+        with pytest.raises(ValueError, match="needs 2-byte rows"):
+            _train(bits, labels, LearnerConfig(epochs=1), rows=3, cols=3)
 
     def test_stream_grid_shape_is_inherited(self, tmp_path):
         spec = _matched_spec(r=2)
@@ -238,37 +242,37 @@ class TestPerceptron:
         write_dict_test_stream(str(path), spec, 50, SEED)
         reader = StreamReader(str(path))
         hdr = reader.header
-        h = perceptron_train(reader.read_batches(7), LearnerConfig(epochs=1), hdr.rows, hdr.cols)
+        h = perceptron_train(reader.read_records(), LearnerConfig(epochs=1), hdr.rows, hdr.cols)
         assert (h.rows, h.cols) == (spec.k, spec.r)
 
     def test_unaveraged_final_state(self):
         bits, labels = self._separable()
-        plain = perceptron_train(
-            [(bits, labels)], LearnerConfig(epochs=5, averaged=False)
-        )
-        avg = perceptron_train([(bits, labels)], LearnerConfig(epochs=5, averaged=True))
+        plain = _train(bits, labels, LearnerConfig(epochs=5, averaged=False))
+        avg = _train(bits, labels, LearnerConfig(epochs=5, averaged=True))
         assert not np.array_equal(plain.weights, avg.weights)
 
     def test_empty_training_set(self, tmp_path):
         with pytest.raises(ValueError, match="no training examples"):
-            perceptron_train([(np.zeros((0, 3), dtype=np.uint8), np.zeros(0, dtype=np.uint8))])
+            _train(np.zeros((0, 3), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
         path = tmp_path / "empty.stream"
         with StreamWriter(str(path), 2, 3):
             pass
         reader = StreamReader(str(path))
         assert list(reader.read_batches()) == []
         with pytest.raises(ValueError, match="no training examples"):
-            perceptron_train(reader.read_batches(), LearnerConfig(), 2, 3)
+            perceptron_train(reader.read_records(), LearnerConfig(), 2, 3)
 
     def test_rejects_non_binary_input(self):
         bits, labels = self._separable()
-        bits[3, 2] = 2
-        with pytest.raises(ValueError, match="0 or 1"):
-            perceptron_train([(bits, labels)])
-        bits, labels = self._separable()
         labels[5] = 2
         with pytest.raises(ValueError, match="0 or 1"):
-            perceptron_train([(bits, labels)])
+            _train(bits, labels)
+        # 5 of the 6 bits: bit 5 of each byte lies past the row
+        bits, labels = self._separable()
+        bits[3, 5] = 1
+        with pytest.raises(ValueError, match="pad bit"):
+            perceptron_train((np.packbits(bits, axis=1, bitorder="little"), labels),
+                             LearnerConfig(), 1, 5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="epochs"):
@@ -351,7 +355,7 @@ class TestPerceptronOracle:
         cfg = LearnerConfig(
             epochs=4, rate=rate, schedule=schedule, shuffle_seed=2, averaged=averaged
         )
-        got = perceptron_train([(bits, labels)], cfg)
+        got = _train(bits, labels, cfg)
         want = _dense_reference(bits, labels, cfg)
         assert got.weights.tobytes() == want.weights.tobytes()
         assert np.float64(got.theta).tobytes() == np.float64(want.theta).tobytes()
@@ -382,15 +386,15 @@ class TestPerceptronOracle:
             labels = bits[:, 0].copy()
         tracemalloc.start()
         try:
-            perceptron_train([(bits, labels)], LearnerConfig(epochs=3))
+            _train(bits, labels, LearnerConfig(epochs=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * bits.nbytes
 
-    def test_stream_is_unpacked_once(self, tmp_path):
-        # more rows than one read chunk; a list of unpacked chunks plus their
-        # concatenation would hold the unpacked stream twice
+    def test_stream_records_are_held_once(self, tmp_path):
+        # more rows than one read chunk; training holds the packed records,
+        # n*(dim/8 + 1) bytes, and neither an unpacked chunk nor a float copy
         bits, labels = _wide_sparse_stream(n=8692, dim=3200)
         path = tmp_path / "wide.stream"
         with StreamWriter(str(path), 1, 3200) as out:
@@ -398,7 +402,7 @@ class TestPerceptronOracle:
         tracemalloc.start()
         try:
             reader = StreamReader(str(path))
-            perceptron_train(reader.read_batches(chunk_rows(3200)), LearnerConfig(epochs=1))
+            perceptron_train(reader.read_records(), LearnerConfig(epochs=1), 1, 3200)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -329,15 +329,14 @@ class TestOutBuffer:
         inst, _ = gen_planted_projection(5, 6, 3, 4, 2, 2, seed=3)
         return lambda **kw: lc_reduce_batch(inst, spec, SEED, 8, 5, 17, **kw)
 
-    @pytest.mark.parametrize("strided", [False, True])
     @pytest.mark.parametrize("kind", ["dict", "ug", "lc"])
-    def test_out_holds_the_same_bits(self, kind, strided):
+    def test_out_holds_the_same_bits(self, kind):
         draw = self._draw(kind)
         fresh, labels = draw()
         n, dim = fresh.shape
-        # the bytes of an earlier chunk, in a buffer or a strided view of one
-        out = np.full((n, 2 * dim) if strided else (n, dim), 7, dtype=np.uint8)
-        out = out[:, ::2] if strided else out
+        # the bytes of an earlier chunk: the rows of a larger buffer, as the
+        # stream writers pass them
+        out = np.full((n + 3, dim), 7, dtype=np.uint8)[:n]
         bits, again = draw(out=out)
         assert np.shares_memory(bits, out)
         assert np.array_equal(out, fresh)
