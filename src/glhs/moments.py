@@ -12,11 +12,17 @@ reweighting solves a 4x4 linear system whose closed form is
 All weights are solved in exact rational arithmetic (floats are read as the
 decimal literal they print as), so boundary-feasible parameter sets come out
 exactly on the boundary instead of within float noise of it.  The
-closed-form moments are exact too: every moment is a Fraction, so the D0/D1
-gap through degree four is an exact zero, noiseless or noisy, and any
-nonzero gap is an error.  The float brute-force enumeration oracle checks
-them.  The all-zeros probabilities (float closed forms), deterministic
-column samplers and the per-bit replacement-noise channel also live here.
+closed forms are exact too.  Each component has one: the probability that m
+given coordinates show one fixed pattern with j ones, behind replacement
+noise.  Every other quantity reads the mixture's weighted sum of it: the
+moments (the all-ones pattern), the all-zeros probability (j = 0 at m = k),
+the column-sum law (C(k, j) times the law at m = k) and the exact marginals.
+So the D0/D1 moment gap through degree four is an exact zero, noiseless or
+noisy, and any nonzero gap is an error.  The law at m = k has k+1 values of
+O(k log k) bits each, O(k^2 log k) bits in all; floats are read from it by
+integer true division, which rounds correctly.  The float brute-force
+enumeration oracle checks it.  Deterministic column samplers and the per-bit
+replacement-noise channel also live here.
 
 Column n owns the counter words [n*(k+2), (n+1)*(k+2)) (component word, hot
 word, one word per Bernoulli bit), and noised row r owns [r*(L+2), ...).  A
@@ -49,6 +55,7 @@ from .core import (
 Rational = Union[int, float, str, Fraction]
 
 ENUM_GUARD_K = 20
+EXACT_MARGINAL_GUARD_M = 16
 _DENSE_NOISE_THRESHOLD = 1.0 / 32.0
 
 KIND_EXACTLY_ONE = 1
@@ -89,14 +96,22 @@ class ExactlyOne:
     kind = KIND_EXACTLY_ONE
     rate: float = 0.0  # no independent bits: sample_columns_at draws none for it
 
-    def moment(self, s: int, k: int) -> Fraction:
-        if s == 0:
-            return Fraction(1)
-        return Fraction(1, k) if s == 1 else Fraction(0)
+    def bit_rate(self, gamma: Fraction) -> Fraction:
+        """P[a coordinate other than the hot one reads 1]; the hot one reads 1
+        with the complementary probability."""
+        return gamma / 2
 
-    def prob_all_zero(self, k: int, gamma: float = 0.0) -> float:
-        # the hot bit must be replaced by a zero; the rest must stay zero
-        return (gamma / 2.0) * (1.0 - gamma / 2.0) ** (k - 1)
+    def law(self, k: int, m: int, j: int, t: dict[int, int]) -> int:
+        """k times the law of a pattern of j ones on m coordinates, given
+        t[i] proportional to x^i (1-x)^(m-i) at the bit rate x, for i in
+        [j-1, j+1] and 0 <= i <= m.  The hot coordinate lies outside the m,
+        on one of the j ones or on one of the m - j zeros."""
+        out = (k - m) * t[j]
+        if j:
+            out += j * t[j - 1]
+        if j < m:
+            out += (m - j) * t[j + 1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -112,12 +127,14 @@ class Bernoulli:
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"bernoulli rate must be in [0, 1], got {self.rate}")
 
-    def moment(self, s: int, k: int) -> Fraction:
-        return self.rate_exact ** s
+    def bit_rate(self, gamma: Fraction) -> Fraction:
+        """P[a bit reads 1] behind replacement noise at rate gamma."""
+        return (1 - gamma) * self.rate_exact + gamma / 2
 
-    def prob_all_zero(self, k: int, gamma: float = 0.0) -> float:
-        q = (1.0 - gamma) * self.rate + gamma / 2.0
-        return (1.0 - q) ** k
+    def law(self, k: int, m: int, j: int, t: dict[int, int]) -> int:
+        """k times the law of a pattern of j ones on m coordinates, with t as
+        in `ExactlyOne.law`."""
+        return k * t[j]
 
 
 def bernoulli(rate: Rational) -> Bernoulli:
@@ -138,9 +155,9 @@ class ColumnMixture:
     through per-bit replacement noise at rate `gamma_exact` (0: noiseless).
 
     Each bit is independently replaced by a uniform bit with probability
-    gamma, so moments follow from the noiseless ones by substituting
-    y = (1-gamma) x + gamma/2 per coordinate.  The rational weights are the
-    definition; the float weights are their correctly rounded values.
+    gamma, so a Bernoulli bit at rate r reads 1 with probability
+    (1-gamma) r + gamma/2.  The rational weights are the definition; the
+    float weights are their correctly rounded values.
     """
 
     k: int
@@ -177,26 +194,48 @@ class ColumnMixture:
         g = as_fraction(gamma)
         return replace(self, gamma_exact=1 - (1 - self.gamma_exact) * (1 - g))
 
+    def law(self, m: int, ones: range) -> tuple[list[int], int]:
+        """P[m given coordinates show one fixed pattern with j ones] for each
+        j in `ones`, as integer numerators over one common denominator.
+
+        Each component's bit rate is a/b over the common denominator b of
+        all of them; its law reads the terms t[i] = u a^i (b - a)^(m - i),
+        with u its weight over the common weight denominator v, and the
+        denominator is v k b^m.  Each term after the first is one product
+        and one exact division by O(log b)-bit integers away from the
+        previous, so a whole law costs O(m) such steps on O(m log b)-bit
+        integers.  A numerator over the denominator, by integer true
+        division, is the correctly rounded float and runs no gcd.
+        """
+        if not 0 <= ones.start <= ones.stop - 1 <= m <= self.k:
+            raise ValueError(f"need 0 <= j <= m <= {self.k}, got j in {ones}, m={m}")
+        rates = [c.bit_rate(self.gamma_exact) for c in self.components]
+        b = math.lcm(*(x.denominator for x in rates))
+        v = math.lcm(*(w.denominator for w in self.weights_exact))
+        lo, hi = max(ones.start - 1, 0), min(ones.stop, m)
+        nums = [0] * len(ones)
+        for w, comp, x in zip(self.weights_exact, self.components, rates):
+            a = x.numerator * (b // x.denominator)
+            u = w.numerator * (v // w.denominator)
+            if a == b:  # a bit that always reads 1: only the all-ones pattern
+                t = {i: u * a ** m if i == m else 0 for i in range(lo, hi + 1)}
+            else:
+                t = {lo: u * a ** lo * (b - a) ** (m - lo)}
+                for i in range(lo + 1, hi + 1):
+                    t[i] = t[i - 1] * a // (b - a)
+            for n, j in enumerate(ones):
+                nums[n] += comp.law(self.k, m, j, t)
+        return nums, v * self.k * b ** m
+
     def moment_of_size(self, s: int) -> Fraction:
         """E[prod of s distinct coordinates], identical for every such set."""
-        g = self.gamma_exact
-        return sum(
-            math.comb(s, t)
-            * (1 - g) ** t
-            * (g / 2) ** (s - t)
-            * sum(
-                w * c.moment(t, self.k)
-                for w, c in zip(self.weights_exact, self.components)
-            )
-            for t in range(s + 1)
-        )
+        (num,), den = self.law(s, range(s, s + 1))
+        return Fraction(num, den)
 
-    def prob_all_zero(self) -> float:
-        """P[column is all zeros] in closed form."""
-        return math.fsum(
-            w * c.prob_all_zero(self.k, self.gamma)
-            for w, c in zip(self.weights, self.components)
-        )
+    def prob_all_zero(self) -> Fraction:
+        """P[column is all zeros], exactly."""
+        (num,), den = self.law(self.k, range(1))
+        return Fraction(num, den)
 
     @cached_property
     def sampler_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -482,27 +521,15 @@ def marginal_pmf(dist: ColumnMixture, m: int) -> np.ndarray:
 
 
 def marginal_pmf_rational(dist: ColumnMixture, m: int) -> list[Fraction]:
-    """Exact-rational marginal pmf of a noiseless mixture."""
+    """Exact-rational pmf of the first m coordinates, in `marginal_pmf`'s
+    pattern order: the law at the pattern's number of ones."""
     if not 1 <= m <= dist.k:
         raise ValueError(f"marginal size must be in [1, {dist.k}], got {m}")
-    if m > 16:
-        raise GuardError("exact marginal limited to m <= 16")
-    if dist.gamma_exact:
-        raise ValueError("the exact marginal takes a noiseless mixture")
-    k = dist.k
-    n = 1 << m
-    pmf = [Fraction(0)] * n
-    for w, comp in zip(dist.weights_exact, dist.components):
-        if comp.kind == KIND_EXACTLY_ONE:
-            pmf[0] += w * Fraction(k - m, k)
-            for i in range(m):
-                pmf[1 << i] += w * Fraction(1, k)
-        else:
-            q = comp.rate_exact
-            for idx in range(n):
-                pop = bin(idx).count("1")
-                pmf[idx] += w * q ** pop * (1 - q) ** (m - pop)
-    return pmf
+    if m > EXACT_MARGINAL_GUARD_M:
+        raise GuardError(f"exact marginal limited to m <= {EXACT_MARGINAL_GUARD_M}")
+    nums, den = dist.law(m, range(m + 1))
+    law = [Fraction(n, den) for n in nums]
+    return [law[i.bit_count()] for i in range(1 << m)]
 
 
 # ---------------------------------------------------------------------------
@@ -510,38 +537,13 @@ def marginal_pmf_rational(dist: ColumnMixture, m: int) -> list[Fraction]:
 # halfspaces)
 
 
-def _binom_pmf(n: int, q: float) -> np.ndarray:
-    if q <= 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if q >= 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    j = np.arange(n + 1, dtype=np.float64)
-    log_c = (
-        math.lgamma(n + 1)
-        - np.vectorize(math.lgamma)(j + 1)
-        - np.vectorize(math.lgamma)(n - j + 1)
-    )
-    return np.exp(log_c + j * math.log(q) + (n - j) * math.log1p(-q))
-
-
 def column_sum_pmf(dist: ColumnMixture) -> np.ndarray:
-    """Exact pmf of the number of ones in one column (length k+1)."""
+    """pmf of the number of ones in one column (length k+1): C(k, j) times
+    the law at m = k, each entry the correctly rounded float of its exact
+    value."""
     k = dist.k
-    g = dist.gamma
-    pmf = np.zeros(k + 1, dtype=np.float64)
-    for w, comp in zip(dist.weights, dist.components):
-        if comp.kind == KIND_EXACTLY_ONE:
-            rest = _binom_pmf(k - 1, g / 2.0)
-            hot = np.array([g / 2.0, 1.0 - g / 2.0])
-            pmf += w * np.convolve(rest, hot)
-        else:
-            q = (1.0 - g) * comp.rate + g / 2.0
-            pmf += w * _binom_pmf(k, q)
-    return pmf
+    nums, den = dist.law(k, range(k + 1))
+    return np.array([math.comb(k, j) * n / den for j, n in enumerate(nums)])
 
 
 # ---------------------------------------------------------------------------

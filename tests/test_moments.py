@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glhs import core, moments
-from glhs.core import rng_words, words_to_uniforms
+from glhs.core import GuardError, rng_words, words_to_uniforms
 from glhs.moments import (
+    ENUM_GUARD_K,
+    EXACT_MARGINAL_GUARD_M,
     KIND_EXACTLY_ONE,
     Bernoulli,
     ColumnMixture,
@@ -24,6 +26,7 @@ from glhs.moments import (
     column_block_size,
     column_sum_pmf,
     completeness_pair,
+    default_noise_rate,
     enum_oracle_moment,
     exact_moment,
     marginal_pmf,
@@ -42,6 +45,18 @@ def sample_columns(dist, master_seed, stream_id, start, count):
     """Columns start..start+count-1 of a source, by absolute column index."""
     columns = np.arange(start, start + count, dtype=np.uint64)
     return sample_columns_at(dist, master_seed, stream_id, columns)
+
+
+def alone(comp, k):
+    """The one-component mixture of `comp` over {0,1}^k."""
+    return ColumnMixture(k=k, weights_exact=(Fraction(1),), components=(comp,))
+
+
+def noiseless_moment(comp, s, k):
+    """E[prod of s distinct coordinates] of a noiseless component, by hand."""
+    if isinstance(comp, ExactlyOne):
+        return Fraction(1) if s == 0 else Fraction(1, k) if s == 1 else Fraction(0)
+    return comp.rate_exact**s
 
 
 def _fraction_solve(aug):
@@ -72,18 +87,18 @@ class TestFractions:
 class TestComponents:
     def test_component_moments(self):
         k = 10
-        assert bernoulli(0).moment(0, k) == 1
-        assert bernoulli(0).moment(2, k) == 0
-        assert ExactlyOne().moment(1, k) == Fraction(1, k)
-        assert ExactlyOne().moment(2, k) == 0
+        assert alone(bernoulli(0), k).moment_of_size(0) == 1
+        assert alone(bernoulli(0), k).moment_of_size(2) == 0
+        assert alone(ExactlyOne(), k).moment_of_size(1) == Fraction(1, k)
+        assert alone(ExactlyOne(), k).moment_of_size(2) == 0
         q = Fraction(1, 3)
-        assert bernoulli(q).moment(3, k) == q**3
+        assert alone(bernoulli(q), k).moment_of_size(3) == q**3
 
     def test_component_all_zero(self):
         k = 6
-        assert bernoulli(0).prob_all_zero(k) == 1.0
-        assert ExactlyOne().prob_all_zero(k) == 0.0
-        assert bernoulli("0.25").prob_all_zero(k) == pytest.approx(0.75**k)
+        assert alone(bernoulli(0), k).prob_all_zero() == 1
+        assert alone(ExactlyOne(), k).prob_all_zero() == 0
+        assert alone(bernoulli("0.25"), k).prob_all_zero() == Fraction(3, 4) ** k
 
     def test_bernoulli_rejects_bad_rate(self):
         with pytest.raises(ValueError):
@@ -92,16 +107,19 @@ class TestComponents:
 
 class TestMixture:
     def test_zero_noise_closed_forms_are_the_noiseless_ones(self):
-        # the exact moments at gamma = 0 are the noiseless mixture sums; the
-        # float weights are the rounded exact ones, and the float all-zeros
-        # transfer at gamma = 0 keeps every float bit
+        # the exact moments and all-zeros probability at gamma = 0 are the
+        # noiseless mixture sums, and the float weights are the rounded
+        # exact ones
         for dist in build_pair(K, EPS, P):
             exact_terms = list(zip(dist.weights_exact, dist.components))
             for s in range(1, 6):
-                assert dist.moment_of_size(s) == sum(w * c.moment(s, K) for w, c in exact_terms)
+                assert dist.moment_of_size(s) == sum(
+                    w * noiseless_moment(c, s, K) for w, c in exact_terms
+                )
             assert dist.weights == tuple(float(w) for w in dist.weights_exact)
-            terms = list(zip(dist.weights, dist.components))
-            assert dist.prob_all_zero() == math.fsum(w * c.prob_all_zero(K) for w, c in terms)
+            assert dist.prob_all_zero() == sum(
+                w * (1 - c.rate_exact) ** K for w, c in exact_terms if isinstance(c, Bernoulli)
+            )
 
     def test_noisy_composes(self):
         a, b = Fraction(1, 8), Fraction(1, 5)
@@ -232,7 +250,7 @@ class TestDistributionShapes:
     def test_prob_all_zero_closed_form(self):
         d0, d1 = build_pair(K, EPS, P)
         for dist in (d0, d1, d1.noisy(Fraction(1, 31))):
-            assert dist.prob_all_zero() == pytest.approx(marginal_pmf(dist, K)[0], abs=1e-12)
+            assert float(dist.prob_all_zero()) == pytest.approx(marginal_pmf(dist, K)[0], abs=1e-12)
 
     def test_marginal_pmf_from_component_marginals(self):
         # exchangeable mixture: hand-build the m-coordinate marginal per component
@@ -258,8 +276,8 @@ class TestDistributionShapes:
             assert np.allclose(got, want, atol=1e-12)
 
     def test_column_sum_pmf_against_enumeration(self):
-        # the noisy sources take column_sum_pmf's binomial closed form; the
-        # oracle applies the noise as an explicit per-bit transfer
+        # column_sum_pmf reads the noisy pattern law; the oracle applies the
+        # noise as an explicit per-bit transfer
         d0, d1 = build_pair(K, EPS, P)
         c0, c1 = completeness_pair(K, "0.8", "0.25")
         pop = np.bitwise_count(np.arange(2**K, dtype=np.uint64)).astype(np.int64)
@@ -276,11 +294,124 @@ class TestDistributionShapes:
 
     def test_completeness_pair_is_one_sided(self):
         d0, d1 = completeness_pair(3, "0.8", "0.25")
-        assert d0.prob_all_zero() == 1.0
+        assert d0.prob_all_zero() == 1
         assert d0.moment_of_size(1) == 0
         assert d1.moment_of_size(1) > 0
         # no matching claim: gap at degree 1 is the full D1 mean
         assert moment_gap(d0, d1, 1) == pytest.approx(float(d1.moment_of_size(1)))
+
+
+def exact_column_law(dist):
+    """Column-sum law in Fractions, per component: a binomial count for a
+    Bernoulli component; for ExactlyOne the binomial count of the k - 1 cold
+    bits at rate gamma/2 plus the hot bit, which reads 1 at 1 - gamma/2."""
+    k, g = dist.k, dist.gamma_exact
+    h = g / 2
+    out = [Fraction(0)] * (k + 1)
+    for w, comp in zip(dist.weights_exact, dist.components):
+        if isinstance(comp, ExactlyOne):
+            for j in range(k):
+                cold = math.comb(k - 1, j) * h**j * (1 - h) ** (k - 1 - j)
+                out[j] += w * cold * h
+                out[j + 1] += w * cold * (1 - h)
+        else:
+            q = (1 - g) * comp.rate_exact + h
+            for j in range(k + 1):
+                out[j] += w * math.comb(k, j) * q**j * (1 - q) ** (k - j)
+    return out
+
+
+def exact_noiseless_marginal(dist, m):
+    """Exact pmf of the first m coordinates of a noiseless mixture, by hand."""
+    out = [Fraction(0)] * (1 << m)
+    for w, comp in zip(dist.weights_exact, dist.components):
+        for patt in range(1 << m):
+            ones = bin(patt).count("1")
+            if isinstance(comp, ExactlyOne):
+                prob = Fraction(dist.k - m, dist.k) if ones == 0 else (
+                    Fraction(1, dist.k) if ones == 1 else Fraction(0)
+                )
+            else:
+                q = comp.rate_exact
+                prob = q**ones * (1 - q) ** (m - ones)
+            out[patt] += w * prob
+    return out
+
+
+def _exact_law_sources():
+    d0, d1 = build_pair(K, EPS, P)
+    c0, c1 = completeness_pair(K, "0.8", "0.25")
+    big = 512
+    b0, b1 = build_pair(big, "0.5", "0.25")
+    g = default_noise_rate(big)
+    return {
+        "d0": d0,
+        "d0-1/9": d0.noisy(Fraction(1, 9)),
+        "d1-1/8": d1.noisy(Fraction(1, 8)),
+        "d1-1": d1.noisy(1),
+        "c0-1/10": c0.noisy(Fraction(1, 10)),
+        "c1-1/10": c1.noisy(Fraction(1, 10)),
+        "k512-d0": b0.noisy(g),
+        "k512-d1": b1.noisy(g),
+    }
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("name", list(_exact_law_sources()))
+    def test_floats_are_correctly_rounded(self, name):
+        dist = _exact_law_sources()[name]
+        want = exact_column_law(dist)
+        assert sum(want) == 1
+        assert column_sum_pmf(dist).tolist() == [float(x) for x in want]
+        assert dist.prob_all_zero() == want[0]
+        assert float(dist.prob_all_zero()) == float(want[0])
+
+    @pytest.mark.parametrize("gamma", [Fraction(1, 8), Fraction(1)])
+    def test_noisy_exact_marginal_is_the_channel_applied(self, gamma):
+        # the noiseless marginal pushed through the exact per-bit transfer
+        # T[read][sent]
+        m = 4
+        h = gamma / 2
+        transfer = [[1 - h, h], [h, 1 - h]]
+        for dist in build_pair(K, EPS, P) + completeness_pair(K, "0.8", "0.25"):
+            clean = exact_noiseless_marginal(dist, m)
+            assert marginal_pmf_rational(dist, m) == clean
+            want = [
+                sum(
+                    clean[x] * math.prod(transfer[(y >> i) & 1][(x >> i) & 1] for i in range(m))
+                    for x in range(1 << m)
+                )
+                for y in range(1 << m)
+            ]
+            got = marginal_pmf_rational(dist.noisy(gamma), m)
+            assert got == want
+            assert sum(got) == 1
+
+    def test_all_zero_probability_at_large_k(self):
+        # the one-sided D0 is the all-zeros point mass: behind the noise each
+        # bit stays zero with probability 1 - gamma/2
+        k = 10**4
+        g = Fraction(1, k * k)
+        d0, _ = completeness_pair(k, "0.01", "0.01")
+        assert d0.noisy(g).prob_all_zero() == (1 - g / 2) ** k
+
+    def test_law_rejects_patterns_outside_the_column(self):
+        _, d1 = build_pair(K, EPS, P)
+        for m, ones in [(K + 1, range(1)), (3, range(4, 5)), (3, range(2, 2))]:
+            with pytest.raises(ValueError):
+                d1.law(m, ones)
+
+    def test_marginals_refuse_past_their_guards(self):
+        _, d1 = completeness_pair(ENUM_GUARD_K + 1, "0.8", "0.25")
+        with pytest.raises(GuardError):
+            marginal_pmf(d1, ENUM_GUARD_K + 1)
+        with pytest.raises(GuardError):
+            enum_oracle_moment(d1, (0,))
+        with pytest.raises(GuardError):
+            marginal_pmf_rational(d1, EXACT_MARGINAL_GUARD_M + 1)
+        pmf = marginal_pmf_rational(d1, EXACT_MARGINAL_GUARD_M)
+        assert len(pmf) == 1 << EXACT_MARGINAL_GUARD_M
+        assert sum(pmf) == 1
 
 
 def _float_domain_columns(dist, master_seed, stream_id, columns):
@@ -360,7 +491,7 @@ class TestSampling:
             sigma = math.sqrt(m1 * (1 - m1) / (n * K))  # correlated bits: generous anyway
             assert abs(mean_rate - m1) <= 6 * sigma + 1e-3
             zero_rate = (cols.sum(axis=1) == 0).mean()
-            pz = dist.prob_all_zero()
+            pz = float(dist.prob_all_zero())
             assert abs(zero_rate - pz) <= 4 * math.sqrt(pz * (1 - pz) / n) + 1e-3
 
     def test_exactly_one_component_shows_up_as_unit_rows(self):
@@ -390,7 +521,7 @@ class TestSampling:
             for dist in build_pair(K, EPS, P):
                 cols = sample_noisy_columns(dist, float(gamma), 314, 6, columns)
                 zero_rate = (cols.sum(axis=1) == 0).mean()
-                pz = dist.noisy(gamma).prob_all_zero()
+                pz = float(dist.noisy(gamma).prob_all_zero())
                 assert abs(zero_rate - pz) <= 4 * math.sqrt(pz * (1 - pz) / n)
                 m1 = dist.noisy(gamma).moment_of_size(1)
                 assert abs(cols.mean() - m1) <= 6 * math.sqrt(m1 * (1 - m1) / n) + 1e-3
@@ -437,12 +568,10 @@ class TestSampling:
         assert np.array_equal(sample_columns_at(d1, 3, 1, columns), want)
         assert sum(drawn) == n + hot + K * partial
 
-    def test_noisy_mixture_is_not_sampled_or_marginalised_exactly(self):
+    def test_noisy_mixture_is_not_sampled(self):
         _, d1 = build_pair(K, EPS, P)
         with pytest.raises(ValueError, match="apply_noise"):
             sample_columns(d1.noisy(Fraction(1, 8)), 1, 1, 0, 4)
-        with pytest.raises(ValueError, match="noiseless"):
-            marginal_pmf_rational(d1.noisy(Fraction(1, 8)), 2)
 
 
 class TestNoiseChannel:
