@@ -18,10 +18,14 @@ noise.  Every other quantity reads the mixture's weighted sum of it: the
 moments (the all-ones pattern), the all-zeros probability (j = 0 at m = k),
 the column-sum law (C(k, j) times the law at m = k) and the exact marginals.
 So the D0/D1 moment gap through degree four is an exact zero, noiseless or
-noisy, and any nonzero gap is an error.  The law at m = k has k+1 values of
-O(k log k) bits each, O(k^2 log k) bits in all; floats are read from it by
-integer true division, which rounds correctly.  The float brute-force
-enumeration oracle checks it.  Deterministic column samplers and the per-bit
+noisy, and any nonzero gap is an error.  An exact value at m = k has
+O(k log b) bits (b the bit rates' common denominator), too many to sum in
+Fractions at large k, so the column-sum law and the all-zeros probability
+walk the same closed form twice in 40-digit decimals, rounding every step
+down and then up: O(k) small steps whose two results bound each exact value.
+Each float is the correctly rounded one; the exact law decides where the
+bounds straddle a rounding boundary.  The float brute-force enumeration
+oracle checks it.  Deterministic column samplers and the per-bit
 replacement-noise channel also live here.
 
 Column n owns the counter words [n*(k+2), (n+1)*(k+2)) (component word, hot
@@ -35,8 +39,11 @@ draws no bit words, since its test has one outcome for every word (T = 0 or
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
@@ -53,6 +60,7 @@ from .core import (
 )
 
 Rational = Union[int, float, str, Fraction]
+Number = Union[Fraction, Decimal]  # exact values, or bounds on them
 
 ENUM_GUARD_K = 20
 EXACT_MARGINAL_GUARD_M = 16
@@ -101,11 +109,11 @@ class ExactlyOne:
         with the complementary probability."""
         return gamma / 2
 
-    def law(self, k: int, m: int, j: int, t: dict[int, int]) -> int:
+    def law(self, k: int, m: int, j: int, t: dict[int, Number]) -> Number:
         """k times the law of a pattern of j ones on m coordinates, given
-        t[i] proportional to x^i (1-x)^(m-i) at the bit rate x, for i in
-        [j-1, j+1] and 0 <= i <= m.  The hot coordinate lies outside the m,
-        on one of the j ones or on one of the m - j zeros."""
+        t[i] = x^i (1-x)^(m-i) at the bit rate x, for i in [j-1, j+1] and
+        0 <= i <= m.  The hot coordinate lies outside the m, on one of the
+        j ones or on one of the m - j zeros."""
         out = (k - m) * t[j]
         if j:
             out += j * t[j - 1]
@@ -131,7 +139,7 @@ class Bernoulli:
         """P[a bit reads 1] behind replacement noise at rate gamma."""
         return (1 - gamma) * self.rate_exact + gamma / 2
 
-    def law(self, k: int, m: int, j: int, t: dict[int, int]) -> int:
+    def law(self, k: int, m: int, j: int, t: dict[int, Number]) -> Number:
         """k times the law of a pattern of j ones on m coordinates, with t as
         in `ExactlyOne.law`."""
         return k * t[j]
@@ -143,6 +151,42 @@ def bernoulli(rate: Rational) -> Bernoulli:
 
 
 Component = Union[ExactlyOne, Bernoulli]
+
+
+# ---------------------------------------------------------------------------
+# bounds: every operation under the first context rounds down and under the
+# second up, so a chain of them on nonnegative values bounds its exact value
+# from below and from above.  40 digits keep the bounds within 10^-33 of each
+# other over 10^5 steps; the exponent range is unbounded in practice.
+
+_BOUNDS = tuple(
+    decimal.Context(prec=40, rounding=r, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    for r in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
+)
+
+
+def _power(x: Decimal, m: int) -> Decimal:
+    """x^m by squaring, each product rounded in the current context."""
+    out = Decimal(1)
+    while m:
+        if m & 1:
+            out *= x
+        x *= x
+        m >>= 1
+    return out
+
+
+def _terms(x: Fraction, m: int):
+    """For j = 0, 1, ...: one dict t, updated in place, with t[i] =
+    x^i (1 - x)^(m - i) for i in [j - 1, j + 1], each step rounded in the
+    current context."""
+    a, b = x.numerator, x.denominator
+    t = {-1: 0, 0: _power(Decimal(b - a) / b, m)}
+    for j in itertools.count():
+        # at x = 1 every bit reads 1: only the all-ones pattern has mass
+        t[j + 1] = t[j] * a / (b - a) if a < b else Decimal(int(j + 1 == m))
+        yield t
+        del t[j - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -194,48 +238,53 @@ class ColumnMixture:
         g = as_fraction(gamma)
         return replace(self, gamma_exact=1 - (1 - self.gamma_exact) * (1 - g))
 
-    def law(self, m: int, ones: range) -> tuple[list[int], int]:
-        """P[m given coordinates show one fixed pattern with j ones] for each
-        j in `ones`, as integer numerators over one common denominator.
-
-        Each component's bit rate is a/b over the common denominator b of
-        all of them; its law reads the terms t[i] = u a^i (b - a)^(m - i),
-        with u its weight over the common weight denominator v, and the
-        denominator is v k b^m.  Each term after the first is one product
-        and one exact division by O(log b)-bit integers away from the
-        previous, so a whole law costs O(m) such steps on O(m log b)-bit
-        integers.  A numerator over the denominator, by integer true
-        division, is the correctly rounded float and runs no gcd.
-        """
-        if not 0 <= ones.start <= ones.stop - 1 <= m <= self.k:
-            raise ValueError(f"need 0 <= j <= m <= {self.k}, got j in {ones}, m={m}")
-        rates = [c.bit_rate(self.gamma_exact) for c in self.components]
-        b = math.lcm(*(x.denominator for x in rates))
-        v = math.lcm(*(w.denominator for w in self.weights_exact))
-        lo, hi = max(ones.start - 1, 0), min(ones.stop, m)
-        nums = [0] * len(ones)
-        for w, comp, x in zip(self.weights_exact, self.components, rates):
-            a = x.numerator * (b // x.denominator)
-            u = w.numerator * (v // w.denominator)
-            if a == b:  # a bit that always reads 1: only the all-ones pattern
-                t = {i: u * a ** m if i == m else 0 for i in range(lo, hi + 1)}
-            else:
-                t = {lo: u * a ** lo * (b - a) ** (m - lo)}
-                for i in range(lo + 1, hi + 1):
-                    t[i] = t[i - 1] * a // (b - a)
-            for n, j in enumerate(ones):
-                nums[n] += comp.law(self.k, m, j, t)
-        return nums, v * self.k * b ** m
+    def law(self, m: int, j: int) -> Fraction:
+        """P[m given coordinates show one fixed pattern with j ones], exactly:
+        the weighted sum of the components' closed forms."""
+        if not 0 <= j <= m <= self.k:
+            raise ValueError(f"need 0 <= j <= m <= {self.k}, got j={j}, m={m}")
+        total = Fraction(0)
+        for w, comp in zip(self.weights_exact, self.components):
+            x = comp.bit_rate(self.gamma_exact)
+            t = {i: x**i * (1 - x) ** (m - i) for i in range(max(j - 1, 0), min(j + 1, m) + 1)}
+            total += w * comp.law(self.k, m, j, t)
+        return total / self.k
 
     def moment_of_size(self, s: int) -> Fraction:
         """E[prod of s distinct coordinates], identical for every such set."""
-        (num,), den = self.law(s, range(s, s + 1))
-        return Fraction(num, den)
+        return self.law(s, s)
 
-    def prob_all_zero(self) -> Fraction:
-        """P[column is all zeros], exactly."""
-        (num,), den = self.law(self.k, range(1))
-        return Fraction(num, den)
+    def count_pmf(self, n: int) -> list[float]:
+        """P[a column shows j ones] for j < n: C(k, j) times the law at m = k,
+        each the correctly rounded float of its exact value.
+
+        The law is walked once under each of the `_BOUNDS` contexts, O(n +
+        log k) steps on 40-digit decimals, and the two walks bound each
+        exact value.  Where the bounds round to one float it is the answer;
+        elsewhere the exact law decides.
+        """
+        k, sides = self.k, []
+        for ctx in _BOUNDS:
+            with decimal.localcontext(ctx):
+                terms = [_terms(c.bit_rate(self.gamma_exact), k) for c in self.components]
+                weights = [w.numerator / Decimal(w.denominator * k) for w in self.weights_exact]
+                comb, row = Decimal(1), []
+                for j in range(n):
+                    row.append(float(comb * sum(
+                        w * c.law(k, k, j, next(t))
+                        for w, c, t in zip(weights, self.components, terms)
+                    )))
+                    comb = comb * (k - j) / (j + 1)
+            sides.append(row)
+        return [
+            lo if lo == hi else float(math.comb(k, j) * self.law(k, j))
+            for j, (lo, hi) in enumerate(zip(*sides))
+        ]
+
+    def prob_all_zero(self) -> float:
+        """P[column is all zeros], correctly rounded: the j = 0 entry of
+        `count_pmf`."""
+        return self.count_pmf(1)[0]
 
     @cached_property
     def sampler_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -527,8 +576,7 @@ def marginal_pmf_rational(dist: ColumnMixture, m: int) -> list[Fraction]:
         raise ValueError(f"marginal size must be in [1, {dist.k}], got {m}")
     if m > EXACT_MARGINAL_GUARD_M:
         raise GuardError(f"exact marginal limited to m <= {EXACT_MARGINAL_GUARD_M}")
-    nums, den = dist.law(m, range(m + 1))
-    law = [Fraction(n, den) for n in nums]
+    law = [dist.law(m, j) for j in range(m + 1)]
     return [law[i.bit_count()] for i in range(1 << m)]
 
 
@@ -541,9 +589,7 @@ def column_sum_pmf(dist: ColumnMixture) -> np.ndarray:
     """pmf of the number of ones in one column (length k+1): C(k, j) times
     the law at m = k, each entry the correctly rounded float of its exact
     value."""
-    k = dist.k
-    nums, den = dist.law(k, range(k + 1))
-    return np.array([math.comb(k, j) * n / den for j, n in enumerate(nums)])
+    return np.array(dist.count_pmf(dist.k + 1))
 
 
 # ---------------------------------------------------------------------------

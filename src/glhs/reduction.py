@@ -340,14 +340,10 @@ def or_acceptance_closed_form(spec: TestSpec) -> float:
     The same number is the planted-disjunction acceptance on a strongly
     satisfiable instance with distinct-vertex edges, where the disjunction
     collapses to the OR of the common projected column.
-
-    Each all-zeros probability is the exact law at j = 0 and m = k, read as
-    its correctly rounded float by integer true division: a Fraction of
-    these O(k log k)-bit terms would run a quadratic gcd.
     """
-    (n0,), d0 = spec.d0.noisy(spec.gamma).law(spec.k, range(1))
-    (n1,), d1 = spec.d1.noisy(spec.gamma).law(spec.k, range(1))
-    return 0.5 * (n0 / d0) + 0.5 * (1.0 - n1 / d1)
+    p0 = spec.d0.noisy(spec.gamma).prob_all_zero()
+    p1 = spec.d1.noisy(spec.gamma).prob_all_zero()
+    return 0.5 * p0 + 0.5 * (1.0 - p1)
 
 
 def planted_disjunction(lab: Labeling) -> Disjunction:

@@ -1,5 +1,6 @@
 """Gadget column mixtures: weight solving, moment matching, enumeration oracles."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -117,9 +118,9 @@ class TestMixture:
                     w * noiseless_moment(c, s, K) for w, c in exact_terms
                 )
             assert dist.weights == tuple(float(w) for w in dist.weights_exact)
-            assert dist.prob_all_zero() == sum(
+            assert dist.prob_all_zero() == float(sum(
                 w * (1 - c.rate_exact) ** K for w, c in exact_terms if isinstance(c, Bernoulli)
-            )
+            ))
 
     def test_noisy_composes(self):
         a, b = Fraction(1, 8), Fraction(1, 5)
@@ -250,7 +251,7 @@ class TestDistributionShapes:
     def test_prob_all_zero_closed_form(self):
         d0, d1 = build_pair(K, EPS, P)
         for dist in (d0, d1, d1.noisy(Fraction(1, 31))):
-            assert float(dist.prob_all_zero()) == pytest.approx(marginal_pmf(dist, K)[0], abs=1e-12)
+            assert dist.prob_all_zero() == pytest.approx(marginal_pmf(dist, K)[0], abs=1e-12)
 
     def test_marginal_pmf_from_component_marginals(self):
         # exchangeable mixture: hand-build the m-coordinate marginal per component
@@ -294,7 +295,7 @@ class TestDistributionShapes:
 
     def test_completeness_pair_is_one_sided(self):
         d0, d1 = completeness_pair(3, "0.8", "0.25")
-        assert d0.prob_all_zero() == 1
+        assert d0.prob_all_zero() == 1.0
         assert d0.moment_of_size(1) == 0
         assert d1.moment_of_size(1) > 0
         # no matching claim: gap at degree 1 is the full D1 mean
@@ -363,8 +364,56 @@ class TestExactLaw:
         want = exact_column_law(dist)
         assert sum(want) == 1
         assert column_sum_pmf(dist).tolist() == [float(x) for x in want]
-        assert dist.prob_all_zero() == want[0]
-        assert float(dist.prob_all_zero()) == float(want[0])
+        assert dist.prob_all_zero() == float(want[0])
+        assert dist.law(dist.k, 0) == want[0]
+
+    def test_floats_are_decided_exactly_where_the_bounds_straddle(self, monkeypatch):
+        # at 8 digits the two walks' bounds straddle a rounding boundary at
+        # every entry, so the exact law decides them
+        dist = _exact_law_sources()["d1-1/8"]
+        want = [float(x) for x in exact_column_law(dist)]
+        decided = []
+        law = ColumnMixture.law
+
+        def spy(self, m, j):
+            decided.append(j)
+            return law(self, m, j)
+
+        bounds = [decimal.Context(prec=8, rounding=c.rounding) for c in moments._BOUNDS]
+        monkeypatch.setattr(moments, "_BOUNDS", tuple(bounds))
+        monkeypatch.setattr(ColumnMixture, "law", spy)
+        assert column_sum_pmf(dist).tolist() == want
+        assert len(decided) > K // 2
+
+    @pytest.mark.parametrize("k,rate", [(1074, "0.5"), (1075, "0.5"), (1836, Fraction(1, 3))])
+    def test_floats_round_correctly_into_the_subnormals(self, k, rate):
+        # entries near 2^-1074, the least subnormal, and one exact half of it
+        dist = alone(bernoulli(rate), k)
+        want = [float(x) for x in exact_column_law(dist)]
+        assert column_sum_pmf(dist).tolist() == want
+        assert 0.0 < min(x for x in want if x) < 2.0**-1020
+
+    def test_rounding_helpers_bound_their_exact_values(self):
+        def power(n, d, m, ctx):
+            with decimal.localcontext(ctx):
+                return Fraction(moments._power(decimal.Decimal(n) / d, m))
+
+        def walk(x, m, n, ctx):
+            with decimal.localcontext(ctx):
+                terms = moments._terms(x, m)
+                return [dict(next(terms)) for _ in range(n)]
+
+        for n, d, m in [(3, 4, 1), (3, 4, 57), (1, 3, 1000), (10**9 - 1, 10**9, 12345), (5, 5, 9)]:
+            exact = Fraction(n, d) ** m
+            lo, hi = (power(n, d, m, ctx) for ctx in moments._BOUNDS)
+            assert lo <= exact <= hi
+            assert hi - lo <= exact * Fraction(m + 2, 10**38)
+        for x, m in [(Fraction(1, 3), 40), (Fraction(0), 5), (Fraction(1), 5)]:
+            lo, hi = (walk(x, m, m + 1, ctx) for ctx in moments._BOUNDS)
+            for j in range(m + 1):
+                for i in range(max(j - 1, 0), min(j + 1, m) + 1):
+                    exact = x**i * (1 - x) ** (m - i)
+                    assert Fraction(lo[j][i]) <= exact <= Fraction(hi[j][i])
 
     @pytest.mark.parametrize("gamma", [Fraction(1, 8), Fraction(1)])
     def test_noisy_exact_marginal_is_the_channel_applied(self, gamma):
@@ -393,13 +442,15 @@ class TestExactLaw:
         k = 10**4
         g = Fraction(1, k * k)
         d0, _ = completeness_pair(k, "0.01", "0.01")
-        assert d0.noisy(g).prob_all_zero() == (1 - g / 2) ** k
+        want = (1 - g / 2) ** k
+        assert d0.noisy(g).law(k, 0) == want
+        assert d0.noisy(g).prob_all_zero() == float(want)
 
     def test_law_rejects_patterns_outside_the_column(self):
         _, d1 = build_pair(K, EPS, P)
-        for m, ones in [(K + 1, range(1)), (3, range(4, 5)), (3, range(2, 2))]:
+        for m, j in [(K + 1, 0), (3, 4), (3, -1)]:
             with pytest.raises(ValueError):
-                d1.law(m, ones)
+                d1.law(m, j)
 
     def test_marginals_refuse_past_their_guards(self):
         _, d1 = completeness_pair(ENUM_GUARD_K + 1, "0.8", "0.25")
@@ -491,7 +542,7 @@ class TestSampling:
             sigma = math.sqrt(m1 * (1 - m1) / (n * K))  # correlated bits: generous anyway
             assert abs(mean_rate - m1) <= 6 * sigma + 1e-3
             zero_rate = (cols.sum(axis=1) == 0).mean()
-            pz = float(dist.prob_all_zero())
+            pz = dist.prob_all_zero()
             assert abs(zero_rate - pz) <= 4 * math.sqrt(pz * (1 - pz) / n) + 1e-3
 
     def test_exactly_one_component_shows_up_as_unit_rows(self):
@@ -521,7 +572,7 @@ class TestSampling:
             for dist in build_pair(K, EPS, P):
                 cols = sample_noisy_columns(dist, float(gamma), 314, 6, columns)
                 zero_rate = (cols.sum(axis=1) == 0).mean()
-                pz = float(dist.noisy(gamma).prob_all_zero())
+                pz = dist.noisy(gamma).prob_all_zero()
                 assert abs(zero_rate - pz) <= 4 * math.sqrt(pz * (1 - pz) / n)
                 m1 = dist.noisy(gamma).moment_of_size(1)
                 assert abs(cols.mean() - m1) <= 6 * math.sqrt(m1 * (1 - m1) / n) + 1e-3
