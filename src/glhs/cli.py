@@ -26,6 +26,7 @@ error explains which weight fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -309,16 +310,26 @@ def _echo_text(echo: dict) -> str:
     return " ".join(f"{key}={value}" for key, value in sorted(echo.items()))
 
 
+def _output(path: str | None):
+    """An `AtomicFile` for an optional output path, or a context yielding None.
+
+    `main` opens --records with it, and `learn` its --out, before the work
+    starts, so a path that cannot be created fails at once rather than after
+    the run; nothing appears at the path until the context exits cleanly.
+    """
+    return AtomicFile(path) if path else contextlib.nullcontext()
+
+
 def _emit(p: dict, records: list[CheckRecord], echo: dict) -> int:
+    """Print the records and their summary; copy them to the open --records file."""
     for rec in records:
         print(rec.line())
     summary = summarize_records(records)
     print(summary.line())
     if p["records"]:
-        with AtomicFile(p["records"]) as fh:
-            fh.write(f"# config: {_echo_text(echo)}\n")
-            for rec in records:
-                fh.write(rec.line() + "\n")
+        p["records"].write(f"# config: {_echo_text(echo)}\n")
+        for rec in records:
+            p["records"].write(rec.line() + "\n")
     return 0 if summary.ok else 1
 
 
@@ -402,15 +413,10 @@ def _cmd_dict_test(p: dict) -> int:
     seed, samples = p["seed"], p["samples"]
     spec, echo = _resolve_gadget(p)
     echo.update({"samples": samples, "seed": seed})
-    plans = [("completeness", p["floor"])]
+    plans = [ExperimentPlan("completeness", spec, samples, seed, p["floor"])]
     if not spec.completeness_only:
-        plans.append(("soundness", p["gap_bound"]))
-    records = [
-        rec
-        for kind, threshold in plans
-        for rec in run_experiment(ExperimentPlan(kind, spec, samples, seed, threshold))
-    ]
-    return _emit(p, records, echo)
+        plans.append(ExperimentPlan("soundness", spec, samples, seed, p["gap_bound"]))
+    return _emit(p, run_experiment(*plans), echo)
 
 
 def _cmd_verify_moments(p: dict) -> int:
@@ -697,12 +703,14 @@ def _cmd_learn(p: dict) -> int:
         shuffle_seed=p["seed"],
         averaged=not p["no_average"],
     )
-    reader = StreamReader(stream)
-    hdr = reader.header
-    h = perceptron_train(reader.read_records(), cfg, hdr.rows, hdr.cols)
-    rep = agreement(h, reader.read_batches(chunk_rows(hdr.bits_per_example)))
-    if p["out"]:  # after both passes, since --out may name the stream
-        write_halfspace(h, p["out"])
+    # --out may name the stream: the halfspace replaces it only at the commit
+    with _output(p["out"]) as out:
+        reader = StreamReader(stream)
+        hdr = reader.header
+        h = perceptron_train(reader.read_records(), cfg, hdr.rows, hdr.cols)
+        [rep] = agreement([h], reader.read_batches(chunk_rows(hdr.bits_per_example)))
+        if out:
+            write_halfspace(h, out)
     trivial = max(rep.n1, rep.n0) / rep.count
     echo = {
         "stream": stream, "epochs": cfg.epochs, "rate": cfg.rate,
@@ -831,7 +839,7 @@ _COMMANDS = {
         _ONE_SIDED, *_COMMON,
     )),
     "dict-test": (_cmd_dict_test, "run the grid-test experiment", (
-        _SEED, _size("samples", required=True, help="examples per pass"),
+        _SEED, _size("samples", required=True, help="examples drawn, shared by the checks"),
         *_PAIR, _GRID_R, _ONE_SIDED,
         Flag("floor", "float", range="[0, 1]", help="assert acceptance at least this"),
         Flag("gap-bound", "float", range=">= 0", help="assert the majority-probe gap under this"),
@@ -937,7 +945,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(_resolve(args))
+        p = _resolve(args)
+        with _output(p.get("records")) as p["records"]:
+            return args.func(p)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 2

@@ -342,12 +342,13 @@ def _decode_header(blob: bytes) -> tuple[StreamHeader, int]:
 class AtomicFile:
     """An output file that appears at `path` only on `commit`.
 
-    Writes go to `<target>.<pid>.tmp` next to the target, the file `path`
-    resolves to through any symlinks; `commit` closes it and moves it into
-    place with `os.replace`, so an existing file is replaced whole or not at
-    all, and `abort` closes and deletes it.  A target that exists and is not
-    a regular file (a device such as /dev/stdout, a pipe) is written
-    directly, as a plain `open` would.  Used as a context manager it yields
+    Writes go to `<target>.<pid>.<id>.tmp` next to the target, the file
+    `path` resolves to through any symlinks (the object's id keeps two open
+    outputs of one process apart when they name one target); `commit` closes
+    it and moves it into place with `os.replace`, so an existing file is
+    replaced whole or not at all, and `abort` closes and deletes it.  A
+    target that exists and is not a regular file (a device such as
+    /dev/stdout, a pipe) is written directly, as a plain `open` would.  Used as a context manager it yields
     the open file and commits on a clean exit, aborts on an exception, so an
     interrupted run leaves no half-written output and no temporary file.
     """
@@ -357,7 +358,7 @@ class AtomicFile:
         target = os.path.realpath(path)
         special = os.path.exists(target) and not os.path.isfile(target)
         self._target = None if special else target
-        self._tmp = target if special else f"{target}.{os.getpid()}.tmp"
+        self._tmp = target if special else f"{target}.{os.getpid()}.{id(self):x}.tmp"
         try:
             self.fh = open(self._tmp, mode, encoding=None if "b" in mode else "utf-8")
         except FileNotFoundError as exc:  # name the target, not the temporary

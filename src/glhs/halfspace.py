@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -532,8 +532,12 @@ _HS_MAGIC = "GLHS-HS"
 _HS_VERSION = 1
 
 
-def write_halfspace(h: Halfspace, path: str) -> None:
-    """Versioned text record: order tag, grid shape, theta, weights."""
+def write_halfspace(h: Halfspace, out: str | TextIO) -> None:
+    """Versioned text record: order tag, grid shape, theta, weights.
+
+    `out` is a path, written through an `AtomicFile`, or a text file open for
+    writing, such as the one an open `AtomicFile` yields.
+    """
     lines = [
         f"{_HS_MAGIC} {_HS_VERSION}",
         "order row-major",
@@ -543,7 +547,10 @@ def write_halfspace(h: Halfspace, path: str) -> None:
         "weights " + " ".join(repr(float(v)) for v in h.weights),
         "",
     ]
-    with AtomicFile(path) as fh:
+    if hasattr(out, "write"):
+        out.write("\n".join(lines))
+        return
+    with AtomicFile(out) as fh:
         fh.write("\n".join(lines))
 
 

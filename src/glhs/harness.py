@@ -8,9 +8,10 @@ iterable of such batches, so a stream is read chunk by chunk
 perceptron, which holds its examples packed, takes a stream's packed
 records as stored (`StreamReader.read_records`) instead.
 
-`agreement` counts exact matches between a hypothesis and the batches and
-reports the rate plus the conditional means E[h | b] whose balanced
-combination obeys the half-plus-half-gap identity.
+`agreement` counts exact matches between each of its hypotheses and the
+batches, in one pass, and reports each one's rate plus the conditional
+means E[h | b] whose balanced combination obeys the half-plus-half-gap
+identity.
 `perceptron_train` is a deterministic averaged-perceptron probe: the
 hardness construction predicts that no efficient learner beats the trivial
 rate by much on sound instances, so its results are reported comparatively
@@ -21,11 +22,12 @@ updates only the coordinates a row sets.  Every decision and every weight
 is bit-identical to the plain per-example loop over float rows (see its
 docstring).
 
-`run_experiment` executes the two plans of the dictatorship test on fresh
-grid samples, `chunk_rows` at a time: completeness (the dictator OR
-against its closed form) and soundness (the majority probe's gap).  It
-emits one CheckRecord per check; records serialize to single tab-separated
-text lines so report files can be folded by concatenation.
+`run_experiment` executes the plans of the dictatorship test, completeness
+(the dictator OR against its closed form) and soundness (the majority
+probe's gap), on one draw of grid samples, `chunk_rows` at a time: each
+chunk is drawn once and evaluated under both hypotheses by one `agreement`
+pass.  It emits one CheckRecord per check; records serialize to single
+tab-separated text lines so report files can be folded by concatenation.
 """
 
 from __future__ import annotations
@@ -148,31 +150,38 @@ class AgreementReport:
         return abs(lhs - self.balanced_acceptance)
 
 
-def agreement(hypothesis: Hypothesis, batches: Iterable[Batch]) -> AgreementReport:
-    """Exact agreement of `hypothesis` over every example of every batch."""
-    count = matches = n1 = hits1 = 0
+def agreement(
+    hypotheses: Sequence[Hypothesis], batches: Iterable[Batch]
+) -> list[AgreementReport]:
+    """Exact agreement of each hypothesis over every example of every batch.
+
+    One pass over `batches` serves them all: each batch is evaluated under
+    every hypothesis before the next is drawn.  Returns one report per
+    hypothesis, in order; ``[rep] = agreement([h], batches)`` for one.
+    """
+    tallies = [[0, 0] for _ in hypotheses]  # matches, hits1
+    count = n1 = 0
     for bits, labels in batches:
-        if bits.shape[1] != hypothesis.dim:
-            raise ValueError(
-                f"hypothesis reads {hypothesis.dim} bits but examples carry "
-                f"{bits.shape[1]}"
-            )
-        preds = hypothesis.evaluate(bits)
         count += labels.size
-        matches += int((preds == labels).sum())
         ones = labels == 1
         n1 += int(ones.sum())
-        hits1 += int(preds[ones].sum())
+        for h, tally in zip(hypotheses, tallies):
+            if bits.shape[1] != h.dim:
+                raise ValueError(
+                    f"hypothesis reads {h.dim} bits but examples carry {bits.shape[1]}"
+                )
+            preds = h.evaluate(bits)
+            tally[0] += int((preds == labels).sum())
+            tally[1] += int(preds[ones].sum())
         del bits  # before the next batch is made
     if count == 0:
         raise ValueError("no examples to evaluate")
-    return AgreementReport(
-        hypothesis=hypothesis_id(hypothesis),
-        count=count,
-        matches=matches,
-        n1=n1,
-        hits1=hits1,
-    )
+    return [
+        AgreementReport(
+            hypothesis=hypothesis_id(h), count=count, matches=matches, n1=n1, hits1=hits1
+        )
+        for h, (matches, hits1) in zip(hypotheses, tallies)
+    ]
 
 
 def negated_rate(report: AgreementReport) -> float:
@@ -688,7 +697,7 @@ def fold_record_files(paths: Sequence[str]) -> tuple[list[CheckRecord], ReportSu
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One run of the dictatorship test on fresh grid samples.
+    """One check of the dictatorship test on `samples` grid examples.
 
     kinds: 'completeness' (the dictator OR against its closed form, plus a
     floor on its agreement when `threshold` is set) and 'soundness' (the
@@ -739,12 +748,10 @@ def _identity_record(plan: ExperimentPlan, rep: AgreementReport, tag: str) -> Ch
     )
 
 
-def run_experiment(plan: ExperimentPlan) -> list[CheckRecord]:
+def _plan_records(plan: ExperimentPlan, rep: AgreementReport) -> list[CheckRecord]:
+    """A plan's check records, from its hypothesis's agreement report."""
     if plan.kind == "completeness":
-        k, r = plan.spec.k, plan.spec.r
-        dictator = Disjunction(literals=frozenset((i, 0) for i in range(k)), rows=k, cols=r)
         predicted = or_acceptance_closed_form(plan.spec)
-        rep = agreement(dictator, _plan_batches(plan))
         sigma = binomial_sigma(predicted, rep.count)
         tol = SIGMA_RULE * sigma + SIGMA_RULE / rep.count
         records = [
@@ -769,7 +776,6 @@ def run_experiment(plan: ExperimentPlan) -> list[CheckRecord]:
             )
         return records
 
-    rep = agreement(majority_halfspace(plan.spec), _plan_batches(plan))
     # conditional means each carry ~ sqrt(1/4 / (n/2)) noise; their
     # difference carries twice the pooled binomial sigma
     gap_sigma = 2.0 * binomial_sigma(0.5, rep.count)
@@ -788,3 +794,31 @@ def run_experiment(plan: ExperimentPlan) -> list[CheckRecord]:
         ),
         _identity_record(plan, rep, "soundness.majority"),
     ]
+
+
+def run_experiment(*plans: ExperimentPlan) -> list[CheckRecord]:
+    """The records of the plans of one dictatorship test, in plan order.
+
+    The plans share one spec, sample count and seed, so they read the same
+    examples: those are drawn once, `chunk_rows` at a time, and every chunk
+    is evaluated under each plan's hypothesis (the dictator OR for
+    completeness, the majority halfspace for soundness) before the next.
+    """
+    if not plans:
+        raise ValueError("no experiment plans")
+    first = plans[0]
+    if any(
+        (plan.spec, plan.samples, plan.master_seed)
+        != (first.spec, first.samples, first.master_seed)
+        for plan in plans
+    ):
+        raise ValueError("the plans of one experiment must share spec, samples and seed")
+    k, r = first.spec.k, first.spec.r
+    hypotheses = [
+        Disjunction(literals=frozenset((i, 0) for i in range(k)), rows=k, cols=r)
+        if plan.kind == "completeness"
+        else majority_halfspace(plan.spec)
+        for plan in plans
+    ]
+    reports = agreement(hypotheses, _plan_batches(first))
+    return [rec for plan, rep in zip(plans, reports) for rec in _plan_records(plan, rep)]

@@ -1,7 +1,7 @@
 """End-to-end acceptance gate: one test per headline guarantee.
 
 Each test accumulates its sub-checks into a failure list and ends with a
-single ACCEPT line naming the guarantee, so the gate reads as twelve
+single ACCEPT line naming the guarantee, so the gate reads as thirteen
 pass/fail verdicts.  Monte Carlo checks run on fixed master seeds with
 four-sigma slack; closed forms are compared against independent enumeration
 oracles or hand-derivable laws, never against themselves.  Each guarantee
@@ -119,9 +119,10 @@ def _budget(failures: list[str], t0: float, limit: float) -> float:
 
 def _stream_agreement(hyp, sampler, total: int, chunk: int) -> AgreementReport:
     """Exact agreement over `total` examples drawn in chunks from `sampler`."""
-    return agreement(
-        hyp, (sampler(start, min(chunk, total - start)) for start in range(0, total, chunk))
+    [rep] = agreement(
+        [hyp], (sampler(start, min(chunk, total - start)) for start in range(0, total, chunk))
     )
+    return rep
 
 
 def _closed_form_sigma(spec: Spec, n1: int, n0: int) -> float:
@@ -891,10 +892,10 @@ def _check_lines_digest(stdout: str) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch, capsys):
+def _pinned_command_failures(tmp_path, monkeypatch, capsys) -> list[str]:
+    """Run every pinned command twice and return each mismatch with its pin."""
     from glhs.cli import main
 
-    t0 = time.perf_counter()
     failures: list[str] = []
     monkeypatch.chdir(tmp_path)
 
@@ -1013,10 +1014,32 @@ def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch, capsys)
         if code != 0:
             failures.append(f"{name} exited {code}")
         check_stdout(name)
+    return failures
 
+
+def test_sampling_commands_are_byte_deterministic(tmp_path, monkeypatch, capsys):
+    t0 = time.perf_counter()
+    failures = _pinned_command_failures(tmp_path, monkeypatch, capsys)
     elapsed = _budget(failures, t0, 60.0)
     _verdict(
         "sampling-determinism",
         failures,
-        f"{len(runs)} subcommands rerun byte-identically, {elapsed:.1f}s",
+        f"every pinned subcommand reruns byte-identically, {elapsed:.1f}s",
+    )
+
+
+def test_pinned_commands_ignore_the_chunk_size(tmp_path, monkeypatch, capsys):
+    # the same pins under a 4096-cell budget: every row owns its counter
+    # addresses, so chunking (and dict-test's one draw shared by both of
+    # its checks) stays invisible in every output byte and stdout line
+    from glhs import core
+
+    t0 = time.perf_counter()
+    monkeypatch.setattr(core, "CHUNK_CELLS", 4096)
+    failures = _pinned_command_failures(tmp_path, monkeypatch, capsys)
+    elapsed = _budget(failures, t0, 60.0)
+    _verdict(
+        "sampling-chunk-invariance",
+        failures,
+        f"every pin holds under 4096-cell chunks, {elapsed:.1f}s",
     )

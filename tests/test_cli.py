@@ -789,6 +789,54 @@ class TestHostileInput:
         assert err.startswith("error:") and "'k'" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["dict-test", "sample", "learn", "learn-out"])
+    def test_output_that_cannot_be_created_fails_before_the_work(self, capsys, tmp_path,
+                                                                  monkeypatch, command):
+        stream = tmp_path / "s.bin"
+        assert main(["sample", *GADGET, "--r", "2", "--count", "40", "--seed", "1",
+                     "--out", str(stream)]) == 0
+        bad = str(tmp_path / "nodir" / "x")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = {
+            "dict-test": ["dict-test", *GADGET, "--r", "2", "--samples", "50", "--seed", "1",
+                          "--records", bad],
+            "sample": ["sample", *GADGET, "--r", "2", "--count", "8", "--seed", "1",
+                       "--out", "o.bin", "--records", bad],
+            "learn": ["learn", "--stream", str(stream), "--records", bad],
+            "learn-out": ["learn", "--stream", str(stream), "--out", bad],
+        }[command]
+        for work_fn in ("run_experiment", "write_dict_test_stream", "perceptron_train"):
+            monkeypatch.setattr(cli, work_fn, lambda *a, **k: pytest.fail("the work started"))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert err == f"error: missing file: {bad}\n"
+        assert out == ""  # no check line: the run never started
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sample", "learn"])
+    def test_out_and_records_naming_one_file(self, capsys, tmp_path, command):
+        # both outputs are open at once; each has its own temporary file and
+        # the records, committed last, are what the path holds
+        stream, both = str(tmp_path / "s.bin"), str(tmp_path / "both")
+        assert main(["sample", *GADGET, "--r", "2", "--count", "40", "--seed", "1",
+                     "--out", stream]) == 0
+        argv = {
+            "sample": ["sample", *GADGET, "--r", "2", "--count", "8", "--seed", "1"],
+            "learn": ["learn", "--stream", stream],
+        }[command]
+        capsys.readouterr()
+        code, out, _ = _run(capsys, [*argv, "--out", both, "--records", both])
+        assert code == 0
+        assert [rec.line() for rec in read_records(both)] == [
+            ln for ln in out.splitlines() if ln.startswith("check\t")
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["both", "s.bin"]
+
     def test_stream_into_missing_directory_names_the_target(self, capsys, tmp_path):
         out = tmp_path / "nodir" / "x.stream"
         code, _, err = _run(

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glhs
-from glhs import core
+from glhs import core, harness
 from glhs.cli import main
 from glhs.core import (
     PURPOSE_LEARN,
@@ -122,7 +122,7 @@ def _hand_case():
 class TestAgreement:
     def test_exact_counting_against_loop(self):
         bits, labels, h = _hand_case()
-        rep = agreement(h, [(bits, labels)])
+        [rep] = agreement([h], [(bits, labels)])
         want = sum(
             int(h.evaluate(row)) == lab for row, lab in zip(bits, labels.tolist())
         )
@@ -137,8 +137,8 @@ class TestAgreement:
         spec = _matched_spec(r=2)
         bits, labels = dict_test_batch(spec, SEED, 0, 0, 100)
         h = majority_halfspace(spec)
-        small = agreement(h, ((bits[i : i + 7], labels[i : i + 7]) for i in range(0, 100, 7)))
-        big = agreement(h, [(bits, labels)])
+        [small] = agreement([h], ((bits[i : i + 7], labels[i : i + 7]) for i in range(0, 100, 7)))
+        [big] = agreement([h], [(bits, labels)])
         assert small.matches == big.matches
         assert small.hits1 == big.hits1
 
@@ -148,8 +148,8 @@ class TestAgreement:
         write_dict_test_stream(str(path), spec, 64, SEED, stream_id=5)
         bits, labels = dict_test_batch(spec, SEED, 5, 0, 64)
         h = majority_halfspace(spec)
-        from_file = agreement(h, StreamReader(str(path)).read_batches(17))
-        from_arrays = agreement(h, [(bits, labels)])
+        [from_file] = agreement([h], StreamReader(str(path)).read_batches(17))
+        [from_arrays] = agreement([h], [(bits, labels)])
         assert from_file.matches == from_arrays.matches
         assert from_file.n1 == from_arrays.n1
         reader = StreamReader(str(path))
@@ -163,14 +163,14 @@ class TestAgreement:
     def test_example_sequence_input(self):
         bits, labels, h = _hand_case()
         batches = [(bits[:2], labels[:2]), (bits[2:5], labels[2:5]), (bits[5:], labels[5:])]
-        rep = agreement(h, batches)
-        whole = agreement(h, [(bits, labels)])
+        [rep] = agreement([h], batches)
+        [whole] = agreement([h], [(bits, labels)])
         assert (rep.count, rep.matches, rep.n1, rep.hits1) == (
             whole.count, whole.matches, whole.n1, whole.hits1
         )
         wide = Halfspace.from_grid(np.ones((1, 4)), 1.0)
         with pytest.raises(ValueError, match="reads 4 bits"):
-            agreement(wide, iter(batches))
+            agreement([wide], iter(batches))
 
     def test_peak_memory_stays_below_twice_the_batch(self):
         # a float64 copy of the batch would be 8 * bits.nbytes
@@ -180,7 +180,7 @@ class TestAgreement:
         h = Halfspace.from_grid(rnd.standard_normal((200, 16)), 0.1)
         tracemalloc.start()
         try:
-            rep = agreement(h, [(bits, labels)])
+            [rep] = agreement([h], [(bits, labels)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -191,9 +191,36 @@ class TestAgreement:
         bits, labels, h = _hand_case()
         wide = Halfspace.from_grid(np.ones((1, 4)), 1.0)
         with pytest.raises(ValueError, match="reads 4 bits"):
-            agreement(wide, [(bits, labels)])
+            agreement([wide], [(bits, labels)])
         with pytest.raises(ValueError, match="no examples"):
-            agreement(h, [])
+            agreement([h], [])
+
+    def test_several_hypotheses_share_one_pass(self):
+        spec = _matched_spec(r=2)
+        bits, labels = dict_test_batch(spec, SEED, 0, 0, 100)
+        hyps = [
+            majority_halfspace(spec),
+            Disjunction(literals=frozenset((i, 0) for i in range(spec.k)), rows=spec.k, cols=2),
+        ]
+        drawn = []
+
+        def batches():
+            for i in range(0, 100, 7):
+                drawn.append(i)
+                yield bits[i : i + 7], labels[i : i + 7]
+
+        reps = agreement(hyps, batches())
+        assert drawn == list(range(0, 100, 7))
+        assert reps == [agreement([h], [(bits, labels)])[0] for h in hyps]
+
+    def test_every_hypothesis_is_dimension_checked(self):
+        bits, labels, h = _hand_case()
+        wide = Halfspace.from_grid(np.ones((1, 4)), 1.0)
+        for hyps in ([h, wide], [wide, h]):
+            with pytest.raises(ValueError, match="reads 4 bits"):
+                agreement(hyps, [(bits, labels)])
+        with pytest.raises(ValueError, match="no examples"):
+            agreement([h, h], [])
 
 
 def _train(bits, labels, cfg=LearnerConfig(), rows=1, cols=None):
@@ -212,9 +239,9 @@ class TestPerceptron:
     def test_learns_a_separable_dictator(self):
         bits, labels = self._separable()
         final = _train(bits, labels, LearnerConfig(epochs=20, averaged=False))
-        assert agreement(final, [(bits, labels)]).rate == 1.0
+        assert agreement([final], [(bits, labels)])[0].rate == 1.0
         averaged = _train(bits, labels, LearnerConfig(epochs=20))
-        assert agreement(averaged, [(bits, labels)]).rate >= 0.9
+        assert agreement([averaged], [(bits, labels)])[0].rate >= 0.9
 
     def test_training_is_deterministic(self):
         bits, labels = self._separable()
@@ -555,7 +582,7 @@ class TestMajorityClosedForms:
         assert np.array_equal(h.weights, np.ones(spec.dim))
         n = 20000
         bits, labels = dict_test_batch(spec, SEED, 1, 0, n)
-        rep = agreement(h, [(bits, labels)])
+        [rep] = agreement([h], [(bits, labels)])
         tol = 4.0 * binomial_sigma(acc, n) + 4.0 / n
         assert abs(rep.balanced_acceptance - acc) <= tol
 
@@ -738,3 +765,83 @@ class TestRunExperiment:
         assert gap.status == "pass"
         assert gap.target.startswith(f"<= {plan.threshold!r} + 4.0*sigma(")
         assert identity.status == "pass"
+
+
+def _one_pass_per_plan(plans):
+    """The records of each plan from its own draw of the examples: the loop
+    `run_experiment` replaced, which sampled the test's examples once per plan."""
+    records = []
+    for plan in plans:
+        spec = plan.spec
+        if plan.kind == "completeness":
+            h = Disjunction(
+                literals=frozenset((i, 0) for i in range(spec.k)), rows=spec.k, cols=spec.r
+            )
+        else:
+            h = majority_halfspace(spec)
+        step = core.chunk_rows(spec.dim)
+        [rep] = agreement([h], (
+            dict_test_batch(spec, plan.master_seed, 0, start, min(step, plan.samples - start))
+            for start in range(0, plan.samples, step)
+        ))
+        records += harness._plan_records(plan, rep)
+    return records
+
+
+class TestSharedDraw:
+    """dict-test draws its examples once for both of its checks."""
+
+    SAMPLES = 30
+
+    def _plans(self, spec=None, samples=SAMPLES, seed=SEED):
+        spec = spec or _matched_spec(r=2, gamma=0.03125)
+        return (
+            ExperimentPlan("completeness", spec, samples, seed, 0.5),
+            ExperimentPlan("soundness", spec, samples, seed, 0.2),
+        )
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_records_equal_one_pass_per_plan(self, monkeypatch, rows):
+        plans = self._plans()
+        if rows is not None:
+            monkeypatch.setattr(core, "CHUNK_CELLS", rows * plans[0].spec.dim)
+        shared = run_experiment(*plans)
+        assert [rec.line() for rec in shared] == [
+            rec.line() for rec in _one_pass_per_plan(plans)
+        ]
+        assert [rec.check_id for rec in shared] == [
+            "completeness.acceptance",
+            "completeness.balance-identity",
+            "completeness.floor",
+            "soundness.majority.gap",
+            "soundness.majority.balance-identity",
+        ]
+        for plan in plans:
+            assert [rec.line() for rec in run_experiment(plan)] == [
+                rec.line() for rec in _one_pass_per_plan([plan])
+            ]
+
+    def test_each_chunk_is_drawn_once(self, monkeypatch):
+        plans = self._plans()
+        monkeypatch.setattr(core, "CHUNK_CELLS", 7 * plans[0].spec.dim)
+        calls = []
+
+        def counted(spec, master_seed, stream_id, start, n, **kw):
+            calls.append((start, n))
+            return dict_test_batch(spec, master_seed, stream_id, start, n, **kw)
+
+        monkeypatch.setattr(harness, "dict_test_batch", counted)
+        run_experiment(*plans)
+        assert calls == [(0, 7), (7, 7), (14, 7), (21, 7), (28, 2)]
+
+    def test_plans_must_share_spec_samples_and_seed(self):
+        complete, sound = self._plans()
+        for other in (
+            self._plans(spec=_matched_spec(r=3, gamma=0.03125))[1],
+            self._plans(samples=self.SAMPLES + 1)[1],
+            self._plans(seed=SEED + 1)[1],
+        ):
+            with pytest.raises(ValueError, match="share spec, samples and seed"):
+                run_experiment(complete, other)
+        with pytest.raises(ValueError, match="no experiment plans"):
+            run_experiment()
