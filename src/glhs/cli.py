@@ -30,6 +30,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -320,6 +321,21 @@ def _output(path: str | None):
     return AtomicFile(path) if path else contextlib.nullcontext()
 
 
+def _check_creatable(*paths: str | None) -> None:
+    """Fail at once, before the work, if an output path cannot be created.
+
+    For the outputs `gen-lc` and `decode` write through their path after the
+    work (`write_instance`, `write_labeling`): a temporary file is made next
+    to each target and deleted, so nothing appears at it, and a directory
+    fails as it would when written.  Any other existing target that is not
+    a regular file (a device, a pipe) is written directly and is not opened
+    here: opening a pipe would wait for its reader.
+    """
+    for path in filter(None, paths):
+        if os.path.isfile(path) or os.path.isdir(path) or not os.path.exists(path):
+            AtomicFile(path).abort()
+
+
 def _emit(p: dict, records: list[CheckRecord], echo: dict) -> int:
     """Print the records and their summary; copy them to the open --records file."""
     for rec in records:
@@ -356,6 +372,7 @@ def _cmd_gen_lc(p: dict) -> int:
         if p[name] is None:
             raise _missing(name.replace("_", "-"))
     echo = {"kind": kind, **{name: p[name] for name in sizes}, "seed": seed}
+    _check_creatable(p["out"], p["labeling"])
     if kind == "smooth":
         bip, lab = gen_planted_bipartite(*(p[name] for name in sizes if name != "k"), seed)
         inst = smooth_from_bipartite(bip, p["k"])
@@ -735,9 +752,11 @@ def _cmd_learn(p: dict) -> int:
 
 
 def _cmd_decode(p: dict) -> int:
-    seed, out, labeling = p["seed"], p["out"], p["labeling"]
+    seed, out = p["seed"], p["out"]
     h = read_halfspace(p["halfspace"])
     inst = read_instance(p["instance"])
+    planted = read_labeling(p["labeling"]) if p["labeling"] else None
+    _check_creatable(out)
     spec = DecoderSpec(t=p["t"], tau=p["tau"], trials=p["trials"])
     report = weak_sat_rate_of_decoder(h, spec, inst, seed)
     echo = {
@@ -752,12 +771,11 @@ def _cmd_decode(p: dict) -> int:
             report.weak_rate >= 1.0 if expect_full else None,
         )
     ]
-    if out or labeling:
+    if out or planted is not None:
         decoded = decode_labeling(h, spec, seed, 0, trial=0)
     if out:
         write_labeling(decoded, out)
-    if labeling:
-        planted = read_labeling(labeling)
+    if planted is not None:
         match = bool(np.array_equal(decoded.assignment, planted.assignment))
         records.append(
             make_record(
@@ -817,7 +835,7 @@ _J_D = (
 _STREAM = (
     _path("out", True, "write the stream here"),
     _size("count", low=0, required=True, help="examples to draw"),
-    _size("stream-id", 0, low=0, help="stream lane of the draws"),
+    Flag("stream-id", "int", 0, range="[0, 2^61)", help="stream lane of the draws"),
 )
 
 # subcommand -> (handler, help, flag rows); "verify x" is x under verify

@@ -217,11 +217,12 @@ class LearnerConfig:
 # Scan-ahead walk of `perceptron_train`.  Stretches where mistakes come
 # closer together than _SCAN_MIN_RUN steps run one example at a time,
 # _STEP_WINDOW rows per window.  A scan covers at most _SCAN_MAX rows, and at
-# most _BLOCK_CELLS index cells.  Measured on a 2-core Xeon: a scan of 2L rows
-# costs as much as L steps at L ~ 4 on 3200-bit rows with up to 41 bits set,
-# and at L ~ 30 on 96-bit rows with up to 90 set; a scan's fixed cost is ~3%
-# of a 2048-row scan.  Training time is flat (within noise) over
-# _SCAN_MIN_RUN 4-16, _STEP_WINDOW 32-128 and _SCAN_MAX 512-8192 on both.
+# most _BLOCK_CELLS index cells.  Measured on a 2-core Xeon, 12 epochs over
+# 20000 rows of 96 bits (up to 90 set) and of 3200 bits (up to 41 set):
+# training time is flat (within noise) over _SCAN_MIN_RUN 4-32,
+# _STEP_WINDOW 64-128 and _SCAN_MAX 512-8192 on both; on the 96-bit rows a
+# 32-row window is ~10% slower and a 16-row one ~40%, and on the 3200-bit
+# rows a 256-row window is ~2.5-2.8x slower.
 _SCAN_MIN_RUN = 8
 _SCAN_MAX = 2048
 _STEP_WINDOW = 64
@@ -315,7 +316,13 @@ def perceptron_train(
       another order); on every other row both signs agree.
     - Step (mistakes closer together): per-example steps on the float rows
       of the next _STEP_WINDOW rows, built for that window only
-      (`_float_rows`).
+      (`_float_rows`).  While the weights are integral, every update to u is
+      an integer and |u| <= rate * total * (total + 1) / 2 for
+      total = n * epochs; where that bound is at most 2^53, every partial
+      sum of u's updates is an exact integer in any order, so a window
+      adds them to u at once, the product ``coef @ x`` of its float rows x
+      and coef, step * delta at each mistake and zero elsewhere.  Otherwise
+      u takes each mistake's update in turn.
 
     An update adds delta = eta * label to w and step * delta to u.  The scan
     adds them on the row's set bits only: the dense update adds a signed zero
@@ -338,6 +345,7 @@ def perceptron_train(
     t = (labels.astype(np.float64) * 2.0 - 1.0).tolist()
     active = None  # built at the first scan
     rows_buf = np.empty((_STEP_WINDOW, packed.shape[1], 8))  # one window's float rows
+    coef = np.zeros(_STEP_WINDOW)  # one window's u coefficients, zero off its mistakes
 
     # slot dim is the target of the index padding and is kept at zero
     w_pad = np.zeros(dim + 1)
@@ -347,12 +355,16 @@ def perceptron_train(
     u_bias = 0.0
     rng = CursorRng(cfg.shuffle_seed, purpose_stream(0, PURPOSE_LEARN))
     total = n * cfg.epochs
+    # |u| <= rate * (1 + ... + total): while that is at most 2^53, every sum
+    # of integral updates is an exact integer, whatever order it adds in
+    exact_u = Fraction(cfg.rate) * total * (total + 1) <= 2**54
     integral = True
     run = 0  # steps from one mistake to the next, as last observed
     for epoch in range(cfg.epochs):
         order = np.asarray(rng.shuffle(list(range(n))))
         eta = cfg.rate if cfg.schedule == "constant" else cfg.rate / (epoch + 1)
         integral = integral and float(eta).is_integer()
+        windowed = integral and exact_u
         first = epoch * n + 1  # step number of order[0]
         p = 0
         clean = 0  # rows scanned since the last mistake
@@ -365,11 +377,23 @@ def perceptron_train(
                     margin = xi.dot(w) + bias
                     if (1.0 if margin >= 0.0 else -1.0) != t[i]:
                         delta = eta * t[i]
-                        w += delta * xi
+                        step = first + p + j
+                        if delta == 1.0:
+                            w += xi
+                        elif delta == -1.0:
+                            w -= xi
+                        else:
+                            w += delta * xi
                         bias += delta
-                        u += ((first + p + j) * delta) * xi
-                        u_bias += (first + p + j) * delta
+                        if windowed:
+                            coef[j] = step * delta
+                        else:
+                            u += (step * delta) * xi
+                        u_bias += step * delta
                         mistakes += 1
+                if windowed and mistakes:
+                    u += coef[: window.size] @ x
+                    coef.fill(0.0)
                 p += window.size
                 run = window.size // (mistakes + 1)
                 continue

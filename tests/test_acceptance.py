@@ -1,7 +1,7 @@
 """End-to-end acceptance gate: one test per headline guarantee.
 
 Each test accumulates its sub-checks into a failure list and ends with a
-single ACCEPT line naming the guarantee, so the gate reads as thirteen
+single ACCEPT line naming the guarantee, so the gate reads as fourteen
 pass/fail verdicts.  Monte Carlo checks run on fixed master seeds with
 four-sigma slack; closed forms are compared against independent enumeration
 oracles or hand-derivable laws, never against themselves.  Each guarantee
@@ -13,10 +13,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
+
+import glhs
 
 from glhs.concentration import (
     PointMass,
@@ -1042,4 +1049,57 @@ def test_pinned_commands_ignore_the_chunk_size(tmp_path, monkeypatch, capsys):
         "sampling-chunk-invariance",
         failures,
         f"every pin holds under 4096-cell chunks, {elapsed:.1f}s",
+    )
+
+
+def _openblas_dynamic_arch() -> bool:
+    """numpy's BLAS is an x86-64 OpenBLAS that picks its kernels at load
+    time, on a CPU that runs the Haswell ones (AVX2)."""
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    if ("DYNAMIC_ARCH" not in str(blas.get("openblas configuration", ""))
+            or platform.machine().lower() not in ("x86_64", "amd64")):
+        return False
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return " avx2" in fh.read()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build on an AVX2 x86-64")
+def test_learn_pin_holds_on_a_pinned_openblas_core(tmp_path, monkeypatch, capsys):
+    # learn decides each step by a BLAS dot of the row and the weights, and
+    # adds each step window's averaging sum by a gemv; OPENBLAS_CORETYPE,
+    # read when numpy loads, swaps in another core's kernels
+    from glhs.cli import main
+
+    t0 = time.perf_counter()
+    failures: list[str] = []
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--k", "12", "--eps", "0.82", "--p", "0.25", "--gamma", "0.01",
+                 "--r", "2", "--count", "96", "--seed", "11", "--stream-id", "3",
+                 "--out", "s.bin"]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(glhs.__file__)))
+    env = {**os.environ, "PYTHONPATH": src,
+           "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_VERBOSE": "2"}
+    done = subprocess.run(
+        [sys.executable, "-m", "glhs.cli", "learn", "--epochs", "12", "--seed", "4",
+         "--stream", "s.bin", "--out", "h.hs"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    if done.returncode != 0:
+        failures.append(f"learn exited {done.returncode}: {done.stderr.strip()}")
+    if "Core: Haswell" not in done.stderr:
+        failures.append("OpenBLAS did not report the pinned Haswell core")
+    out = tmp_path / "h.hs"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    if digest != _GOLDEN_DIGESTS["learn-sample"][0]:
+        failures.append(f"learn-sample digest {digest} is not the golden one")
+    elapsed = _budget(failures, t0, 60.0)
+    _verdict(
+        "learn-blas-core-pin",
+        failures,
+        f"the learn-sample pin holds on OpenBLAS's Haswell kernels, {elapsed:.1f}s",
     )

@@ -32,6 +32,8 @@ from glhs.labelcover import (
 from glhs.reduction import planted_disjunction
 
 GADGET = ["--k", "12", "--eps", "0.82", "--p", "0.25"]
+_GEN_LC = ["gen-lc", "--kind", "projection", "--vertices", "5", "--edges", "6", "--k", "3",
+           "--m", "4", "--n", "2", "--d", "2", "--seed", "2"]
 
 
 def _write_records(records, path):
@@ -789,9 +791,11 @@ class TestHostileInput:
         assert err.startswith("error:") and "'k'" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["dict-test", "sample", "learn", "learn-out"])
+    @pytest.mark.parametrize("command", ["dict-test", "sample", "learn", "learn-out",
+                                         "gen-lc", "gen-lc-labeling", "decode"])
     def test_output_that_cannot_be_created_fails_before_the_work(self, capsys, tmp_path,
-                                                                  monkeypatch, command):
+                                                                  monkeypatch, inputs,
+                                                                  command):
         stream = tmp_path / "s.bin"
         assert main(["sample", *GADGET, "--r", "2", "--count", "40", "--seed", "1",
                      "--out", str(stream)]) == 0
@@ -806,8 +810,13 @@ class TestHostileInput:
                        "--out", "o.bin", "--records", bad],
             "learn": ["learn", "--stream", str(stream), "--records", bad],
             "learn-out": ["learn", "--stream", str(stream), "--out", bad],
+            "gen-lc": [*_GEN_LC, "--out", bad],
+            "gen-lc-labeling": [*_GEN_LC, "--out", "ok.lc", "--labeling", bad],
+            "decode": ["decode", "--halfspace", inputs["p.hs"], "--instance", inputs["p.lc"],
+                       "--seed", "1", "--out", bad],
         }[command]
-        for work_fn in ("run_experiment", "write_dict_test_stream", "perceptron_train"):
+        for work_fn in ("run_experiment", "write_dict_test_stream", "perceptron_train",
+                        "gen_planted_projection", "weak_sat_rate_of_decoder"):
             monkeypatch.setattr(cli, work_fn, lambda *a, **k: pytest.fail("the work started"))
         before = sorted(p.name for p in tmp_path.iterdir())
         capsys.readouterr()
@@ -817,6 +826,44 @@ class TestHostileInput:
         assert out == ""  # no check line: the run never started
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["gen-lc", "decode"])
+    def test_output_naming_a_directory_fails_before_the_work(self, capsys, tmp_path,
+                                                              monkeypatch, inputs, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        argv = {
+            "gen-lc": [*_GEN_LC, "--out", "adir"],
+            "decode": ["decode", "--halfspace", inputs["p.hs"], "--instance", inputs["p.lc"],
+                       "--seed", "1", "--out", "adir"],
+        }[command]
+        for work_fn in ("gen_planted_projection", "weak_sat_rate_of_decoder"):
+            monkeypatch.setattr(cli, work_fn, lambda *a, **k: pytest.fail("the work started"))
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:") and "Is a directory" in err and err.count("\n") == 1
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["gen-lc", "decode"])
+    def test_failing_input_or_second_output_leaves_no_output(self, capsys, tmp_path,
+                                                             monkeypatch, inputs, command):
+        # gen-lc's --labeling cannot be created, decode's planted --labeling
+        # cannot be read: the run exits 2 and leaves neither --out nor a
+        # temporary behind
+        monkeypatch.chdir(tmp_path)
+        missing = str(tmp_path / "nodir" / "l.lab")
+        argv = {
+            "gen-lc": [*_GEN_LC, "--out", "ok.lc", "--labeling", missing],
+            "decode": ["decode", "--halfspace", inputs["p.hs"], "--instance", inputs["p.lc"],
+                       "--seed", "1", "--out", "ok.lab", "--labeling", missing],
+        }[command]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert err == f"error: missing file: {missing}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["sample", "learn"])
     def test_out_and_records_naming_one_file(self, capsys, tmp_path, command):

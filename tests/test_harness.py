@@ -374,10 +374,25 @@ class TestPerceptronOracle:
 
     @pytest.mark.parametrize("averaged", [True, False])
     @pytest.mark.parametrize(
-        "rate,schedule", [(1.0, "constant"), (0.3, "inverse"), (0.1, "constant")]
+        "rate,schedule",
+        # integral: every update an integer, so u is added once per step window
+        [(1.0, "constant"), (3.0, "constant"), (1.0, "inverse"),
+         (0.3, "inverse"), (0.1, "constant")],
     )
     @pytest.mark.parametrize("stream", sorted(_ORACLE_STREAMS))
     def test_matches_dense_loop(self, stream, rate, schedule, averaged):
+        self._assert_matches_dense_loop(stream, rate, schedule, averaged)
+
+    # dense-noisy over 4 epochs makes 4000 steps, about half of them mistakes:
+    # rate * 4000 * 4001 / 2 is under 2^53 at rate 2^30 and over it at 2^31,
+    # and at 2^40 + 1 the window sums of u would round in another order
+    @pytest.mark.parametrize("averaged", [True, False])
+    @pytest.mark.parametrize("rate", [2.0**30, 2.0**31, 2.0**40 + 1])
+    def test_matches_dense_loop_around_the_exactness_guard(self, rate, averaged):
+        self._assert_matches_dense_loop("dense-noisy", rate, "constant", averaged)
+
+    @staticmethod
+    def _assert_matches_dense_loop(stream, rate, schedule, averaged):
         bits, labels = _ORACLE_STREAMS[stream]()
         cfg = LearnerConfig(
             epochs=4, rate=rate, schedule=schedule, shuffle_seed=2, averaged=averaged
